@@ -2,8 +2,9 @@
 
 Generate challenge instances (random, jigsaw, atris, satris), assign item
 values, solve with a greedy + local-search baseline, verify solutions with
-exact integer arithmetic accelerated by a quad tree, score competing teams
-with the squared-ratio rule, and curate diverse benchmark subsets.
+exact integer arithmetic accelerated by a sort-and-sweep broad phase, score
+competing teams with the squared-ratio rule, and curate diverse benchmark
+subsets.
 """
 
 __version__ = "0.1.0"
@@ -15,7 +16,7 @@ from .model import (Instance, Item, Placement, Solution, load_instance,
                     write_solution)
 from .generators import GenConfig, gen_atris, gen_jigsaw, gen_random, gen_satris
 from .valuation import ValueKind, ValueSpec, assign_values
-from .verifier import QuadTree, VerifyReport, build_index, verify
+from .verifier import BoxIndex, QuadTree, VerifyReport, build_index, verify
 from .scoring import SubmissionRecord, build_leaderboard, instance_score
 from .selection import SelectionConfig, compute_metrics, select_diverse
 from .solver import SolverConfig, improve_local, solve, solve_greedy
@@ -27,7 +28,7 @@ __all__ = [
     "load_instance", "save_instance", "load_solution", "save_solution",
     "GenConfig", "gen_random", "gen_jigsaw", "gen_atris", "gen_satris",
     "ValueKind", "ValueSpec", "assign_values",
-    "QuadTree", "VerifyReport", "build_index", "verify",
+    "BoxIndex", "QuadTree", "VerifyReport", "build_index", "verify",
     "SubmissionRecord", "build_leaderboard", "instance_score",
     "SelectionConfig", "compute_metrics", "select_diverse",
     "SolverConfig", "solve", "solve_greedy", "improve_local",

@@ -41,6 +41,16 @@ class Point:
 
 
 Coord = tuple[int, int]
+Box = tuple[int, int, int, int]  # minx, miny, maxx, maxy
+
+
+def boxes_interior_overlap(a: Box, b: Box) -> bool:
+    return a[0] < b[2] and b[0] < a[2] and a[1] < b[3] and b[1] < a[3]
+
+
+def _bbox(pts: Sequence[Coord]) -> Box:
+    xs, ys = zip(*pts)
+    return (min(xs), min(ys), max(xs), max(ys))
 
 
 def round_nearest(q: Fraction) -> int:
@@ -156,10 +166,11 @@ class Polygon:
 
     Construction validates the full invariant (simplicity, positive area), so
     holding a Polygon is proof the shape is usable; predicates never
-    re-validate.  Derived data (bounding box, triangulation) is cached.
+    re-validate.  Derived data (bounding box, triangulation, convex parts) is
+    cached.
     """
 
-    __slots__ = ("coords", "_area2", "_bbox", "_convex", "_triangles")
+    __slots__ = ("coords", "_area2", "_bbox", "_convex", "_triangles", "_parts")
 
     def __init__(self, vertices: Iterable):
         pts = _coords(vertices)
@@ -172,11 +183,10 @@ class Polygon:
             raise GeometryError("polygon is not simple")
         self.coords = pts
         self._area2 = a2
-        xs = [p[0] for p in pts]
-        ys = [p[1] for p in pts]
-        self._bbox = (min(xs), min(ys), max(xs), max(ys))
+        self._bbox = _bbox(pts)
         self._convex = None
         self._triangles = None
+        self._parts = None
 
     @property
     def vertices(self) -> tuple[Point, ...]:
@@ -205,6 +215,17 @@ class Polygon:
         if self._triangles is None:
             self._triangles = tuple(triangulate(self.coords))
         return self._triangles
+
+    @property
+    def parts(self) -> tuple[tuple[tuple[Coord, ...], Box], ...]:
+        """Convex pieces with their bounding boxes: the polygon itself if it
+        is convex, else its triangles."""
+        if self._parts is None:
+            if self.convex:
+                self._parts = ((self.coords, self._bbox),)
+            else:
+                self._parts = tuple((t, _bbox(t)) for t in self.triangles)
+        return self._parts
 
     def translated_coords(self, dx: int, dy: int) -> tuple[Coord, ...]:
         return tuple((x + dx, y + dy) for x, y in self.coords)
@@ -315,11 +336,6 @@ def triangulate(poly) -> list[tuple[Coord, Coord, Coord]]:
     return triangles
 
 
-def _bbox_interiors_overlap(b1, b2) -> bool:
-    return (b1[0] < b2[2] and b2[0] < b1[2]
-            and b1[1] < b2[3] and b2[1] < b1[3])
-
-
 def _separated_by_edge_of(pa: Sequence[Coord], pb: Sequence[Coord],
                           dx: int, dy: int) -> bool:
     # pb is shifted by (dx, dy).  CCW pa keeps its interior left of each
@@ -351,43 +367,25 @@ def _convex_open_overlap(pa: Sequence[Coord], pb: Sequence[Coord],
     return True
 
 
-def _tri_bboxes(tris):
-    out = []
-    for t in tris:
-        xs = (t[0][0], t[1][0], t[2][0])
-        ys = (t[0][1], t[1][1], t[2][1])
-        out.append((min(xs), min(ys), max(xs), max(ys)))
-    return out
-
-
 def interiors_overlap(a: Polygon, ta, b: Polygon, tb) -> bool:
     """True iff the open interiors of the translated polygons intersect.
 
-    Boundary contact is not overlap.  Nonconvex shapes are handled through
-    their cached triangulations: interiors meet iff some triangle pair's
-    interiors meet, and each triangle pair is decided by exact SAT.
+    Boundary contact is not overlap.  Each polygon is taken as its cached
+    convex parts (itself, or its triangles if nonconvex): interiors meet iff
+    some pair of parts' interiors meet, and each pair whose boxes overlap is
+    decided by exact SAT.
     """
     tax, tay = int(ta[0]), int(ta[1])
     tbx, tby = int(tb[0]), int(tb[1])
     dx, dy = tbx - tax, tby - tay  # work in a's frame
-    ab = a.bbox
     bb = b.bbox
-    if not _bbox_interiors_overlap(ab, (bb[0] + dx, bb[1] + dy, bb[2] + dx, bb[3] + dy)):
+    if not boxes_interior_overlap(a.bbox, (bb[0] + dx, bb[1] + dy, bb[2] + dx, bb[3] + dy)):
         return False
-    if a.convex and b.convex:
-        return _convex_open_overlap(a.coords, b.coords, dx, dy)
-    tris_a = ((a.coords,) if a.convex else a.triangles)
-    tris_b = ((b.coords,) if b.convex else b.triangles)
-    boxes_a = _tri_bboxes(tris_a) if len(tris_a) > 1 else [ab]
-    boxes_b = _tri_bboxes(tris_b) if len(tris_b) > 1 else [bb]
-    for ia, pa in enumerate(tris_a):
-        bxa = boxes_a[ia]
-        for ib, pb in enumerate(tris_b):
-            bxb = boxes_b[ib]
-            if not _bbox_interiors_overlap(bxa, (bxb[0] + dx, bxb[1] + dy,
-                                                 bxb[2] + dx, bxb[3] + dy)):
-                continue
-            if _convex_open_overlap(pa, pb, dx, dy):
+    for pa, (ax0, ay0, ax1, ay1) in a.parts:
+        for pb, (bx0, by0, bx1, by1) in b.parts:
+            # boxes_interior_overlap inlined: this loop is the solver's hot path
+            if (ax0 < bx1 + dx and bx0 + dx < ax1 and ay0 < by1 + dy and by0 + dy < ay1
+                    and _convex_open_overlap(pa, pb, dx, dy)):
                 return True
     return False
 

@@ -2,11 +2,12 @@
 coarse-to-fine integer grid, followed by local-search improvement.
 
 Candidate offsets live on integer grids only, so every intermediate state is
-exactly verifiable; the shared occupancy quad tree keeps feasibility checks
-local.  The greedy pass prefers the lowest-then-leftmost feasible cell
-(bottom-left heuristic) and refines the grid around the first hit.  Local
-search applies value-positive moves only (insert, relocate+insert, swap,
-depth-2 eject), so the packed value never decreases.
+exactly verifiable; the verifier's sort-and-sweep box index over placed
+items keeps feasibility checks local.  The greedy pass prefers the
+lowest-then-leftmost feasible cell (bottom-left heuristic) and refines the
+grid around the first hit.  Local search applies value-positive moves only
+(insert, relocate+insert, swap, depth-2 eject), so the packed value never
+decreases.
 
 An item reported unplaced may still fit at some non-grid offset; the solver
 never claims infeasibility, it only stops looking.
@@ -22,7 +23,7 @@ from typing import Callable, Optional
 from .geom import contained_in_convex, interiors_overlap
 from .model import Instance, Placement, Solution
 from .rng import Rng
-from .verifier import QuadTree
+from .verifier import BoxIndex
 
 
 class Ordering(enum.Enum):
@@ -85,7 +86,7 @@ class PlacementState:
         self.container = instance.container
         self.cbox = instance.container.bbox
         self.rect_container = _is_axis_rect(instance.container)
-        self.tree = QuadTree(self.cbox)
+        self.tree = BoxIndex()
         self.offsets: dict[int, tuple[int, int]] = {}
         self.value = 0
         self.free_area2 = instance.container.area2
@@ -155,9 +156,11 @@ def _offset_range(state: PlacementState, idx: int):
     return lox, hix, loy, hiy
 
 
-def _scan_bottom_left(state, idx, lox, hix, loy, hiy, step):
+def _scan_bottom_left(state, idx, lox, hix, loy, hiy, step, deadline):
     ty = loy
     while ty <= hiy:
+        if deadline is not None and time.monotonic() > deadline:
+            return None
         tx = lox
         while tx <= hix:
             if state.can_place(idx, (tx, ty)):
@@ -168,8 +171,13 @@ def _scan_bottom_left(state, idx, lox, hix, loy, hiy, step):
 
 
 def find_offset(state: PlacementState, idx: int, grid_levels: int,
-                coarse_cells: int) -> Optional[tuple[int, int]]:
-    """Bottom-left feasible offset on a coarse grid, refined around the hit."""
+                coarse_cells: int,
+                deadline: Optional[float] = None) -> Optional[tuple[int, int]]:
+    """Bottom-left feasible offset on a coarse grid, refined around the hit.
+
+    Once `deadline` (a `time.monotonic()` value) has passed, no more grid
+    rows are scanned: the result is None, or the last feasible hit while
+    refining."""
     if state.polys[idx].area2 > state.free_area2:
         return None
     rng_range = _offset_range(state, idx)
@@ -178,7 +186,7 @@ def find_offset(state: PlacementState, idx: int, grid_levels: int,
     lox, hix, loy, hiy = rng_range
     span = max(hix - lox, hiy - loy)
     step = max(1, -(-span // coarse_cells))  # ceil division
-    best = _scan_bottom_left(state, idx, lox, hix, loy, hiy, step)
+    best = _scan_bottom_left(state, idx, lox, hix, loy, hiy, step, deadline)
     if best is None:
         return None
     for _ in range(grid_levels):
@@ -189,7 +197,7 @@ def find_offset(state: PlacementState, idx: int, grid_levels: int,
         cand = _scan_bottom_left(
             state, idx,
             max(lox, best[0] - prev), min(hix, best[0] + prev),
-            max(loy, best[1] - prev), min(hiy, best[1] + prev), step)
+            max(loy, best[1] - prev), min(hiy, best[1] + prev), step, deadline)
         if cand is not None:
             best = cand
     return best
@@ -247,7 +255,7 @@ def solve_greedy(instance: Instance, cfg: SolverConfig,
             break
         if idx in state.offsets:
             continue
-        off = find_offset(state, idx, cfg.grid_levels, cfg.coarse_cells)
+        off = find_offset(state, idx, cfg.grid_levels, cfg.coarse_cells, deadline)
         if off is not None:
             state.place(idx, off)
     return state.to_solution()
@@ -263,7 +271,7 @@ def _state_from_solution(instance: Instance, solution: Solution) -> PlacementSta
     return state
 
 
-def _move_insert(state, cfg, failed_cache=None, limit=None):
+def _move_insert(state, cfg, deadline, failed_cache=None, limit=None):
     """Place the highest-value unpacked item that fits anywhere.
 
     failed_cache remembers items that found no offset since the last applied
@@ -274,7 +282,7 @@ def _move_insert(state, cfg, failed_cache=None, limit=None):
     for idx in unpacked:
         if failed_cache is not None and idx in failed_cache:
             continue
-        off = find_offset(state, idx, cfg.grid_levels, cfg.coarse_cells * 2)
+        off = find_offset(state, idx, cfg.grid_levels, cfg.coarse_cells * 2, deadline)
         if off is not None:
             state.place(idx, off)
             return state.values[idx]
@@ -283,7 +291,7 @@ def _move_insert(state, cfg, failed_cache=None, limit=None):
     return 0
 
 
-def _move_relocate(state, cfg, rng):
+def _move_relocate(state, cfg, rng, deadline):
     """Compact one placed item toward the bottom-left, then try an insert."""
     placed = sorted(state.offsets)
     if not placed:
@@ -291,19 +299,19 @@ def _move_relocate(state, cfg, rng):
     idx = placed[rng.below(len(placed))]
     old = state.offsets[idx]
     state.remove(idx)
-    new = find_offset(state, idx, cfg.grid_levels, cfg.coarse_cells * 2)
+    new = find_offset(state, idx, cfg.grid_levels, cfg.coarse_cells * 2, deadline)
     if new is None or (new[1], new[0]) >= (old[1], old[0]):
         state.place(idx, old)
         return 0
     state.place(idx, new)
-    gained = _move_insert(state, cfg, limit=10)
+    gained = _move_insert(state, cfg, deadline, limit=10)
     if gained == 0:
         state.remove(idx)
         state.place(idx, old)
     return gained
 
 
-def _move_swap(state, cfg, rng, depth=1):
+def _move_swap(state, cfg, rng, deadline, depth=1):
     """Remove `depth` placed items, insert higher-value unpacked ones; revert
     unless the net change is positive."""
     if len(state.offsets) < depth:
@@ -325,14 +333,14 @@ def _move_swap(state, cfg, rng, depth=1):
     for idx in unpacked[:8]:
         if budget == 0:
             break
-        off = find_offset(state, idx, cfg.grid_levels, cfg.coarse_cells)
+        off = find_offset(state, idx, cfg.grid_levels, cfg.coarse_cells, deadline)
         if off is not None:
             state.place(idx, off)
             inserted.append(idx)
             budget -= 1
     # the ejected items may re-enter too
     for idx, _ in removed:
-        off = find_offset(state, idx, cfg.grid_levels, cfg.coarse_cells)
+        off = find_offset(state, idx, cfg.grid_levels, cfg.coarse_cells, deadline)
         if off is not None:
             state.place(idx, off)
             inserted.append(idx)
@@ -361,13 +369,13 @@ def improve_local(instance: Instance, start: Solution, cfg: SolverConfig,
         iteration += 1
         gained = 0
         if Move.INSERT in moves:
-            gained = _move_insert(state, cfg, failed_cache=insert_failed)
+            gained = _move_insert(state, cfg, deadline, failed_cache=insert_failed)
         if gained == 0 and Move.RELOCATE in moves:
-            gained = _move_relocate(state, cfg, rng)
+            gained = _move_relocate(state, cfg, rng, deadline)
         if gained == 0 and Move.SWAP_PAIR in moves:
-            gained = _move_swap(state, cfg, rng, depth=1)
+            gained = _move_swap(state, cfg, rng, deadline, depth=1)
         if gained == 0 and Move.EJECT_CHAIN in moves:
-            gained = _move_swap(state, cfg, rng, depth=2)
+            gained = _move_swap(state, cfg, rng, deadline, depth=2)
         if gained > 0:
             no_improve = 0
             insert_failed.clear()  # the landscape changed; rescan everything

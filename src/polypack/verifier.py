@@ -1,10 +1,16 @@
-"""Exact solution verification with a quad-tree broad phase.
+"""Exact solution verification with a sort-and-sweep broad phase.
 
-The quad tree stores translated item bounding boxes and only pairs whose box
-interiors overlap are handed to the exact polygon predicate.  Because a
-polygon's open interior is strictly inside its bounding box, two placements
-whose boxes merely touch can never conflict, so the tree's candidate set is a
-true superset of the overlapping pairs and nothing is missed.
+The broad phase keeps the translated item bounding boxes sorted by min x and
+hands only pairs whose box interiors overlap to the exact polygon predicate
+(the one-axis sweep of I-COLLIDE, Cohen, Lin, Manocha & Ponamgi 1995).
+Because a polygon's open interior is strictly inside its bounding box, two
+placements whose boxes merely touch can never conflict, so the candidate set
+is a true superset of the overlapping pairs and nothing is missed.
+
+The sweep costs O(n log n) plus the number of box pairs whose x-ranges
+overlap, whatever the coordinates.  That count is O(n^2) when the boxes
+themselves overlap pairwise: a pile-up, or n thin parallel diagonal slivers,
+which form a valid packing whose n(n-1)/2 box pairs all need an exact test.
 
 Checks run in a fixed order (indices, containment, pairwise overlap) and the
 first violation in deterministic scan order is reported; a valid solution's
@@ -13,142 +19,74 @@ packed value is the exact sum of its item values.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Optional
 
-from .geom import contained_in_convex, interiors_overlap
+from .geom import Box, contained_in_convex, interiors_overlap
+from .geom import boxes_interior_overlap  # noqa: F401  (re-exported)
 from .model import Instance, Solution
 
-LEAF_CAPACITY = 16
-MAX_DEPTH = 20
 
-Box = tuple[int, int, int, int]  # minx, miny, maxx, maxy
+class BoxIndex:
+    """Integer boxes keyed by unique id, kept sorted by min x.
 
+    A stored box can meet a query box only if its min x lies in
+    (query.minx - widest, query.maxx), where widest is the widest box width
+    inserted so far; that slice is scanned and filtered exactly.
+    """
 
-def boxes_interior_overlap(a: Box, b: Box) -> bool:
-    return a[0] < b[2] and b[0] < a[2] and a[1] < b[3] and b[1] < a[3]
-
-
-class _Node:
-    __slots__ = ("region", "depth", "entries", "children")
-
-    def __init__(self, region: Box, depth: int):
-        self.region = region
-        self.depth = depth
-        self.entries: list[tuple[int, Box]] = []
-        self.children: Optional[list["_Node"]] = None
-
-    def _split(self):
-        minx, miny, maxx, maxy = self.region
-        mx, my = (minx + maxx) // 2, (miny + maxy) // 2
-        if mx == minx or my == miny:
-            return False
-        d = self.depth + 1
-        self.children = [
-            _Node((minx, miny, mx, my), d),
-            _Node((mx, miny, maxx, my), d),
-            _Node((minx, my, mx, maxy), d),
-            _Node((mx, my, maxx, maxy), d),
-        ]
-        old = self.entries
-        self.entries = []
-        for ent in old:
-            for child in self.children:
-                if boxes_interior_overlap(ent[1], child.region):
-                    child.insert(ent)
-        return True
-
-    def insert(self, ent: tuple[int, Box]):
-        if self.children is None:
-            self.entries.append(ent)
-            if len(self.entries) > LEAF_CAPACITY and self.depth < MAX_DEPTH:
-                self._split()
-            return
-        for child in self.children:
-            if boxes_interior_overlap(ent[1], child.region):
-                child.insert(ent)
-
-    def remove(self, ent: tuple[int, Box]):
-        if self.children is None:
-            try:
-                self.entries.remove(ent)
-            except ValueError:
-                pass
-            return
-        for child in self.children:
-            if boxes_interior_overlap(ent[1], child.region):
-                child.remove(ent)
-
-    def query(self, box: Box, out: set):
-        if self.children is None:
-            for ident, b in self.entries:
-                if boxes_interior_overlap(b, box):
-                    out.add(ident)
-            return
-        for child in self.children:
-            if boxes_interior_overlap(box, child.region):
-                child.query(box, out)
-
-    def leaves(self):
-        if self.children is None:
-            yield self.entries
-        else:
-            for child in self.children:
-                yield from child.leaves()
-
-
-class QuadTree:
-    """Midpoint quad tree over integer boxes; entries may live in several
-    leaves, queries deduplicate by entry id."""
-
-    def __init__(self, bounds: Box):
-        minx, miny, maxx, maxy = bounds
-        # guard against degenerate bounds so splitting is always meaningful
-        self._root = _Node((minx, miny, max(maxx, minx + 1), max(maxy, miny + 1)), 0)
-        self._outside: list[tuple[int, Box]] = []
+    def __init__(self):
+        self._keys: list[tuple[int, int]] = []  # (minx, id), sorted
+        self._boxes: dict[int, Box] = {}
+        self._widest = 0  # only grows: a stale value widens scans, misses nothing
 
     def insert(self, ident: int, box: Box) -> None:
-        if boxes_interior_overlap(box, self._root.region):
-            self._root.insert((ident, box))
-        else:
-            self._outside.append((ident, box))
+        insort(self._keys, (box[0], ident))
+        self._boxes[ident] = box
+        self._widest = max(self._widest, box[2] - box[0])
 
     def remove(self, ident: int, box: Box) -> None:
-        if boxes_interior_overlap(box, self._root.region):
-            self._root.remove((ident, box))
-        elif (ident, box) in self._outside:
-            self._outside.remove((ident, box))
+        keys = self._keys
+        i = bisect_left(keys, (box[0], ident))
+        if i < len(keys) and keys[i] == (box[0], ident):
+            del keys[i]
+            del self._boxes[ident]
 
     def query(self, box: Box) -> set[int]:
-        """Ids of all stored boxes whose interiors overlap `box` (superset)."""
+        """Ids of all stored boxes whose interiors overlap `box`."""
+        keys, boxes = self._keys, self._boxes
+        x0, y0, x1, y1 = box
+        lo = bisect_left(keys, (x0 - self._widest + 1,))
+        hi = bisect_left(keys, (x1,), lo)
         out: set[int] = set()
-        self._root.query(box, out)
-        for ident, b in self._outside:
-            if boxes_interior_overlap(b, box):
+        for _, ident in keys[lo:hi]:
+            b = boxes[ident]
+            if x0 < b[2] and y0 < b[3] and b[1] < y1:
                 out.add(ident)
         return out
 
     def candidate_pairs(self) -> list[tuple[int, int]]:
-        """Sorted id pairs whose box interiors overlap; no false negatives."""
-        pairs: set[tuple[int, int]] = set()
-        buckets = list(self._root.leaves())
-        if self._outside:
-            buckets.append(self._outside)
-            # outside entries never co-locate with tree entries; compare directly
-            inside = [e for leaf in self._root.leaves() for e in leaf]
-            for io, bo in self._outside:
-                for ii, bi in inside:
-                    if boxes_interior_overlap(bo, bi):
-                        pairs.add((min(io, ii), max(io, ii)))
-        for leaf in buckets:
-            n = len(leaf)
-            for i in range(n):
-                ia, ba = leaf[i]
-                for j in range(i + 1, n):
-                    ib, bb = leaf[j]
-                    if ia != ib and boxes_interior_overlap(ba, bb):
-                        pairs.add((min(ia, ib), max(ia, ib)))
-        return sorted(pairs)
+        """All id pairs whose box interiors overlap, sorted."""
+        keys, boxes = self._keys, self._boxes
+        n = len(keys)
+        pairs = []
+        for i in range(n):
+            a = keys[i][1]
+            ax0, ay0, ax1, ay1 = boxes[a]
+            for j in range(i + 1, n):
+                bx0, b = keys[j]
+                if bx0 >= ax1:
+                    break
+                _, by0, bx1, by1 = boxes[b]
+                if ax0 < bx1 and ay0 < by1 and by0 < ay1:
+                    pairs.append((a, b) if a < b else (b, a))
+        pairs.sort()
+        return pairs
+
+
+# The broad phase's former name, still exported.
+QuadTree = BoxIndex
 
 
 class ViolationKind(enum.Enum):
@@ -196,22 +134,13 @@ def placement_box(instance: Instance, item_index: int, offset) -> Box:
     return (b[0] + dx, b[1] + dy, b[2] + dx, b[3] + dy)
 
 
-def build_index(instance: Instance, solution: Solution) -> QuadTree:
-    """Quad tree over the translated item bounding boxes, keyed by placement
+def build_index(instance: Instance, solution: Solution) -> BoxIndex:
+    """Box index over the translated item bounding boxes, keyed by placement
     position within the solution."""
-    bounds = list(instance.container.bbox)
-    boxes = []
+    index = BoxIndex()
     for pos, pl in enumerate(solution.placements):
-        box = placement_box(instance, pl.item_index, pl.offset)
-        boxes.append((pos, box))
-        bounds[0] = min(bounds[0], box[0])
-        bounds[1] = min(bounds[1], box[1])
-        bounds[2] = max(bounds[2], box[2])
-        bounds[3] = max(bounds[3], box[3])
-    tree = QuadTree(tuple(bounds))
-    for pos, box in boxes:
-        tree.insert(pos, box)
-    return tree
+        index.insert(pos, placement_box(instance, pl.item_index, pl.offset))
+    return index
 
 
 def verify(instance: Instance, solution: Solution) -> VerifyReport:
@@ -239,9 +168,8 @@ def verify(instance: Instance, solution: Solution) -> VerifyReport:
                                    pl.offset):
             return VerifyReport(False, 0, Violation(
                 ViolationKind.NOT_CONTAINED, (pl.item_index,)))
-    tree = build_index(instance, solution)
     placements = solution.placements
-    for pa, pb in tree.candidate_pairs():
+    for pa, pb in build_index(instance, solution).candidate_pairs():
         a, b = placements[pa], placements[pb]
         if interiors_overlap(instance.items[a.item_index].polygon, a.offset,
                              instance.items[b.item_index].polygon, b.offset):

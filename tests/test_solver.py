@@ -1,8 +1,9 @@
 import random
+import time
 
 import pytest
 
-from polypack.generators import GenConfig, gen_atris, gen_jigsaw, gen_random
+from polypack.generators import GenConfig, gen_atris, gen_jigsaw, gen_random, gen_satris
 from polypack.geom import Polygon
 from polypack.model import Instance, Item, Solution
 from polypack.solver import (Move, Ordering, PlacementMode, SolverConfig,
@@ -184,6 +185,16 @@ class TestSolveDispatch:
                 inst = family(GenConfig(seed=seed, n_target=30))
             sol = solve(inst, SolverConfig(time_budget=12.0, seed=4))
             assert verify(inst, sol).valid
+
+    @pytest.mark.parametrize("family", [gen_random, gen_satris])
+    def test_returns_within_budget(self, family):
+        # a 60-item instance keeps local search busy well past 2 s, so the
+        # budget, not convergence, ends the solve
+        inst = family(GenConfig(seed=3, n_target=60))
+        start = time.monotonic()
+        sol = solve(inst, SolverConfig(time_budget=2.0, seed=1))
+        assert time.monotonic() - start < 2.0 + 0.3
+        assert verify(inst, sol).valid
 
 
 class TestSkippedItemSoundness:

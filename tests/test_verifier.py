@@ -5,7 +5,7 @@ import pytest
 
 from polypack.geom import Polygon, contained_in_convex, interiors_overlap
 from polypack.model import Instance, Item, Placement, Solution
-from polypack.verifier import (InstanceMismatch, QuadTree, ViolationKind,
+from polypack.verifier import (BoxIndex, InstanceMismatch, ViolationKind,
                                boxes_interior_overlap, build_index,
                                placement_box, verify)
 
@@ -76,20 +76,20 @@ def random_solution(rng, instance, adversarial=True):
     return Solution(instance.name, tuple(placements))
 
 
-class TestQuadTree:
+class TestBoxIndex:
     def test_empty(self):
-        tree = QuadTree((0, 0, 100, 100))
+        tree = BoxIndex()
         assert tree.candidate_pairs() == []
         assert tree.query((0, 0, 100, 100)) == set()
 
     def test_far_apart_items_no_pairs(self):
-        tree = QuadTree((0, 0, 100, 100))
+        tree = BoxIndex()
         tree.insert(0, (0, 0, 5, 5))
         tree.insert(1, (90, 90, 95, 95))
         assert tree.candidate_pairs() == []
 
     def test_touching_boxes_are_not_candidates(self):
-        tree = QuadTree((0, 0, 100, 100))
+        tree = BoxIndex()
         tree.insert(0, (0, 0, 5, 5))
         tree.insert(1, (5, 0, 10, 5))
         assert tree.candidate_pairs() == []
@@ -102,7 +102,7 @@ class TestQuadTree:
             for i in range(n):
                 x, y = rng.randint(0, 200), rng.randint(0, 200)
                 boxes.append((x, y, x + rng.randint(1, 30), y + rng.randint(1, 30)))
-            tree = QuadTree((0, 0, 220, 220))
+            tree = BoxIndex()
             for i, b in enumerate(boxes):
                 tree.insert(i, b)
             brute = {(i, j) for i in range(n) for j in range(i + 1, n)
@@ -115,7 +115,7 @@ class TestQuadTree:
     def test_query_superset(self):
         rng = random.Random(32)
         boxes = []
-        tree = QuadTree((0, 0, 300, 300))
+        tree = BoxIndex()
         for i in range(300):
             x, y = rng.randint(0, 280), rng.randint(0, 280)
             b = (x, y, x + rng.randint(1, 25), y + rng.randint(1, 25))
@@ -125,16 +125,42 @@ class TestQuadTree:
             x, y = rng.randint(0, 280), rng.randint(0, 280)
             q = (x, y, x + rng.randint(1, 40), y + rng.randint(1, 40))
             expected = {i for i, b in enumerate(boxes) if boxes_interior_overlap(b, q)}
-            assert expected <= tree.query(q)
+            assert expected == tree.query(q)
 
     def test_remove(self):
-        tree = QuadTree((0, 0, 100, 100))
+        tree = BoxIndex()
         tree.insert(0, (0, 0, 10, 10))
         tree.insert(1, (5, 5, 15, 15))
         assert tree.candidate_pairs() == [(0, 1)]
         tree.remove(0, (0, 0, 10, 10))
         assert tree.candidate_pairs() == []
         assert tree.query((0, 0, 20, 20)) == {1}
+
+    def test_random_insert_remove_matches_brute_force(self):
+        rng = random.Random(36)
+        for trial in range(30):
+            index = BoxIndex()
+            live: dict[int, tuple] = {}
+            for step in range(300):
+                if live and rng.random() < 0.35:
+                    ident = rng.choice(sorted(live))
+                    index.remove(ident, live.pop(ident))
+                else:
+                    ident = step
+                    x, y = rng.randint(-50, 200), rng.randint(-50, 200)
+                    # mostly small boxes, now and then a long one
+                    w = rng.randint(1, 15) if rng.random() < 0.9 else rng.randint(50, 250)
+                    live[ident] = (x, y, x + w, y + rng.randint(1, 15))
+                    index.insert(ident, live[ident])
+                if step % 25 == 0:
+                    x, y = rng.randint(-50, 200), rng.randint(-50, 200)
+                    q = (x, y, x + rng.randint(1, 60), y + rng.randint(1, 60))
+                    assert index.query(q) == {i for i, b in live.items()
+                                              if boxes_interior_overlap(b, q)}
+            ids = sorted(live)
+            assert index.candidate_pairs() == [
+                (a, b) for k, a in enumerate(ids) for b in ids[k + 1:]
+                if boxes_interior_overlap(live[a], live[b])]
 
 
 def simple_instance():
@@ -278,3 +304,47 @@ class TestBroadPhaseScaling:
             tree = build_index(inst, sol)
             assert len(tree.candidate_pairs()) <= 50 * max(1, sol.n_placed)
             assert verify(inst, sol).valid
+
+
+class TestAdversarialSubmissions:
+    """Inputs the parser accepts that once made the broad phase blow up."""
+
+    def test_stacked_huge_squares(self):
+        s = 2 ** 30
+        square = Polygon([(0, 0), (512 * s, 0), (512 * s, 512 * s), (0, 512 * s)])
+        container = Polygon([(0, 0), (1024 * s, 0), (1024 * s, 1024 * s), (0, 1024 * s)])
+        inst = Instance("stack", container, tuple(Item(square, 1) for _ in range(17)))
+        sol = Solution("stack", tuple(Placement(i, (0, 0)) for i in range(17)))
+        start = time.monotonic()
+        rep = verify(inst, sol)
+        assert time.monotonic() - start < 1.0
+        assert rep.violation.kind is ViolationKind.OVERLAP
+        assert rep.violation.item_indices == (0, 1)
+
+    def test_jigsaw_pile_up(self):
+        from polypack.generators import GenConfig, gen_jigsaw
+        inst = gen_jigsaw(GenConfig(seed=1, jigsaw_line_count=40,
+                                    jigsaw_perturb_amplitude=0))
+        cx, cy = inst.container.bbox[:2]
+        sol = Solution(inst.name, tuple(
+            Placement(i, (cx - it.polygon.bbox[0], cy - it.polygon.bbox[1]))
+            for i, it in enumerate(inst.items)))
+        start = time.monotonic()
+        rep = verify(inst, sol)
+        assert time.monotonic() - start < 1.0
+        assert not rep.valid and rep.violation.kind is ViolationKind.OVERLAP
+
+    def test_parallel_diagonal_slivers(self):
+        # n translates of one thin parallelogram, each touching the next:
+        # a valid packing in which every pair of boxes overlaps, so the
+        # broad phase must hand all n(n-1)/2 pairs to the exact test.
+        n, length = 300, 400
+        sliver = Polygon([(0, 0), (1, 0), (1 + length, length), (length, length)])
+        container = Polygon([(0, 0), (n + length, 0), (n + length, length), (0, length)])
+        inst = Instance("slivers", container, tuple(Item(sliver, 1) for _ in range(n)))
+        sol = Solution("slivers", tuple(Placement(i, (i, 0)) for i in range(n)))
+        assert len(build_index(inst, sol).candidate_pairs()) == n * (n - 1) // 2
+        start = time.monotonic()
+        rep = verify(inst, sol)
+        assert time.monotonic() - start < 2.0
+        assert rep.valid and rep.packed_value == n
