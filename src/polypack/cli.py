@@ -22,7 +22,7 @@ from .model import (ParseError, ValidationError, load_instance, load_solution,
 from .render import PALETTES, RenderOfInvalidSolution, RenderSpec, render
 from .scoring import (UnknownInstance, build_leaderboard, read_records_csv,
                       render_table)
-from .selection import METRIC_NAMES, SelectionConfig, select_from_features
+from .selection import SelectionConfig, features_csv, select_from_features
 from .solver import (Move, Ordering, PlacementMode, SolverConfig,
                      improve_local, solution_value, solve)
 from .valuation import ValueKind, ValueOverflow, ValueSpec, assign_values
@@ -47,10 +47,6 @@ def _emit(args, data: bytes, summary=None):
             print(json.dumps(summary))
     else:
         sys.stdout.write(data.decode("utf-8"))
-
-
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -141,7 +137,6 @@ def cmd_solve(args) -> int:
         else frozenset(Move)
     cfg = SolverConfig(
         ordering=Ordering(args.ordering),
-        grid_levels=args.grid_levels,
         time_budget=args.budget,
         ls_moves=moves,
         seed=args.seed or 0,
@@ -225,10 +220,7 @@ def cmd_select(args) -> int:
             warnings.simplefilter("ignore")
         chosen = select_from_features(named, cfg)
     if args.features_csv:
-        header = "name," + ",".join(METRIC_NAMES)
-        rows = [name + "," + ",".join(f"{v:.9g}" for v in vals)
-                for name, vals in sorted(named)]
-        Path(args.features_csv).write_text("\n".join([header] + rows) + "\n")
+        Path(args.features_csv).write_text(features_csv(named))
         _eprint(args, f"feature matrix written to {args.features_csv}")
     print(json.dumps({"type": "cgshop2024_selection", "k": args.k,
                       "selected": chosen}))
@@ -251,8 +243,6 @@ def cmd_render(args) -> int:
 
 def _add_common(sp, out=True):
     sp.add_argument("--seed", type=int, default=None, help="random seed")
-    sp.add_argument("--jobs", type=int, default=1,
-                    help="parallelism across instances (used by select)")
     sp.add_argument("--quiet", action="store_true", help="suppress stderr chatter")
     if out:
         sp.add_argument("--out", "-o", default=None, help="output file")
@@ -269,10 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate a challenge instance")
     p.add_argument("family", choices=sorted(FAMILIES))
     p.add_argument("--n", type=int, default=None, help="target item count")
-    p.add_argument("--t", type=_parse_fraction, default=None,
+    p.add_argument("--t", type=Fraction, default=None,
                    help="total-item-area multiple of container area, in [1,2]")
     p.add_argument("--convexity-ratio", dest="convexity_ratio",
-                   type=_parse_fraction, default=None)
+                   type=Fraction, default=None)
     p.add_argument("--lines", type=int, default=None, help="jigsaw cut lines")
     p.add_argument("--copies", type=int, default=None, help="jigsaw copies")
     p.add_argument("--perturb", type=int, default=None,
@@ -280,13 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--container", default=None, help="WxH for rectangular families")
     p.add_argument("--pixel-range", dest="pixel_range", type=_parse_range,
                    default=None, help="atris/satris pixel sizes, lo:hi")
-    p.add_argument("--shear-prob", dest="shear_prob", type=_parse_fraction,
+    p.add_argument("--shear-prob", dest="shear_prob", type=Fraction,
                    default=None)
     p.add_argument("--value-kind", dest="value_kind", type=ValueKind,
                    choices=list(ValueKind), default=None)
-    p.add_argument("--value-noise", dest="value_noise", type=_parse_fraction,
+    p.add_argument("--value-noise", dest="value_noise", type=Fraction,
                    default=None)
-    p.add_argument("--value-scale", dest="value_scale", type=_parse_fraction,
+    p.add_argument("--value-scale", dest="value_scale", type=Fraction,
                    default=None)
     p.add_argument("--config", default=None, help="key = value config file")
     _add_common(p)
@@ -308,9 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=float, default=60.0, help="seconds")
     p.add_argument("--ordering", default="density",
                    choices=[o.value for o in Ordering])
-    p.add_argument("--grid-levels", dest="grid_levels", type=int, default=6)
     p.add_argument("--moves", default=None,
-                   help="comma list of insert,relocate,swap,eject")
+                   help="comma list of local-search moves: insert, swap, "
+                        "eject (depth-2 eject chain)")
     p.add_argument("--shelf", action="store_true",
                    help="next-fit decreasing shelf placement (rect containers)")
     _add_common(p)
@@ -335,6 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=10)
     p.add_argument("--pca-components", dest="pca_components", type=int, default=0)
     p.add_argument("--features-csv", dest="features_csv", default=None)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallelism across instances")
     _add_common(p, out=False)
     p.set_defaults(func=cmd_select)
 

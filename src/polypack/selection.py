@@ -215,9 +215,9 @@ def select_diverse(instances, cfg: SelectionConfig) -> list[str]:
     return select_from_features(feats, cfg)
 
 
-def features_csv(instances) -> str:
+def features_csv(named_features) -> str:
+    """CSV of `(name, metric values)` pairs, one row per instance by name."""
     lines = ["name," + ",".join(METRIC_NAMES)]
-    for inst in sorted(instances, key=lambda i: i.name):
-        fv = compute_metrics(inst)
-        lines.append(inst.name + "," + ",".join(f"{v:.9g}" for v in fv.values))
+    for name, values in sorted(named_features):
+        lines.append(name + "," + ",".join(f"{v:.9g}" for v in values))
     return "\n".join(lines) + "\n"

@@ -6,17 +6,16 @@ exactly verifiable; the verifier's sort-and-sweep box index over placed
 items keeps feasibility checks local.  The greedy pass prefers the
 lowest-then-leftmost feasible cell (bottom-left heuristic) and refines the
 grid around the first hit.  Local search applies value-positive moves only
-(insert, relocate+insert, swap, depth-2 eject), so the packed value never
-decreases.
+(insert, swap, depth-2 eject), so the packed value never decreases.
 
 An item reported unplaced may still fit at some non-grid offset; the solver
 never claims infeasibility, it only stops looking.
 """
 from __future__ import annotations
 
+import dataclasses
 import enum
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -39,30 +38,28 @@ class PlacementMode(enum.Enum):
 
 class Move(enum.Enum):
     INSERT = "insert"
-    RELOCATE = "relocate"
     SWAP_PAIR = "swap"
     EJECT_CHAIN = "eject"
 
 
 ALL_MOVES = frozenset(Move)
 
+GRID_LEVELS = 6  # refinement passes around the coarse-grid hit
+COARSE_CELLS = 24  # coarse-grid resolution across the longer span
+LS_MAX_NO_IMPROVE = 15  # local search stops after this many quiet rounds
 
-@dataclass(frozen=True)
+
+@dataclasses.dataclass(frozen=True)
 class SolverConfig:
     ordering: Ordering = Ordering.VALUE_DENSITY
-    grid_levels: int = 6
     time_budget: float = 60.0
     ls_moves: frozenset = ALL_MOVES
     seed: int = 0
-    ls_max_no_improve: int = 15
     placement: PlacementMode = PlacementMode.GRID
-    coarse_cells: int = 24  # coarse-grid resolution across the longer span
 
     def __post_init__(self):
         if self.time_budget <= 0:
             raise ValueError("time_budget must be positive")
-        if self.grid_levels < 1:
-            raise ValueError("grid_levels must be >= 1")
         object.__setattr__(self, "ls_moves", frozenset(self.ls_moves))
 
 
@@ -170,8 +167,7 @@ def _scan_bottom_left(state, idx, lox, hix, loy, hiy, step, deadline):
     return None
 
 
-def find_offset(state: PlacementState, idx: int, grid_levels: int,
-                coarse_cells: int,
+def find_offset(state: PlacementState, idx: int, coarse_cells: int,
                 deadline: Optional[float] = None) -> Optional[tuple[int, int]]:
     """Bottom-left feasible offset on a coarse grid, refined around the hit.
 
@@ -189,7 +185,7 @@ def find_offset(state: PlacementState, idx: int, grid_levels: int,
     best = _scan_bottom_left(state, idx, lox, hix, loy, hiy, step, deadline)
     if best is None:
         return None
-    for _ in range(grid_levels):
+    for _ in range(GRID_LEVELS):
         if step == 1:
             break
         prev = step
@@ -255,7 +251,7 @@ def solve_greedy(instance: Instance, cfg: SolverConfig,
             break
         if idx in state.offsets:
             continue
-        off = find_offset(state, idx, cfg.grid_levels, cfg.coarse_cells, deadline)
+        off = find_offset(state, idx, COARSE_CELLS, deadline)
         if off is not None:
             state.place(idx, off)
     return state.to_solution()
@@ -271,47 +267,24 @@ def _state_from_solution(instance: Instance, solution: Solution) -> PlacementSta
     return state
 
 
-def _move_insert(state, cfg, deadline, failed_cache=None, limit=None):
+def _move_insert(state, deadline, failed_cache):
     """Place the highest-value unpacked item that fits anywhere.
 
     failed_cache remembers items that found no offset since the last applied
     move, so quiet rounds cost almost nothing."""
     unpacked = sorted(state.unpacked(), key=lambda i: (-state.values[i], i))
-    if limit is not None:
-        unpacked = unpacked[:limit]
     for idx in unpacked:
-        if failed_cache is not None and idx in failed_cache:
+        if idx in failed_cache:
             continue
-        off = find_offset(state, idx, cfg.grid_levels, cfg.coarse_cells * 2, deadline)
+        off = find_offset(state, idx, COARSE_CELLS * 2, deadline)
         if off is not None:
             state.place(idx, off)
             return state.values[idx]
-        if failed_cache is not None:
-            failed_cache.add(idx)
+        failed_cache.add(idx)
     return 0
 
 
-def _move_relocate(state, cfg, rng, deadline):
-    """Compact one placed item toward the bottom-left, then try an insert."""
-    placed = sorted(state.offsets)
-    if not placed:
-        return 0
-    idx = placed[rng.below(len(placed))]
-    old = state.offsets[idx]
-    state.remove(idx)
-    new = find_offset(state, idx, cfg.grid_levels, cfg.coarse_cells * 2, deadline)
-    if new is None or (new[1], new[0]) >= (old[1], old[0]):
-        state.place(idx, old)
-        return 0
-    state.place(idx, new)
-    gained = _move_insert(state, cfg, deadline, limit=10)
-    if gained == 0:
-        state.remove(idx)
-        state.place(idx, old)
-    return gained
-
-
-def _move_swap(state, cfg, rng, deadline, depth=1):
+def _move_swap(state, rng, deadline, depth=1):
     """Remove `depth` placed items, insert higher-value unpacked ones; revert
     unless the net change is positive."""
     if len(state.offsets) < depth:
@@ -333,14 +306,14 @@ def _move_swap(state, cfg, rng, deadline, depth=1):
     for idx in unpacked[:8]:
         if budget == 0:
             break
-        off = find_offset(state, idx, cfg.grid_levels, cfg.coarse_cells, deadline)
+        off = find_offset(state, idx, COARSE_CELLS, deadline)
         if off is not None:
             state.place(idx, off)
             inserted.append(idx)
             budget -= 1
     # the ejected items may re-enter too
     for idx, _ in removed:
-        off = find_offset(state, idx, cfg.grid_levels, cfg.coarse_cells, deadline)
+        off = find_offset(state, idx, COARSE_CELLS, deadline)
         if off is not None:
             state.place(idx, off)
             inserted.append(idx)
@@ -365,17 +338,15 @@ def improve_local(instance: Instance, start: Solution, cfg: SolverConfig,
     no_improve = 0
     iteration = 0
     insert_failed: set[int] = set()
-    while no_improve < cfg.ls_max_no_improve and time.monotonic() < deadline:
+    while no_improve < LS_MAX_NO_IMPROVE and time.monotonic() < deadline:
         iteration += 1
         gained = 0
         if Move.INSERT in moves:
-            gained = _move_insert(state, cfg, deadline, failed_cache=insert_failed)
-        if gained == 0 and Move.RELOCATE in moves:
-            gained = _move_relocate(state, cfg, rng, deadline)
+            gained = _move_insert(state, deadline, insert_failed)
         if gained == 0 and Move.SWAP_PAIR in moves:
-            gained = _move_swap(state, cfg, rng, deadline, depth=1)
+            gained = _move_swap(state, rng, deadline, depth=1)
         if gained == 0 and Move.EJECT_CHAIN in moves:
-            gained = _move_swap(state, cfg, rng, deadline, depth=2)
+            gained = _move_swap(state, rng, deadline, depth=2)
         if gained > 0:
             no_improve = 0
             insert_failed.clear()  # the landscape changed; rescan everything
@@ -421,9 +392,5 @@ def solve(instance: Instance, cfg: SolverConfig,
         progress(0, solution_value(instance, greedy))
     if n <= 5000:
         return improve_local(instance, greedy, cfg, deadline, progress)
-    insert_only = SolverConfig(
-        ordering=cfg.ordering, grid_levels=cfg.grid_levels,
-        time_budget=cfg.time_budget, ls_moves=frozenset({Move.INSERT}),
-        seed=cfg.seed, ls_max_no_improve=cfg.ls_max_no_improve,
-        placement=cfg.placement, coarse_cells=cfg.coarse_cells)
+    insert_only = dataclasses.replace(cfg, ls_moves=frozenset({Move.INSERT}))
     return improve_local(instance, greedy, insert_only, deadline, progress)

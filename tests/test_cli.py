@@ -122,6 +122,36 @@ def test_select_subcommand(workdir, capsys):
     assert (workdir / "f.csv").read_text().startswith("name,")
 
 
+def test_solve_moves_flag(workdir, capsys):
+    inst_path = workdir / "i.json"
+    sol_path = workdir / "s.json"
+    run_ok(capsys, "generate", "random", "--seed", "3", "--n", "12",
+           "-o", str(inst_path))
+    summary = json.loads(run_ok(capsys, "solve", str(inst_path), "--budget", "10",
+                                "--seed", "1", "--moves", "insert,swap,eject",
+                                "-o", str(sol_path), "--quiet"))
+    assert summary["packed_value"] > 0
+    report = json.loads(run_ok(capsys, "verify", str(inst_path), str(sol_path)))
+    assert report["valid"]
+    assert report["packed_value"] == summary["packed_value"]
+    assert run(["solve", str(inst_path), "--moves", "relocate", "--quiet"]) == 2
+    capsys.readouterr()
+
+
+def test_jobs_flag_only_on_select(workdir, capsys):
+    cand = workdir / "cands"
+    cand.mkdir()
+    for seed in range(4):
+        run_ok(capsys, "generate", "random", "--seed", str(seed), "--n", "5",
+               "-o", str(cand / f"c{seed}.json"))
+    assert run(["solve", str(cand / "c0.json"), "--jobs", "2"]) == 2
+    capsys.readouterr()
+    argv = ["select", "--candidates", str(cand), "--k", "2", "--seed", "1"]
+    sel = json.loads(run_ok(capsys, *argv, "--jobs", "2"))
+    assert len(sel["selected"]) == 2
+    assert sel == json.loads(run_ok(capsys, *argv))
+
+
 def test_generate_config_file(workdir, capsys):
     cfg = workdir / "gen.cfg"
     cfg.write_text("seed = 9\nn_target = 7\nconvexity_ratio = 1/1\n")

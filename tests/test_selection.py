@@ -137,7 +137,8 @@ class TestEndToEndSelection:
 
     def test_features_csv_shape(self):
         instances = [gen_random(GenConfig(seed=s, n_target=5)) for s in range(3)]
-        csv_text = features_csv(instances)
+        csv_text = features_csv([(i.name, compute_metrics(i).values)
+                                 for i in instances])
         lines = csv_text.strip().split("\n")
         assert lines[0].startswith("name,log_item_count")
         assert len(lines) == 4

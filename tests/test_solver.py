@@ -117,9 +117,6 @@ class TestLocalSearch:
 
     def test_forced_insert(self):
         inst = box_instance(10, [square_item(4), square_item(3)])
-        start = Solution(inst.name, (Solution(inst.name).placements or ()))
-        start = solve_greedy(inst, FAST)
-        missing = box_instance(10, [square_item(4), square_item(3)])
         # start with only item 0 placed; insert must add item 1
         from polypack.model import Placement
         partial = Solution(inst.name, (Placement(0, (0, 0)),))
