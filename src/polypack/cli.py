@@ -8,6 +8,7 @@ failure, 2 usage or input error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -17,14 +18,12 @@ from pathlib import Path
 from . import __version__
 from .generators import FAMILIES, GenConfig, GenerationFailed
 from .model import (ParseError, ValidationError, load_instance, load_solution,
-                    save_instance, save_solution, write_instance,
-                    write_solution)
+                    write_instance, write_solution)
 from .render import PALETTES, RenderOfInvalidSolution, RenderSpec, render
 from .scoring import (UnknownInstance, build_leaderboard, read_records_csv,
                       render_table)
 from .selection import SelectionConfig, features_csv, select_from_features
-from .solver import (Move, Ordering, PlacementMode, SolverConfig,
-                     improve_local, solution_value, solve)
+from .solver import Move, Ordering, PlacementMode, SolverConfig, solve
 from .valuation import ValueKind, ValueOverflow, ValueSpec, assign_values
 from .verifier import InstanceMismatch, verify
 
@@ -47,6 +46,14 @@ def _emit(args, data: bytes, summary=None):
             print(json.dumps(summary))
     else:
         sys.stdout.write(data.decode("utf-8"))
+
+
+def _fraction(text: str) -> Fraction:
+    """Fraction(text), with a zero denominator reported as bad input."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -78,11 +85,14 @@ _RANGE_FIELDS = {"pixel_size_range", "random_points_range", "random_extent_range
 def _gen_config_from(args) -> GenConfig:
     kwargs = {}
     if getattr(args, "config", None):
+        known = {f.name for f in dataclasses.fields(GenConfig)}
         for key, value in _load_config_file(args.config).items():
+            if key not in known:
+                raise ValueError(f"unknown config key {key!r} in {args.config}")
             if key == "value_kind":
                 kwargs[key] = ValueKind(value)
             elif key in _FRACTION_FIELDS:
-                kwargs[key] = Fraction(value)
+                kwargs[key] = _fraction(value)
             elif key in _RANGE_FIELDS:
                 kwargs[key] = _parse_range(value)
             else:
@@ -121,8 +131,8 @@ def cmd_generate(args) -> int:
 
 def cmd_value(args) -> int:
     instance = load_instance(args.instance)
-    spec = ValueSpec(ValueKind(args.kind), Fraction(args.noise),
-                     seed=args.seed or 0, global_scale=Fraction(args.scale))
+    spec = ValueSpec(ValueKind(args.kind), args.noise,
+                     seed=args.seed or 0, global_scale=args.scale)
     out = assign_values(instance, spec, record=not args.no_record)
     _emit(args, write_instance(out), {
         "name": out.name, "kind": args.kind,
@@ -259,10 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate a challenge instance")
     p.add_argument("family", choices=sorted(FAMILIES))
     p.add_argument("--n", type=int, default=None, help="target item count")
-    p.add_argument("--t", type=Fraction, default=None,
+    p.add_argument("--t", type=_fraction, default=None,
                    help="total-item-area multiple of container area, in [1,2]")
     p.add_argument("--convexity-ratio", dest="convexity_ratio",
-                   type=Fraction, default=None)
+                   type=_fraction, default=None)
     p.add_argument("--lines", type=int, default=None, help="jigsaw cut lines")
     p.add_argument("--copies", type=int, default=None, help="jigsaw copies")
     p.add_argument("--perturb", type=int, default=None,
@@ -270,13 +280,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--container", default=None, help="WxH for rectangular families")
     p.add_argument("--pixel-range", dest="pixel_range", type=_parse_range,
                    default=None, help="atris/satris pixel sizes, lo:hi")
-    p.add_argument("--shear-prob", dest="shear_prob", type=Fraction,
+    p.add_argument("--shear-prob", dest="shear_prob", type=_fraction,
                    default=None)
     p.add_argument("--value-kind", dest="value_kind", type=ValueKind,
                    choices=list(ValueKind), default=None)
-    p.add_argument("--value-noise", dest="value_noise", type=Fraction,
+    p.add_argument("--value-noise", dest="value_noise", type=_fraction,
                    default=None)
-    p.add_argument("--value-scale", dest="value_scale", type=Fraction,
+    p.add_argument("--value-scale", dest="value_scale", type=_fraction,
                    default=None)
     p.add_argument("--config", default=None, help="key = value config file")
     _add_common(p)
@@ -286,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--kind", default="area",
                    choices=[k.value for k in ValueKind])
-    p.add_argument("--noise", default="0")
-    p.add_argument("--scale", default="1")
+    p.add_argument("--noise", type=_fraction, default="0")
+    p.add_argument("--scale", type=_fraction, default="1")
     p.add_argument("--no-record", action="store_true",
                    help="do not record the value spec in instance meta")
     _add_common(p)

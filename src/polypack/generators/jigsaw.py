@@ -11,13 +11,20 @@ crossed edges; the snapped chord still splits the face into two convex
 integer pieces, so the tiling invariant survives every cut.  With
 perturbation disabled the identity placement of one copy reassembles the
 container bit for bit.
+
+Two faces merge by cancelling their shared edges: each face's edges are
+split at the other face's vertices lying inside them, so the common
+boundary becomes the same edges traversed in opposite directions.  Those
+cancel, and the remaining directed edges must chain into a single cycle,
+which is the merged piece.  Nothing here assumes the faces are convex.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-from ..geom import Polygon, cross, is_simple, round_nearest, signed_area2
+from ..geom import (Polygon, _bbox, _min_rect, cross, is_simple, round_nearest,
+                    signed_area2)
 from ..model import Instance, Item
 from ..rng import Rng
 from ..valuation import ValueSpec, assign_values
@@ -126,120 +133,54 @@ def _drop_straight(pts):
     return out
 
 
-def _edge_overlap(a: Coord, b: Coord, c: Coord, d: Coord):
-    """Positive-length overlap of collinear edges (a,b) and (c,d), or None."""
-    if cross(a, b, c) != 0 or cross(a, b, d) != 0:
-        return None
-    axis = 0 if abs(b[0] - a[0]) >= abs(b[1] - a[1]) else 1
-    pts = {p[axis]: p for p in (a, b, c, d)}
-    lo = max(min(a[axis], b[axis]), min(c[axis], d[axis]))
-    hi = min(max(a[axis], b[axis]), max(c[axis], d[axis]))
-    if lo >= hi:
-        return None
-    return pts[lo], pts[hi], axis
-
-
-def _shared_boundary(f, g):
-    """Maximal shared segment of two interior-disjoint convex faces."""
-    best = None
-    nf, ng = len(f), len(g)
-    for i in range(nf):
-        a, b = f[i], f[(i + 1) % nf]
-        for j in range(ng):
-            ov = _edge_overlap(a, b, g[j], g[(j + 1) % ng])
-            if ov is None:
-                continue
-            p, q, axis = ov
-            if best is None:
-                best = (p, q, axis)
-            else:
-                bp, bq, axis = best
-                lo = min((bp, bq, p, q), key=lambda t: t[axis])
-                hi = max((bp, bq, p, q), key=lambda t: t[axis])
-                best = (lo, hi, axis)
-    if best is None:
-        return None
-    return best[0], best[1]
-
-
-def _insert_on_boundary(pts, p: Coord):
-    if p in pts:
-        return list(pts)
-    n = len(pts)
-    for i in range(n):
-        a, b = pts[i], pts[(i + 1) % n]
-        if cross(a, b, p) == 0 and \
-           min(a[0], b[0]) <= p[0] <= max(a[0], b[0]) and \
-           min(a[1], b[1]) <= p[1] <= max(a[1], b[1]):
-            return pts[:i + 1] + [p] + pts[i + 1:]
-    raise GenerationFailed("shared point not on face boundary")
-
-
-def _on_segment(p: Coord, q: Coord, v: Coord) -> bool:
-    if cross(p, q, v) != 0:
-        return False
-    return min(p[0], q[0]) <= v[0] <= max(p[0], q[0]) and \
-        min(p[1], q[1]) <= v[1] <= max(p[1], q[1])
-
-
-def _path_keeping_outer(pts, p: Coord, q: Coord):
-    """Boundary path that avoids the shared segment, as an endpoint-to-
-    endpoint vertex list (start and end are p/q in some order)."""
-    cyc = _insert_on_boundary(pts, p)
-    cyc = _insert_on_boundary(cyc, q)
-    n = len(cyc)
-    ip = cyc.index(p)
-    # walk forward from p while staying on [p, q]; if that reaches q the
-    # forward arc is the shared side and the kept path runs q -> ... -> p
-    k = ip
-    on_shared = True
-    while True:
-        k = (k + 1) % n
-        if cyc[k] == q:
-            break
-        if not _on_segment(p, q, cyc[k]):
-            on_shared = False
-            break
-    if on_shared:
-        start = cyc.index(q)
-        end = ip
-    else:
-        start = ip
-        end = cyc.index(q)
-    path = []
-    k = start
-    while True:
-        path.append(cyc[k])
-        if k == end:
-            break
-        k = (k + 1) % n
-    return path
+def _with_contacts(pts, other):
+    """pts with every vertex of other that lies inside one of its edges
+    inserted into that edge, in order along it."""
+    out = []
+    for i, a in enumerate(pts):
+        b = pts[(i + 1) % len(pts)]
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        inside = [v for v in other if cross(a, b, v) == 0
+                  and 0 < (v[0] - a[0]) * dx + (v[1] - a[1]) * dy < dx * dx + dy * dy]
+        inside.sort(key=lambda v: (v[0] - a[0]) * dx + (v[1] - a[1]) * dy)
+        out.append(a)
+        out.extend(inside)
+    return out
 
 
 def _merge_faces(f, g):
-    """Union of two edge-adjacent convex faces, or None when not adjacent."""
-    seg = _shared_boundary(f, g)
-    if seg is None:
+    """Union of two interior-disjoint CCW faces sharing boundary, or None
+    when they share none or their union is not one simple polygon."""
+    fc, gc = _with_contacts(f, g), _with_contacts(g, f)
+    f_edges = list(zip(fc, fc[1:] + fc[:1]))
+    edges = f_edges + list(zip(gc, gc[1:] + gc[:1]))
+    present = set(edges)
+    shared = {(a, b) for a, b in edges if (b, a) in present}
+    nxt = {}
+    for a, b in edges:
+        if (a, b) in shared:
+            continue
+        if a in nxt:
+            return None  # pinch: the union touches itself at a
+        nxt[a] = b
+    # walk from where f's boundary leaves the shared part
+    start = next((fc[i] for i in range(len(fc))
+                  if f_edges[i - 1] in shared and f_edges[i] not in shared), None)
+    if start is None:
         return None
-    p, q = seg
-    path_f = _path_keeping_outer(f, p, q)
-    path_g = _path_keeping_outer(g, p, q)
-    if path_f[-1] != path_g[0]:
-        path_g.reverse()  # both paths traverse CCW; endpoints must chain
-    if path_f[-1] != path_g[0] or path_f[0] != path_g[-1]:
+    cycle = [start]
+    while (v := nxt.get(cycle[-1])) != start:
+        if v is None or len(cycle) == len(nxt):
+            return None
+        cycle.append(v)
+    if len(cycle) != len(nxt):
         return None
-    merged = _drop_straight(path_f + path_g[1:-1])
+    merged = _drop_straight(cycle)
     if len(merged) < 3 or signed_area2(merged) != signed_area2(f) + signed_area2(g):
         return None
     if not is_simple(merged):
         return None
     return merged
-
-
-def _bbox(pts):
-    xs = [x for x, _ in pts]
-    ys = [y for _, y in pts]
-    return min(xs), min(ys), max(xs), max(ys)
 
 
 def _merge_phase(faces, cfg: GenConfig, rng: Rng, container_area2: int):
@@ -270,7 +211,7 @@ def _merge_phase(faces, cfg: GenConfig, rng: Rng, container_area2: int):
             a2 = signed_area2(merged)
             if not min_area2 <= a2 <= max_area2:
                 continue
-            _, aspect = _min_rect_of(merged)
+            _, aspect = _min_rect(merged)
             if aspect > MAX_PIECE_ASPECT:
                 continue
             used[idx] = used[jdx] = True
@@ -278,11 +219,6 @@ def _merge_phase(faces, cfg: GenConfig, rng: Rng, container_area2: int):
             break
     kept = [faces[i] for i in range(len(faces)) if not used[i]]
     return merged_out + kept
-
-
-def _min_rect_of(pts):
-    from ..geom import _min_rect
-    return _min_rect(pts)
 
 
 def _perturb(pts, rng: Rng, amplitude: int):

@@ -183,14 +183,16 @@ def _normalize(pts):
     return [(x - minx, y - miny) for x, y in pts]
 
 
+def _shear_points(pts, m: Fraction):
+    return [(round_nearest(Fraction(x) + m * y), y) for x, y in pts]
+
+
 def shear_polygon(poly: Polygon, m: Fraction) -> Polygon:
     """Apply the unit shear matrix [[1, m], [0, 1]], rounding x to integers.
 
     Raises NonSimpleAfterRounding when rounding collapses the shape.
     """
-    m = Fraction(m)
-    pts = [(round_nearest(Fraction(x) + m * y), y) for x, y in poly.coords]
-    pts = ensure_ccw(pts)
+    pts = ensure_ccw(_shear_points(poly.coords, Fraction(m)))
     try:
         return Polygon(pts)
     except GeometryError as exc:
@@ -199,10 +201,6 @@ def shear_polygon(poly: Polygon, m: Fraction) -> Polygon:
 
 class NonSimpleAfterRounding(GenerationFailed):
     """Rounded shear produced a degenerate or self-intersecting polygon."""
-
-
-def _shear_points(pts, m: Fraction):
-    return [(round_nearest(Fraction(x) + m * y), y) for x, y in pts]
 
 
 def _derive_rect_container(cfg: GenConfig) -> tuple[int, int]:

@@ -227,9 +227,6 @@ class Polygon:
                 self._parts = tuple((t, _bbox(t)) for t in self.triangles)
         return self._parts
 
-    def translated_coords(self, dx: int, dy: int) -> tuple[Coord, ...]:
-        return tuple((x + dx, y + dy) for x, y in self.coords)
-
     def __eq__(self, other):
         return isinstance(other, Polygon) and self.coords == other.coords
 
@@ -340,7 +337,6 @@ def _separated_by_edge_of(pa: Sequence[Coord], pb: Sequence[Coord],
                           dx: int, dy: int) -> bool:
     # pb is shifted by (dx, dy).  CCW pa keeps its interior left of each
     # edge; an edge separates if every pb vertex sits right-of-or-on it.
-    n = len(pa)
     ax, ay = pa[-1]
     for bx, by in pa:
         ex, ey = bx - ax, by - ay
@@ -390,17 +386,6 @@ def interiors_overlap(a: Polygon, ta, b: Polygon, tb) -> bool:
     return False
 
 
-def point_in_convex(container: Sequence[Coord], x: int, y: int) -> bool:
-    """Inside-or-on test against a convex CCW polygon."""
-    n = len(container)
-    ax, ay = container[-1]
-    for bx, by in container:
-        if (bx - ax) * (y - ay) - (by - ay) * (x - ax) < 0:
-            return False
-        ax, ay = bx, by
-    return True
-
-
 def contained_in_convex(container: Polygon, item: Polygon, t) -> bool:
     """All translated item vertices inside-or-on the convex container.
 
@@ -408,7 +393,6 @@ def contained_in_convex(container: Polygon, item: Polygon, t) -> bool:
     """
     tx, ty = int(t[0]), int(t[1])
     cpts = container.coords
-    n = len(cpts)
     for x, y in item.coords:
         px, py = x + tx, y + ty
         ax, ay = cpts[-1]

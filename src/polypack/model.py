@@ -11,7 +11,7 @@ fields are rejected so verification can stay exact end to end.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .geom import Polygon, is_convex

@@ -13,7 +13,7 @@ import io
 from dataclasses import dataclass
 from datetime import datetime
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
 
 class ValueExceedsBest(ValueError):

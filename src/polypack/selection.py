@@ -44,9 +44,6 @@ class DegenerateFeatures(ValueError):
 class FeatureVector:
     values: tuple[float, ...]
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
-
     def __getitem__(self, i):
         return self.values[i]
 

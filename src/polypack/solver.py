@@ -237,10 +237,9 @@ def _shelf_pack(state: PlacementState, deadline: float) -> None:
 
 def solve_greedy(instance: Instance, cfg: SolverConfig,
                  deadline: Optional[float] = None,
-                 state: Optional[PlacementState] = None,
                  order: Optional[list[int]] = None) -> Solution:
     """Greedy sequential fill in priority order; output always verifies."""
-    state = state or PlacementState(instance)
+    state = PlacementState(instance)
     deadline = deadline or time.monotonic() + cfg.time_budget
     if cfg.placement is PlacementMode.SHELF:
         _shelf_pack(state, deadline)

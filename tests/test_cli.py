@@ -160,6 +160,24 @@ def test_generate_config_file(workdir, capsys):
     assert out["n_items"] == 7
 
 
+@pytest.mark.parametrize("argv, config, named", [
+    (["generate", "random", "--t", "1/0"], None, "--t"),
+    (["value", "i.json", "--noise", "1/0"], None, "--noise"),
+    (["generate", "random"], "seed = 1\nbogus = 3\n", "bogus"),
+    (["generate", "random"], "value_noise = 1/0\n", "1/0"),
+], ids=["zero-denominator-flag", "zero-denominator-value-flag",
+        "unknown-config-key", "zero-denominator-config"])
+def test_bad_input_exits_2(workdir, capsys, argv, config, named):
+    if config is not None:
+        path = workdir / "gen.cfg"
+        path.write_text(config)
+        argv = argv + ["--config", str(path)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and named in err
+    assert "internal error" not in err
+
+
 def test_stdout_is_instance_json_without_out(workdir, capsys):
     out = run_ok(capsys, "generate", "atris", "--seed", "4", "--n", "8", "--quiet")
     obj = json.loads(out)

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,9 @@ from polypack.generators import (GenConfig, cells_connected, gen_atris,
                                  gen_jigsaw, gen_random, gen_satris,
                                  polyomino_cells, shear_polygon,
                                  shear_value_factor)
+from polypack.generators.jigsaw import _merge_faces
 from polypack.generators.tetro import NonSimpleAfterRounding
-from polypack.geom import Polygon, is_convex, is_simple, signed_area
+from polypack.geom import Polygon, is_convex, is_simple, signed_area, signed_area2
 from polypack.model import (MAX_TOTAL_VALUE, Placement, Solution,
                             read_instance, write_instance)
 from polypack.rng import Rng
@@ -96,6 +98,78 @@ class TestJigsawFamily:
                 hit = True
                 break
         assert hit
+
+
+class TestMergeFaces:
+    def test_partial_edge_with_t_junction(self):
+        # g's corner (4, 1) lies inside f's right edge; the walk starts where
+        # f's boundary leaves the shared segment (4, 1)-(4, 3)
+        f = [(0, 0), (4, 0), (4, 3), (0, 3)]
+        g = [(4, 1), (6, 1), (6, 5), (4, 3)]
+        assert _merge_faces(f, g) == [(4, 3), (0, 3), (0, 0), (4, 0), (4, 1),
+                                      (6, 1), (6, 5)]
+
+    def test_vertex_contact_is_not_adjacency(self):
+        f = [(0, 0), (2, 0), (2, 2), (0, 2)]
+        assert _merge_faces(f, [(2, 2), (4, 2), (4, 4), (2, 4)]) is None
+
+    def test_disjoint_faces(self):
+        f = [(0, 0), (2, 0), (2, 2), (0, 2)]
+        assert _merge_faces(f, [(5, 5), (7, 5), (7, 7), (5, 7)]) is None
+
+    def test_nonconvex_l_shapes_sharing_an_edge(self):
+        l1 = [(0, 0), (4, 0), (4, 2), (2, 2), (2, 4), (0, 4)]
+        l2 = [(4, 0), (8, 0), (8, 4), (6, 4), (6, 2), (4, 2)]
+        merged = _merge_faces(l1, l2)
+        assert merged == [(2, 2), (2, 4), (0, 4), (0, 0), (8, 0), (8, 4),
+                          (6, 4), (6, 2)]
+        assert signed_area2(merged) == signed_area2(l1) + signed_area2(l2)
+
+    def test_bent_shared_boundary(self):
+        # the L fills the U's notch and covers its right arm: three shared
+        # edges meeting at right angles
+        u = [(0, 0), (6, 0), (6, 4), (4, 4), (4, 2), (2, 2), (2, 4), (0, 4)]
+        l = [(2, 2), (4, 2), (4, 4), (6, 4), (6, 6), (2, 6)]
+        assert _merge_faces(u, l) == [(2, 4), (0, 4), (0, 0), (6, 0), (6, 6),
+                                      (2, 6)]
+
+    def test_union_with_hole(self):
+        u = [(0, 0), (6, 0), (6, 4), (4, 4), (4, 2), (2, 2), (2, 4), (0, 4)]
+        assert _merge_faces(u, [(0, 4), (6, 4), (6, 6), (0, 6)]) is None
+
+
+class TestJigsawPinnedOutput:
+    """SHA-256 of write_instance for the benchmark's jigsaw configs and for
+    merge-heavy ones: any change to cutting, merging or perturbation shows
+    up here."""
+
+    @pytest.mark.parametrize("fields, sha256", [
+        (dict(seed=9, jigsaw_line_count=5, jigsaw_copies=3),
+         "9fc8fb0b7ac9afafaaf06c10b2399a714d069f0ac288d1ce2f575664f06ecc25"),
+        (dict(seed=10, jigsaw_line_count=5, jigsaw_copies=3),
+         "24c3eac76f255c87d9afb6a21af00a23cb6d60a15139b5a082ccf5a0928306ed"),
+        (dict(seed=9, jigsaw_line_count=8, jigsaw_copies=3),
+         "53259f34af101ffa8f402047d610141172a55aa128fe51d0d0c3eb0f85e91470"),
+        (dict(seed=10, jigsaw_line_count=8, jigsaw_copies=3),
+         "1d1adfb0ad31b66998d61d58ae20640472dc30ec10e75143f72269014ad746f4"),
+        (dict(seed=11, jigsaw_line_count=8, jigsaw_copies=3),
+         "03293a15a4f0203ea02f90672057c27b826d42fa174e5867d5ac048086d90904"),
+        (dict(seed=12, jigsaw_line_count=8, jigsaw_copies=3),
+         "25909f46dac74c9d125070222ec5652e89c514451f75a55311fc83e393b406c1"),
+        (dict(seed=1, jigsaw_line_count=40, jigsaw_perturb_amplitude=0),
+         "d900b6bc90f12c5f512b718e68f999e4a0571185f64790e46cd97b539a598108"),
+        (dict(seed=0, jigsaw_line_count=7, jigsaw_merge_fraction=1),
+         "64aa30b623e4d554814ddfb3c16a91af80d8bfc80e8167190e49d344a1da84fb"),
+        (dict(seed=1, jigsaw_line_count=7, jigsaw_merge_fraction=1),
+         "4611ebd1927dbe2ec473ff27fad6a6be6713e8fbfafb109d0957cc46ba597824"),
+        (dict(seed=2, jigsaw_line_count=7, jigsaw_merge_fraction=1),
+         "e2262cc51afd1f17fe0469aea62da349cdaa5eff12417586fd0400e237aeab0d"),
+        (dict(seed=3, jigsaw_line_count=7, jigsaw_merge_fraction=1),
+         "7cb86d21bbdeccbd6a0ed97105307384f039909ba31c87a69d01b2c8243e5107"),
+    ])
+    def test_bytes(self, fields, sha256):
+        data = write_instance(gen_jigsaw(GenConfig(**fields)))
+        assert hashlib.sha256(data).hexdigest() == sha256
 
 
 class TestAtrisFamily:
