@@ -9,7 +9,7 @@ subsets.
 
 __version__ = "0.1.0"
 
-from .geom import Point, Polygon
+from .geom import Polygon
 from .model import (Instance, Item, Placement, Solution, load_instance,
                     load_solution, read_instance, read_solution,
                     save_instance, save_solution, write_instance,
@@ -18,11 +18,11 @@ from .generators import GenConfig, gen_atris, gen_jigsaw, gen_random, gen_satris
 from .valuation import ValueKind, ValueSpec, assign_values
 from .verifier import BoxIndex, QuadTree, VerifyReport, build_index, verify
 from .scoring import SubmissionRecord, build_leaderboard, instance_score
-from .selection import SelectionConfig, compute_metrics, select_diverse
-from .solver import SolverConfig, improve_local, solve, solve_greedy
+from .selection import SelectionConfig, compute_metrics, select_from_features
+from .solver import SolverConfig, improve_local, shelf_pack, solve, solve_greedy
 
 __all__ = [
-    "__version__", "Point", "Polygon",
+    "__version__", "Polygon",
     "Instance", "Item", "Placement", "Solution",
     "read_instance", "write_instance", "read_solution", "write_solution",
     "load_instance", "save_instance", "load_solution", "save_solution",
@@ -30,6 +30,6 @@ __all__ = [
     "ValueKind", "ValueSpec", "assign_values",
     "BoxIndex", "QuadTree", "VerifyReport", "build_index", "verify",
     "SubmissionRecord", "build_leaderboard", "instance_score",
-    "SelectionConfig", "compute_metrics", "select_diverse",
-    "SolverConfig", "solve", "solve_greedy", "improve_local",
+    "SelectionConfig", "compute_metrics", "select_from_features",
+    "SolverConfig", "solve", "solve_greedy", "improve_local", "shelf_pack",
 ]

@@ -23,7 +23,7 @@ from .render import PALETTES, RenderOfInvalidSolution, RenderSpec, render
 from .scoring import (UnknownInstance, build_leaderboard, read_records_csv,
                       render_table)
 from .selection import SelectionConfig, features_csv, select_from_features
-from .solver import Move, Ordering, PlacementMode, SolverConfig, solve
+from .solver import SolverConfig, shelf_pack, solve
 from .valuation import ValueKind, ValueOverflow, ValueSpec, assign_values
 from .verifier import InstanceMismatch, verify
 
@@ -143,21 +143,16 @@ def cmd_value(args) -> int:
 
 def cmd_solve(args) -> int:
     instance = load_instance(args.instance)
-    moves = frozenset(Move(m) for m in args.moves.split(",")) if args.moves \
-        else frozenset(Move)
-    cfg = SolverConfig(
-        ordering=Ordering(args.ordering),
-        time_budget=args.budget,
-        ls_moves=moves,
-        seed=args.seed or 0,
-        placement=PlacementMode.SHELF if args.shelf else PlacementMode.GRID,
-    )
+    cfg = SolverConfig(time_budget=args.budget, seed=args.seed or 0)
     started = time.monotonic()
 
     def progress(iteration, value):
         _eprint(args, f"iter {iteration}: value {value}")
 
-    sol = solve(instance, cfg, progress=None if args.quiet else progress)
+    if args.shelf:
+        sol = shelf_pack(instance, started + cfg.time_budget)
+    else:
+        sol = solve(instance, cfg, progress=None if args.quiet else progress)
     elapsed = time.monotonic() - started
     report = verify(instance, sol)
     if not report.valid:  # the solver contract makes this unreachable
@@ -306,13 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="produce a feasible high-value packing")
     p.add_argument("instance")
     p.add_argument("--budget", type=float, default=60.0, help="seconds")
-    p.add_argument("--ordering", default="density",
-                   choices=[o.value for o in Ordering])
-    p.add_argument("--moves", default=None,
-                   help="comma list of local-search moves: insert, swap, "
-                        "eject (depth-2 eject chain)")
     p.add_argument("--shelf", action="store_true",
-                   help="next-fit decreasing shelf placement (rect containers)")
+                   help="next-fit decreasing shelf packing instead of the "
+                        "solver (axis-aligned rectangular containers)")
     _add_common(p)
     p.set_defaults(func=cmd_solve)
 

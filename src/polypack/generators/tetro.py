@@ -215,6 +215,10 @@ def _derive_rect_container(cfg: GenConfig) -> tuple[int, int]:
 
 
 def _gen_tetro(cfg: GenConfig, family: str) -> Instance:
+    for key in ("value_kind", "value_noise", "value_scale"):
+        if getattr(cfg, key) != getattr(GenConfig, key):
+            raise ValueError(f"{family} sets its own item values; "
+                             f"{key} must keep its default")
     width, height = _derive_rect_container(cfg)
     if width * height > MAX_RECT_CONTAINER_AREA:
         raise ValueError(

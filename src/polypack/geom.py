@@ -12,7 +12,6 @@ which is what lets cut-up container pieces be reassembled exactly.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -23,21 +22,6 @@ class GeometryError(ValueError):
 
 class AllCollinear(GeometryError):
     """Raised when a point set has no 2D extent (no hull exists)."""
-
-
-@dataclass(frozen=True)
-class Point:
-    x: int
-    y: int
-
-    def __add__(self, other: "Point") -> "Point":
-        return Point(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "Point") -> "Point":
-        return Point(self.x - other.x, self.y - other.y)
-
-    def __iter__(self):
-        return iter((self.x, self.y))
 
 
 Coord = tuple[int, int]
@@ -59,16 +43,14 @@ def round_nearest(q: Fraction) -> int:
 
 
 def _coords(poly) -> tuple[Coord, ...]:
-    """Accept a Polygon or any sequence of Point / (x, y) pairs.
+    """Accept a Polygon or any sequence of (x, y) pairs.
 
     Coordinates must be integral; operator.index raises on floats rather
     than silently truncating.
     """
     if isinstance(poly, Polygon):
         return poly.coords
-    return tuple((p.x, p.y) if isinstance(p, Point)
-                 else (operator.index(p[0]), operator.index(p[1]))
-                 for p in poly)
+    return tuple((operator.index(p[0]), operator.index(p[1])) for p in poly)
 
 
 def cross(o: Coord, a: Coord, b: Coord) -> int:
@@ -187,10 +169,6 @@ class Polygon:
         self._convex = None
         self._triangles = None
         self._parts = None
-
-    @property
-    def vertices(self) -> tuple[Point, ...]:
-        return tuple(Point(x, y) for x, y in self.coords)
 
     @property
     def bbox(self) -> tuple[int, int, int, int]:

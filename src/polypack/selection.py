@@ -206,12 +206,6 @@ def select_from_features(named_features, cfg: SelectionConfig) -> list[str]:
     return sorted(chosen)
 
 
-def select_diverse(instances, cfg: SelectionConfig) -> list[str]:
-    """Pick cfg.k diverse instance names via metrics -> PCA -> k-means."""
-    feats = [(inst.name, compute_metrics(inst).values) for inst in instances]
-    return select_from_features(feats, cfg)
-
-
 def features_csv(named_features) -> str:
     """CSV of `(name, metric values)` pairs, one row per instance by name."""
     lines = ["name," + ",".join(METRIC_NAMES)]

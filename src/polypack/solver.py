@@ -1,12 +1,17 @@
-"""Baseline packing solver: priority-driven greedy placement on a
+"""Baseline packing solver: greedy placement in value-density order on a
 coarse-to-fine integer grid, followed by local-search improvement.
 
 Candidate offsets live on integer grids only, so every intermediate state is
 exactly verifiable; the verifier's sort-and-sweep box index over placed
 items keeps feasibility checks local.  The greedy pass prefers the
 lowest-then-leftmost feasible cell (bottom-left heuristic) and refines the
-grid around the first hit.  Local search applies value-positive moves only
-(insert, swap, depth-2 eject), so the packed value never decreases.
+grid around the first hit.  Local search tries insert, then swap, then a
+depth-2 eject each round and keeps only value-positive moves, so the packed
+value never decreases.  Instances of at most 25 items start local search
+from the best of several greedy passes (every `Ordering` plus shuffles).
+
+`shelf_pack` is a separate algorithm for rectangular containers: next-fit
+decreasing-height shelves, used for the Moon-Moser square-packing check.
 
 An item reported unplaced may still fit at some non-grid offset; the solver
 never claims infeasibility, it only stops looking.
@@ -31,19 +36,6 @@ class Ordering(enum.Enum):
     AREA_DESC = "area"
 
 
-class PlacementMode(enum.Enum):
-    GRID = "grid"
-    SHELF = "shelf"
-
-
-class Move(enum.Enum):
-    INSERT = "insert"
-    SWAP_PAIR = "swap"
-    EJECT_CHAIN = "eject"
-
-
-ALL_MOVES = frozenset(Move)
-
 GRID_LEVELS = 6  # refinement passes around the coarse-grid hit
 COARSE_CELLS = 24  # coarse-grid resolution across the longer span
 LS_MAX_NO_IMPROVE = 15  # local search stops after this many quiet rounds
@@ -51,16 +43,12 @@ LS_MAX_NO_IMPROVE = 15  # local search stops after this many quiet rounds
 
 @dataclasses.dataclass(frozen=True)
 class SolverConfig:
-    ordering: Ordering = Ordering.VALUE_DENSITY
     time_budget: float = 60.0
-    ls_moves: frozenset = ALL_MOVES
     seed: int = 0
-    placement: PlacementMode = PlacementMode.GRID
 
     def __post_init__(self):
-        if self.time_budget <= 0:
+        if not self.time_budget > 0:  # also rejects NaN
             raise ValueError("time_budget must be positive")
-        object.__setattr__(self, "ls_moves", frozenset(self.ls_moves))
 
 
 def _is_axis_rect(poly) -> bool:
@@ -199,9 +187,12 @@ def find_offset(state: PlacementState, idx: int, coarse_cells: int,
     return best
 
 
-def _shelf_pack(state: PlacementState, deadline: float) -> None:
-    """Next-fit decreasing-height shelves; packs any set of squares of total
-    area at most half the container square."""
+def shelf_pack(instance: Instance, deadline: Optional[float] = None) -> Solution:
+    """Next-fit decreasing-height shelves in an axis-aligned rectangular
+    container; packs any set of squares of total area at most half the
+    container square.  No item is placed once `deadline` (a
+    `time.monotonic()` value) has passed."""
+    state = PlacementState(instance)
     if not state.rect_container:
         raise ValueError("shelf placement requires an axis-aligned rectangular container")
     cb = state.cbox
@@ -214,7 +205,7 @@ def _shelf_pack(state: PlacementState, deadline: float) -> None:
     shelf_h = 0
     cursor = 0
     for idx in order:
-        if time.monotonic() > deadline:
+        if deadline is not None and time.monotonic() > deadline:
             break
         b = state.bboxes[idx]
         w, h = b[2] - b[0], b[3] - b[1]
@@ -232,19 +223,18 @@ def _shelf_pack(state: PlacementState, deadline: float) -> None:
         if state.can_place(idx, off):
             state.place(idx, off)
             cursor += w
-    return
+    return state.to_solution()
 
 
 def solve_greedy(instance: Instance, cfg: SolverConfig,
                  deadline: Optional[float] = None,
                  order: Optional[list[int]] = None) -> Solution:
-    """Greedy sequential fill in priority order; output always verifies."""
+    """Greedy sequential fill in `order` (default: value density); output
+    always verifies."""
     state = PlacementState(instance)
     deadline = deadline or time.monotonic() + cfg.time_budget
-    if cfg.placement is PlacementMode.SHELF:
-        _shelf_pack(state, deadline)
-        return state.to_solution()
-    order = order if order is not None else priority_order(instance, cfg.ordering)
+    if order is None:
+        order = priority_order(instance, Ordering.VALUE_DENSITY)
     for idx in order:
         if time.monotonic() > deadline:
             break
@@ -333,18 +323,15 @@ def improve_local(instance: Instance, start: Solution, cfg: SolverConfig,
     state = _state_from_solution(instance, start)
     deadline = deadline or time.monotonic() + cfg.time_budget
     rng = Rng(cfg.seed, stream=0x15EA9C4)
-    moves = cfg.ls_moves
     no_improve = 0
     iteration = 0
     insert_failed: set[int] = set()
     while no_improve < LS_MAX_NO_IMPROVE and time.monotonic() < deadline:
         iteration += 1
-        gained = 0
-        if Move.INSERT in moves:
-            gained = _move_insert(state, deadline, insert_failed)
-        if gained == 0 and Move.SWAP_PAIR in moves:
+        gained = _move_insert(state, deadline, insert_failed)
+        if gained == 0:
             gained = _move_swap(state, rng, deadline, depth=1)
-        if gained == 0 and Move.EJECT_CHAIN in moves:
+        if gained == 0:
             gained = _move_swap(state, rng, deadline, depth=2)
         if gained > 0:
             no_improve = 0
@@ -367,8 +354,6 @@ def solve(instance: Instance, cfg: SolverConfig,
     n = instance.n_items
     if n == 0:
         return Solution(instance.name)
-    if cfg.placement is PlacementMode.SHELF:
-        return solve_greedy(instance, cfg, deadline)
 
     if n <= 25:
         # small: greedy under every ordering plus a few shuffles, then full LS
@@ -378,7 +363,7 @@ def solve(instance: Instance, cfg: SolverConfig,
                 instance, cfg, deadline,
                 order=priority_order(instance, ordering)))
         shuffle_rng = Rng(cfg.seed, stream=0x5132)
-        base = priority_order(instance, cfg.ordering)
+        base = priority_order(instance, Ordering.VALUE_DENSITY)
         for _ in range(3):
             order = list(base)
             shuffle_rng.shuffle(order)
@@ -389,7 +374,4 @@ def solve(instance: Instance, cfg: SolverConfig,
     greedy = solve_greedy(instance, cfg, deadline)
     if progress is not None:
         progress(0, solution_value(instance, greedy))
-    if n <= 5000:
-        return improve_local(instance, greedy, cfg, deadline, progress)
-    insert_only = dataclasses.replace(cfg, ls_moves=frozenset({Move.INSERT}))
-    return improve_local(instance, greedy, insert_only, deadline, progress)
+    return improve_local(instance, greedy, cfg, deadline, progress)

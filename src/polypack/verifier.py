@@ -7,10 +7,14 @@ Because a polygon's open interior is strictly inside its bounding box, two
 placements whose boxes merely touch can never conflict, so the candidate set
 is a true superset of the overlapping pairs and nothing is missed.
 
-The sweep costs O(n log n) plus the number of box pairs whose x-ranges
-overlap, whatever the coordinates.  That count is O(n^2) when the boxes
-themselves overlap pairwise: a pile-up, or n thin parallel diagonal slivers,
-which form a valid packing whose n(n-1)/2 box pairs all need an exact test.
+`verify` queries the index once per placement, in placement order, and
+exact-tests the later placements it returns, so pairs are tested in
+(pos_a, pos_b) order and the first overlap ends the check; memory stays
+O(n) whatever the input.  A query scans the boxes whose min x lies within
+one widest-box width of the query box, so time is O(n log n) plus those
+scans: O(n^2) when boxes overlap pairwise in a valid packing (n thin
+parallel diagonal slivers, whose n(n-1)/2 box pairs all need an exact
+test) or when one box spans most of the container's width.
 
 Checks run in a fixed order (indices, containment, pairwise overlap) and the
 first violation in deterministic scan order is reported; a valid solution's
@@ -67,22 +71,9 @@ class BoxIndex:
         return out
 
     def candidate_pairs(self) -> list[tuple[int, int]]:
-        """All id pairs whose box interiors overlap, sorted."""
-        keys, boxes = self._keys, self._boxes
-        n = len(keys)
-        pairs = []
-        for i in range(n):
-            a = keys[i][1]
-            ax0, ay0, ax1, ay1 = boxes[a]
-            for j in range(i + 1, n):
-                bx0, b = keys[j]
-                if bx0 >= ax1:
-                    break
-                _, by0, bx1, by1 = boxes[b]
-                if ax0 < bx1 and ay0 < by1 and by0 < ay1:
-                    pairs.append((a, b) if a < b else (b, a))
-        pairs.sort()
-        return pairs
+        """All id pairs (a, b), a < b, whose box interiors overlap, sorted."""
+        boxes = self._boxes
+        return sorted((a, b) for a in boxes for b in self.query(boxes[a]) if a < b)
 
 
 # The broad phase's former name, still exported.
@@ -168,12 +159,18 @@ def verify(instance: Instance, solution: Solution) -> VerifyReport:
                                    pl.offset):
             return VerifyReport(False, 0, Violation(
                 ViolationKind.NOT_CONTAINED, (pl.item_index,)))
+    # Pairs stream in (pos_a, pos_b) order, one query per position, so the
+    # first overlap is found without holding every candidate pair at once.
     placements = solution.placements
-    for pa, pb in build_index(instance, solution).candidate_pairs():
-        a, b = placements[pa], placements[pb]
-        if interiors_overlap(instance.items[a.item_index].polygon, a.offset,
-                             instance.items[b.item_index].polygon, b.offset):
-            return VerifyReport(False, 0, Violation(
-                ViolationKind.OVERLAP, (a.item_index, b.item_index)))
+    index = build_index(instance, solution)
+    for pa, a in enumerate(placements):
+        poly_a = instance.items[a.item_index].polygon
+        box_a = placement_box(instance, a.item_index, a.offset)
+        for pb in sorted(pb for pb in index.query(box_a) if pb > pa):
+            b = placements[pb]
+            if interiors_overlap(poly_a, a.offset,
+                                 instance.items[b.item_index].polygon, b.offset):
+                return VerifyReport(False, 0, Violation(
+                    ViolationKind.OVERLAP, (a.item_index, b.item_index)))
     packed = sum(instance.items[pl.item_index].value for pl in placements)
     return VerifyReport(True, packed, None)

@@ -16,8 +16,8 @@ from polypack.generators import GenConfig, gen_atris, gen_jigsaw, gen_random, ge
 from polypack.model import MAX_TOTAL_VALUE, Placement, Solution
 from polypack.scoring import SubmissionRecord, build_leaderboard, instance_score
 from polypack.selection import SelectionConfig, compute_metrics, select_from_features
-from polypack.solver import (Ordering, PlacementMode, SolverConfig,
-                             improve_local, solution_value, solve, solve_greedy)
+from polypack.solver import (SolverConfig, improve_local, shelf_pack,
+                             solution_value, solve, solve_greedy)
 from polypack.verifier import verify
 
 from test_generators import identity_solution
@@ -117,7 +117,6 @@ def test_c4_generator_guarantees_at_scale():
 def test_c5_moon_moser_shelf():
     with _Timer("C5 Moon-Moser constructive shelf check (50 sets)", 60):
         rng = random.Random(1967)
-        shelf = SolverConfig(placement=PlacementMode.SHELF, time_budget=30.0)
         done = 0
         while done < 50:
             side = rng.randint(16, 64)
@@ -132,7 +131,7 @@ def test_c5_moon_moser_shelf():
             if not items:
                 continue
             inst = box_instance(side, items, name=f"mm{done}")
-            sol = solve_greedy(inst, shelf)
+            sol = shelf_pack(inst)
             assert sol.n_placed == len(items)
             assert verify(inst, sol).valid
             done += 1
@@ -205,8 +204,7 @@ def test_c8_end_to_end_drill():
                 instances.append(family(GenConfig(seed=seed, n_target=40)))
         teams = {
             "steady": SolverConfig(time_budget=8.0, seed=11),
-            "swingy": SolverConfig(time_budget=8.0, seed=97,
-                                   ordering=Ordering.VALUE_DESC),
+            "swingy": SolverConfig(time_budget=8.0, seed=97),
         }
         t0 = datetime(2023, 11, 1, 9, 0, 0)
         records = []

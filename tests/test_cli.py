@@ -1,10 +1,11 @@
 import json
+import shlex
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
-from polypack.cli import run
+from polypack.cli import build_parser, run
 from polypack.generators import GenConfig, gen_jigsaw
 from polypack.model import save_instance, save_solution, write_solution, Solution
 from polypack.render import RenderOfInvalidSolution, RenderSpec, render
@@ -123,19 +124,68 @@ def test_select_subcommand(workdir, capsys):
 
 
 def test_solve_moves_flag(workdir, capsys):
+    # the solver has one search configuration: no moves or ordering flags
     inst_path = workdir / "i.json"
     sol_path = workdir / "s.json"
     run_ok(capsys, "generate", "random", "--seed", "3", "--n", "12",
            "-o", str(inst_path))
     summary = json.loads(run_ok(capsys, "solve", str(inst_path), "--budget", "10",
-                                "--seed", "1", "--moves", "insert,swap,eject",
-                                "-o", str(sol_path), "--quiet"))
+                                "--seed", "1", "-o", str(sol_path), "--quiet"))
     assert summary["packed_value"] > 0
     report = json.loads(run_ok(capsys, "verify", str(inst_path), str(sol_path)))
     assert report["valid"]
     assert report["packed_value"] == summary["packed_value"]
-    assert run(["solve", str(inst_path), "--moves", "relocate", "--quiet"]) == 2
-    capsys.readouterr()
+    for flag, value in (("--moves", "relocate"), ("--moves", "insert"),
+                        ("--ordering", "value")):
+        assert run(["solve", str(inst_path), flag, value, "--quiet"]) == 2
+        capsys.readouterr()
+
+
+def test_solve_shelf_flag(workdir, capsys):
+    inst_path = workdir / "i.json"
+    sol_path = workdir / "s.json"
+    run_ok(capsys, "generate", "atris", "--seed", "2", "--n", "20",
+           "-o", str(inst_path))
+    summary = json.loads(run_ok(capsys, "solve", str(inst_path), "--shelf",
+                                "-o", str(sol_path), "--quiet"))
+    assert summary["n_placed"] > 0
+    report = json.loads(run_ok(capsys, "verify", str(inst_path), str(sol_path)))
+    assert report["valid"]
+    assert report["packed_value"] == summary["packed_value"]
+    # random containers are not rectangles
+    run_ok(capsys, "generate", "random", "--seed", "3", "--n", "6",
+           "-o", str(inst_path))
+    assert run(["solve", str(inst_path), "--shelf", "--quiet"]) == 2
+    assert "rectangular" in capsys.readouterr().err
+
+
+def test_solve_nan_budget_exits_2(workdir, capsys):
+    inst_path = workdir / "i.json"
+    run_ok(capsys, "generate", "random", "--seed", "3", "--n", "6",
+           "-o", str(inst_path))
+    assert run(["solve", str(inst_path), "--budget", "nan", "--quiet"]) == 2
+    assert "time_budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", ["atris", "satris"])
+@pytest.mark.parametrize("flag, value", [
+    ("--value-kind", "uniform"), ("--value-noise", "5"), ("--value-scale", "100"),
+])
+def test_tetro_value_flags_exit_2(workdir, capsys, family, flag, value):
+    # atris and satris set their own values, so a value setting cannot apply
+    assert run(["generate", family, "--seed", "2", "--n", "10", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and flag[2:].replace("-", "_") in err
+
+
+def test_readme_quick_start_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    commands = [line for line in section.splitlines() if line.startswith("polypack ")]
+    assert len(commands) >= 7
+    parser = build_parser()
+    for line in commands:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 def test_jobs_flag_only_on_select(workdir, capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from polypack import geom
-from polypack.geom import (AllCollinear, Point, Polygon, contained_in_convex,
+from polypack.geom import (AllCollinear, Polygon, contained_in_convex,
                            convex_hull, interiors_overlap, is_convex,
                            is_simple, min_area_bounding_rect, signed_area,
                            triangulate)
@@ -302,11 +302,6 @@ class TestPolygonClass:
             Polygon([(0, 0), (1, 0)])
         with pytest.raises(geom.GeometryError):
             Polygon([(0, 0), (1, 0), (2, 0)])
-
-    def test_accepts_points(self):
-        p = Polygon([Point(0, 0), Point(1, 0), Point(1, 1)])
-        assert p.area == Fraction(1, 2)
-        assert p.bbox == (0, 0, 1, 1)
 
     def test_round_nearest(self):
         assert geom.round_nearest(Fraction(1, 2)) == 1

@@ -9,8 +9,8 @@ from polypack.geom import Polygon
 from polypack.model import Instance, Item
 from polypack.selection import (METRIC_NAMES, DegenerateFeatures,
                                 SelectionConfig, compute_metrics,
-                                features_csv, select_diverse,
-                                select_from_features, _pca_project)
+                                features_csv, select_from_features,
+                                _pca_project)
 
 BOX = Polygon([(0, 0), (50, 0), (50, 50), (0, 50)])
 
@@ -130,7 +130,8 @@ class TestEndToEndSelection:
             instances.append(gen_random(GenConfig(seed=seed, n_target=6)))
             instances.append(gen_jigsaw(GenConfig(seed=seed, jigsaw_line_count=4)))
             instances.append(gen_atris(GenConfig(seed=seed, n_target=8)))
-        out = select_diverse(instances, SelectionConfig(k=9, seed=5))
+        named = [(i.name, compute_metrics(i).values) for i in instances]
+        out = select_from_features(named, SelectionConfig(k=9, seed=5))
         assert len(out) == len(set(out)) == 9
         names = {i.name for i in instances}
         assert set(out) <= names

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 
@@ -6,8 +7,8 @@ import pytest
 from polypack.generators import GenConfig, gen_atris, gen_jigsaw, gen_random, gen_satris
 from polypack.geom import Polygon
 from polypack.model import Instance, Item, Solution
-from polypack.solver import (Move, Ordering, PlacementMode, SolverConfig,
-                             improve_local, priority_order, solution_value,
+from polypack.solver import (Ordering, SolverConfig, improve_local,
+                             priority_order, shelf_pack, solution_value,
                              solve, solve_greedy)
 from polypack.verifier import verify
 
@@ -21,6 +22,17 @@ def box_instance(side, items, name="s"):
 
 def square_item(s, value=None):
     return Item(Polygon([(0, 0), (s, 0), (s, s), (0, s)]), value or s * s)
+
+
+class TestSolverConfig:
+    def test_fields_are_budget_and_seed(self):
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == \
+            ["time_budget", "seed"]
+
+    @pytest.mark.parametrize("budget", [0.0, -1.0, float("nan")])
+    def test_non_positive_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="time_budget"):
+            SolverConfig(time_budget=budget)
 
 
 class TestGreedy:
@@ -69,7 +81,6 @@ class TestGreedy:
 class TestShelfMode:
     def test_moon_moser_random_square_sets(self):
         rng = random.Random(91)
-        shelf_cfg = SolverConfig(placement=PlacementMode.SHELF, time_budget=30.0)
         for trial in range(50):
             side = rng.randint(20, 60)
             budget = side * side / 2
@@ -84,7 +95,7 @@ class TestShelfMode:
             if not items:
                 continue
             inst = box_instance(side, items, name=f"mm{trial}")
-            sol = solve_greedy(inst, shelf_cfg)
+            sol = shelf_pack(inst)
             assert sol.n_placed == len(items), f"trial {trial}: shelf left items out"
             assert verify(inst, sol).valid
 
@@ -92,7 +103,12 @@ class TestShelfMode:
         tri = Polygon([(0, 0), (30, 0), (0, 30)])
         inst = Instance("tri", tri, (square_item(3),))
         with pytest.raises(ValueError, match="rectangular"):
-            solve_greedy(inst, SolverConfig(placement=PlacementMode.SHELF))
+            shelf_pack(inst)
+
+    def test_past_deadline_places_nothing(self):
+        inst = box_instance(10, [square_item(3), square_item(2)])
+        assert shelf_pack(inst, deadline=time.monotonic() - 1).n_placed == 0
+        assert shelf_pack(inst).n_placed == 2
 
 
 class TestJigsawBaseline:

@@ -1,7 +1,15 @@
+import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
+
+import polypack
 
 from polypack.geom import Polygon, contained_in_convex, interiors_overlap
 from polypack.model import Instance, Item, Placement, Solution
@@ -320,6 +328,41 @@ class TestAdversarialSubmissions:
         assert time.monotonic() - start < 1.0
         assert rep.violation.kind is ViolationKind.OVERLAP
         assert rep.violation.item_indices == (0, 1)
+
+    def test_large_pile_up_time_and_memory(self):
+        # a fresh process, so its peak RSS is the verifier's plus the
+        # instance's, not what earlier tests left behind.  VmHWM is the peak
+        # of the process's own memory; ru_maxrss would also count the test
+        # runner's, which the child inherits across exec.
+        script = textwrap.dedent("""
+            import json, re, time
+            from pathlib import Path
+            from polypack.geom import Polygon
+            from polypack.model import Instance, Item, Placement, Solution
+            from polypack.verifier import verify
+            n = 18_000
+            square = Polygon([(0, 0), (10, 0), (10, 10), (0, 10)])
+            container = Polygon([(0, 0), (100, 0), (100, 100), (0, 100)])
+            inst = Instance("pile", container, tuple(Item(square, 1) for _ in range(n)))
+            sol = Solution("pile", tuple(Placement(i, (0, 0)) for i in range(n)))
+            start = time.monotonic()
+            rep = verify(inst, sol)
+            elapsed = time.monotonic() - start
+            status = Path("/proc/self/status").read_text()
+            print(json.dumps({
+                "s": elapsed,
+                "rss_mb": int(re.search(r"VmHWM:\\s*(\\d+) kB", status)[1]) / 1024,
+                "kind": rep.violation.kind.value,
+                "items": list(rep.violation.item_indices)}))
+        """)
+        src = Path(polypack.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                              capture_output=True, text=True, timeout=120)
+        result = json.loads(done.stdout)
+        assert result["kind"] == "Overlap" and result["items"] == [0, 1]
+        assert result["s"] < 1.0
+        assert result["rss_mb"] < 100
 
     def test_jigsaw_pile_up(self):
         from polypack.generators import GenConfig, gen_jigsaw
