@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 class GeometryError(ValueError):
@@ -341,6 +341,24 @@ def _convex_open_overlap(pa: Sequence[Coord], pb: Sequence[Coord],
     return True
 
 
+def _overlapping_parts(a: Polygon, ta, b: Polygon, tb):
+    """The first pair of convex parts (pa, pb) whose open interiors meet,
+    with b's offset (dx, dy) in a's frame, as (pa, pb, dx, dy); else None."""
+    tax, tay = int(ta[0]), int(ta[1])
+    tbx, tby = int(tb[0]), int(tb[1])
+    dx, dy = tbx - tax, tby - tay  # work in a's frame
+    bb = b.bbox
+    if not boxes_interior_overlap(a.bbox, (bb[0] + dx, bb[1] + dy, bb[2] + dx, bb[3] + dy)):
+        return None
+    for pa, (ax0, ay0, ax1, ay1) in a.parts:
+        for pb, (bx0, by0, bx1, by1) in b.parts:
+            # boxes_interior_overlap inlined: this loop is the solver's hot path
+            if (ax0 < bx1 + dx and bx0 + dx < ax1 and ay0 < by1 + dy and by0 + dy < ay1
+                    and _convex_open_overlap(pa, pb, dx, dy)):
+                return pa, pb, dx, dy
+    return None
+
+
 def interiors_overlap(a: Polygon, ta, b: Polygon, tb) -> bool:
     """True iff the open interiors of the translated polygons intersect.
 
@@ -349,19 +367,7 @@ def interiors_overlap(a: Polygon, ta, b: Polygon, tb) -> bool:
     some pair of parts' interiors meet, and each pair whose boxes overlap is
     decided by exact SAT.
     """
-    tax, tay = int(ta[0]), int(ta[1])
-    tbx, tby = int(tb[0]), int(tb[1])
-    dx, dy = tbx - tax, tby - tay  # work in a's frame
-    bb = b.bbox
-    if not boxes_interior_overlap(a.bbox, (bb[0] + dx, bb[1] + dy, bb[2] + dx, bb[3] + dy)):
-        return False
-    for pa, (ax0, ay0, ax1, ay1) in a.parts:
-        for pb, (bx0, by0, bx1, by1) in b.parts:
-            # boxes_interior_overlap inlined: this loop is the solver's hot path
-            if (ax0 < bx1 + dx and bx0 + dx < ax1 and ay0 < by1 + dy and by0 + dy < ay1
-                    and _convex_open_overlap(pa, pb, dx, dy)):
-                return True
-    return False
+    return _overlapping_parts(a, ta, b, tb) is not None
 
 
 def contained_in_convex(container: Polygon, item: Polygon, t) -> bool:
@@ -379,3 +385,76 @@ def contained_in_convex(container: Polygon, item: Polygon, t) -> bool:
                 return False
             ax, ay = bx, by
     return True
+
+
+def containment_range(container: Polygon, item: Polygon,
+                      ty: int) -> Optional[tuple[int, int]]:
+    """Closed range (lo, hi) of the integers tx at which the item translated
+    by (tx, ty) is inside-or-on the convex container, or None if there are
+    none.
+
+    Container edge e = b - a keeps a vertex (x, y) on its left iff
+    ey*tx <= ex*(y + ty - ay) - ey*(x - ax): an upper bound on tx if ey > 0,
+    a lower bound if ey < 0, and no bound (only a check) if ey == 0.
+    """
+    lo = hi = None
+    item_pts = item.coords
+    cpts = container.coords
+    ax, ay = cpts[-1]
+    for bx, by in cpts:
+        ex, ey = bx - ax, by - ay
+        r = ex * (ty - ay) + ey * ax + min(ex * y - ey * x for x, y in item_pts)
+        if ey > 0:
+            bound = r // ey
+            if hi is None or bound < hi:
+                hi = bound
+        elif ey < 0:
+            bound = -(r // -ey)  # ceil(r / ey)
+            if lo is None or bound > lo:
+                lo = bound
+        elif r < 0:
+            return None
+        ax, ay = bx, by
+    # a convex polygon of positive area has edges with ey > 0 and ey < 0
+    return (lo, hi) if lo <= hi else None
+
+
+def _exit_along_x(pa: Sequence[Coord], pb: Sequence[Coord],
+                  dx: int, dy: int, direction: int) -> int:
+    # pb, offset by (dx, dy), slides by `direction` per step along x relative
+    # to pa.  An edge of pa fails to separate while some pb vertex stays
+    # strictly left of it; that margin falls by ey * direction per step, so
+    # a falling margin m lasts ceil(m / rate) steps.  A convex polygon of
+    # positive area has edges of either sign of ey, so some margin falls.
+    least = None
+    ax, ay = pa[-1]
+    for bx, by in pa:
+        ex, ey = bx - ax, by - ay
+        rate = ey * direction
+        if rate > 0:
+            margin = max(ex * (qy + dy - ay) - ey * (qx + dx - ax) for qx, qy in pb)
+            steps = -(-margin // rate)
+            if least is None or steps < least:
+                least = steps
+        ax, ay = bx, by
+    return least
+
+
+def overlap_exit(a: Polygon, ta, b: Polygon, tb) -> Optional[int]:
+    """Where a row of overlaps ends.  None if the open interiors of a
+    translated by ta and b translated by tb do not meet; else an integer
+    x > ta[0] such that a translated by (x', ta[1]) still meets b for every
+    integer x' in [ta[0], x).
+
+    The translations at which two convex parts overlap are the interior of
+    their Minkowski difference (the no-fit polygon), an open interval on one
+    row; its right end is the least upper bound the SAT edges put on x.  The
+    first overlapping pair of convex parts gives the exit.
+    """
+    hit = _overlapping_parts(a, ta, b, tb)
+    if hit is None:
+        return None
+    pa, pb, dx, dy = hit
+    # a moving right is b moving left in a's frame, and the reverse in b's
+    return int(ta[0]) + min(_exit_along_x(pa, pb, dx, dy, -1),
+                            _exit_along_x(pb, pa, -dx, -dy, 1))

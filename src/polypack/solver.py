@@ -5,10 +5,16 @@ Candidate offsets live on integer grids only, so every intermediate state is
 exactly verifiable; the verifier's sort-and-sweep box index over placed
 items keeps feasibility checks local.  The greedy pass prefers the
 lowest-then-leftmost feasible cell (bottom-left heuristic) and refines the
-grid around the first hit.  Local search tries insert, then swap, then a
-depth-2 eject each round and keeps only value-positive moves, so the packed
-value never decreases.  Instances of at most 25 items start local search
-from the best of several greedy passes (every `Ordering` plus shuffles).
+grid around the first hit.  The scan finds that cell without testing every
+cell: each row starts and ends where the item fits in a convex container
+(`geom.containment_range`), and a blocked cell jumps to the first cell past
+the blocker's overlap exit (`geom.overlap_exit`, one row of the no-fit
+polygon), both computed exactly in integers.
+
+Local search tries insert, then swap, then a depth-2 eject each round and
+keeps only value-positive moves, so the packed value never decreases.
+Instances of at most 25 items start local search from the best of several
+greedy passes (every `Ordering` plus shuffles).
 
 `shelf_pack` is a separate algorithm for rectangular containers: next-fit
 decreasing-height shelves, used for the Moon-Moser square-packing check.
@@ -24,7 +30,7 @@ import time
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .geom import contained_in_convex, interiors_overlap
+from .geom import contained_in_convex, containment_range, overlap_exit
 from .model import Instance, Placement, Solution
 from .rng import Rng
 from .verifier import BoxIndex
@@ -88,11 +94,18 @@ class PlacementState:
         if not self.rect_container and \
                 not contained_in_convex(self.container, self.polys[idx], off):
             return False
+        return self.overlap_end(idx, off) is None
+
+    def overlap_end(self, idx: int, off) -> Optional[int]:
+        """None if item idx at `off` overlaps no placed item; else an x past
+        off[0] such that it overlaps one at every (x', off[1]) with
+        off[0] <= x' < x."""
         poly = self.polys[idx]
-        for other in self.tree.query(box):
-            if interiors_overlap(poly, off, self.polys[other], self.offsets[other]):
-                return False
-        return True
+        for other in self.tree.query(self._moved_box(idx, off)):
+            end = overlap_exit(poly, off, self.polys[other], self.offsets[other])
+            if end is not None:
+                return end
+        return None
 
     def place(self, idx: int, off) -> None:
         self.offsets[idx] = (off[0], off[1])
@@ -142,16 +155,26 @@ def _offset_range(state: PlacementState, idx: int):
 
 
 def _scan_bottom_left(state, idx, lox, hix, loy, hiy, step, deadline):
-    ty = loy
-    while ty <= hiy:
+    """First feasible cell of the grid lox + i*step, loy + j*step in
+    (row, column) order.  Cells that exact arithmetic rules out are skipped,
+    not tested: those outside the row's containment range, and on a blocked
+    cell the run of cells up to the blocker's overlap exit."""
+    poly = state.polys[idx]
+    for ty in range(loy, hiy + 1, step):
         if deadline is not None and time.monotonic() > deadline:
             return None
-        tx = lox
-        while tx <= hix:
-            if state.can_place(idx, (tx, ty)):
+        tx, last = lox, hix
+        if not state.rect_container:
+            row = containment_range(state.container, poly, ty)
+            if row is None:
+                continue
+            tx = lox + max(0, -(-(row[0] - lox) // step)) * step
+            last = min(hix, row[1])
+        while tx <= last:
+            end = state.overlap_end(idx, (tx, ty))
+            if end is None:
                 return (tx, ty)
-            tx += step
-        ty += step
+            tx = lox + -(-(end - lox) // step) * step
     return None
 
 

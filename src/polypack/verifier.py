@@ -10,11 +10,12 @@ is a true superset of the overlapping pairs and nothing is missed.
 `verify` queries the index once per placement, in placement order, and
 exact-tests the later placements it returns, so pairs are tested in
 (pos_a, pos_b) order and the first overlap ends the check; memory stays
-O(n) whatever the input.  A query scans the boxes whose min x lies within
-one widest-box width of the query box, so time is O(n log n) plus those
-scans: O(n^2) when boxes overlap pairwise in a valid packing (n thin
-parallel diagonal slivers, whose n(n-1)/2 box pairs all need an exact
-test) or when one box spans most of the container's width.
+O(n) whatever the input.  The index keeps boxes in width classes (widths
+below 2**k), and a query scans each class only as far left as that class's
+widths reach, so one wide box costs its own class's scans, not everyone's.
+Time is O(n log n) plus those scans: O(n^2) when boxes overlap pairwise in
+a valid packing (n thin parallel diagonal slivers, whose n(n-1)/2 box pairs
+all need an exact test).
 
 Checks run in a fixed order (indices, containment, pairwise overlap) and the
 first violation in deterministic scan order is reported; a valid solution's
@@ -33,25 +34,25 @@ from .model import Instance, Solution
 
 
 class BoxIndex:
-    """Integer boxes keyed by unique id, kept sorted by min x.
+    """Integer boxes keyed by unique id, sorted by min x within width classes.
 
-    A stored box can meet a query box only if its min x lies in
-    (query.minx - widest, query.maxx), where widest is the widest box width
-    inserted so far; that slice is scanned and filtered exactly.
+    Class k holds the boxes of width below 2**k, so a stored box of class k
+    can meet a query box only if its min x lies in
+    (query.minx - 2**k + 1, query.maxx); each class's slice is scanned and
+    filtered exactly.  One wide box thus widens only its own class's scans.
     """
 
     def __init__(self):
-        self._keys: list[tuple[int, int]] = []  # (minx, id), sorted
+        self._classes: dict[int, list[tuple[int, int]]] = {}  # k -> sorted (minx, id)
         self._boxes: dict[int, Box] = {}
-        self._widest = 0  # only grows: a stale value widens scans, misses nothing
 
     def insert(self, ident: int, box: Box) -> None:
-        insort(self._keys, (box[0], ident))
+        k = (box[2] - box[0]).bit_length()
+        insort(self._classes.setdefault(k, []), (box[0], ident))
         self._boxes[ident] = box
-        self._widest = max(self._widest, box[2] - box[0])
 
     def remove(self, ident: int, box: Box) -> None:
-        keys = self._keys
+        keys = self._classes.get((box[2] - box[0]).bit_length(), [])
         i = bisect_left(keys, (box[0], ident))
         if i < len(keys) and keys[i] == (box[0], ident):
             del keys[i]
@@ -59,15 +60,16 @@ class BoxIndex:
 
     def query(self, box: Box) -> set[int]:
         """Ids of all stored boxes whose interiors overlap `box`."""
-        keys, boxes = self._keys, self._boxes
+        boxes = self._boxes
         x0, y0, x1, y1 = box
-        lo = bisect_left(keys, (x0 - self._widest + 1,))
-        hi = bisect_left(keys, (x1,), lo)
         out: set[int] = set()
-        for _, ident in keys[lo:hi]:
-            b = boxes[ident]
-            if x0 < b[2] and y0 < b[3] and b[1] < y1:
-                out.add(ident)
+        for k, keys in self._classes.items():
+            lo = bisect_left(keys, (x0 - (1 << k) + 2,))
+            hi = bisect_left(keys, (x1,), lo)
+            for _, ident in keys[lo:hi]:
+                b = boxes[ident]
+                if x0 < b[2] and y0 < b[3] and b[1] < y1:
+                    out.add(ident)
         return out
 
     def candidate_pairs(self) -> list[tuple[int, int]]:

@@ -6,9 +6,9 @@ import pytest
 
 from polypack import geom
 from polypack.geom import (AllCollinear, Polygon, contained_in_convex,
-                           convex_hull, interiors_overlap, is_convex,
-                           is_simple, min_area_bounding_rect, signed_area,
-                           triangulate)
+                           containment_range, convex_hull, interiors_overlap,
+                           is_convex, is_simple, min_area_bounding_rect,
+                           overlap_exit, signed_area, triangulate)
 
 import oracles
 
@@ -286,6 +286,82 @@ class TestContainedInConvex:
                 oracles.point_in_convex_halfplanes(box_pts, (x + t[0], y + t[1]))
                 for x, y in item.coords)
             assert contained_in_convex(box, item, t) == expected
+
+
+class TestRowSkipping:
+    """The two row helpers the solver's grid scan skips cells with."""
+
+    def test_overlap_exit_against_brute_force(self):
+        rng = random.Random(15)
+        checked = nonconvex = jumps = 0
+        for _ in range(400):
+            a, ta, b, tb = random_overlap_case(rng)
+            end = overlap_exit(a, ta, b, tb)
+            if not interiors_overlap(a, ta, b, tb):
+                assert end is None
+                continue
+            assert end > ta[0]
+            for x in range(ta[0], end):
+                assert interiors_overlap(a, (x, ta[1]), b, tb)
+            checked += 1
+            nonconvex += not (a.convex and b.convex)
+            jumps += end > ta[0] + 1
+        assert checked > 150 and nonconvex > 100 and jumps > 100
+
+    def test_convex_exit_is_tight_at_any_scale(self):
+        # one part pair per convex polygon, so the exit is the first integer
+        # x at which the pair stops overlapping, also at 2**30 scale
+        rng = random.Random(16)
+        checked = 0
+        for _ in range(200):
+            scale = rng.choice((1, 2 ** 30))
+            shift = rng.randint(-10 ** 12, 10 ** 12)
+            pa, pb = (convex_hull(random_star_polygon(rng, rng.randint(3, 8), radius=20))
+                      for _ in range(2))
+            a = Polygon([(x * scale + shift, y * scale) for x, y in pa.coords])
+            b = Polygon([(x * scale, y * scale - shift) for x, y in pb.coords])
+            ta = (rng.randint(-15, 15) * scale - shift, rng.randint(-15, 15) * scale)
+            tb = (rng.randint(-15, 15) * scale, rng.randint(-15, 15) * scale + shift)
+            if not interiors_overlap(a, ta, b, tb):
+                continue
+            end = overlap_exit(a, ta, b, tb)
+            assert end > ta[0]
+            assert interiors_overlap(a, (end - 1, ta[1]), b, tb)
+            assert not interiors_overlap(a, (end, ta[1]), b, tb)
+            checked += 1
+        assert checked > 50
+
+    def test_no_overlap_no_exit(self):
+        sq = Polygon(UNIT_SQUARE)
+        assert overlap_exit(sq, (0, 0), sq, (1, 0)) is None
+        assert overlap_exit(sq, (0, 0), sq, (0, 0)) == 1
+
+    def test_containment_range_against_brute_force(self):
+        rng = random.Random(17)
+        box = Polygon([(0, 0), (40, 0), (50, 30), (20, 45), (-5, 25)])
+        nonempty = 0
+        for _ in range(300):
+            item = Polygon(random_star_polygon(rng, rng.randint(3, 8), radius=12,
+                                               center=(12, 12)))
+            ty = rng.randint(-30, 50)
+            inside = [x for x in range(-80, 81) if contained_in_convex(box, item, (x, ty))]
+            got = containment_range(box, item, ty)
+            if not inside:
+                assert got is None
+                continue
+            assert got == (inside[0], inside[-1])
+            assert len(inside) == inside[-1] - inside[0] + 1
+            nonempty += 1
+        assert nonempty > 50
+
+    def test_containment_range_horizontal_edges(self):
+        box = Polygon([(0, 0), (10, 0), (10, 10), (0, 10)])
+        sq = Polygon(UNIT_SQUARE)
+        assert containment_range(box, sq, 0) == (0, 9)
+        assert containment_range(box, sq, 9) == (0, 9)
+        assert containment_range(box, sq, 10) is None
+        assert containment_range(box, sq, -1) is None
+        assert containment_range(box, Polygon([(0, 0), (11, 0), (0, 1)]), 0) is None
 
 
 class TestPolygonClass:

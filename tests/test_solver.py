@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 import time
 
@@ -6,8 +7,9 @@ import pytest
 
 from polypack.generators import GenConfig, gen_atris, gen_jigsaw, gen_random, gen_satris
 from polypack.geom import Polygon
-from polypack.model import Instance, Item, Solution
-from polypack.solver import (Ordering, SolverConfig, improve_local,
+from polypack.model import Instance, Item, Solution, write_solution
+from polypack.solver import (GRID_LEVELS, Ordering, PlacementState,
+                             SolverConfig, find_offset, improve_local,
                              priority_order, shelf_pack, solution_value,
                              solve, solve_greedy)
 from polypack.verifier import verify
@@ -109,6 +111,136 @@ class TestShelfMode:
         inst = box_instance(10, [square_item(3), square_item(2)])
         assert shelf_pack(inst, deadline=time.monotonic() - 1).n_placed == 0
         assert shelf_pack(inst).n_placed == 2
+
+
+class TestSolverPinnedOutput:
+    """SHA-256 of write_solution for the benchmark's solve corpus and for
+    120-item greedy fills: any change to where the solver puts an item
+    shows up here."""
+
+    @pytest.mark.parametrize("family, fields, sha256", [
+        (gen_random, dict(seed=1, n_target=6),
+         "14781588fa6e14c488730a04c24edb9d3204b70ebc02bcc76ffaf544771cc61b"),
+        (gen_random, dict(seed=2, n_target=6),
+         "3d26267b9b47114f766a855cdbfd83d101b327225458af3d22cd39d502ed90dd"),
+        (gen_random, dict(seed=3, n_target=6),
+         "115da357b870d5f644839e27604a46bc9fe642595216006eb87153dc82d768a2"),
+        (gen_random, dict(seed=4, n_target=6),
+         "58aa4ecf243894a0cf7927e4a54f75260d5575f5836cca95b3e86843640aeeb0"),
+        (gen_atris, dict(seed=3, n_target=8),
+         "16ed4470f376b257944467b5eddafee8505ca2589ef14e21c1784c0178158463"),
+        (gen_atris, dict(seed=4, n_target=8),
+         "186fe17182498008fda6f8bc9cc014908f3b722866b30388b6d4bdb6e2fcd9ed"),
+        (gen_satris, dict(seed=3, n_target=8),
+         "f06d73e87b7f25f9021a4b349af8c26ae510a09cfff6618187add291cba32360"),
+        (gen_satris, dict(seed=4, n_target=8),
+         "e224ca68d03083a7e5f71c1e0198019907ad77dda6f162140e81787559257518"),
+        (gen_jigsaw, dict(seed=9, jigsaw_line_count=5, jigsaw_copies=3),
+         "1faea56695a9f8e0f27ab269848e5570db671eb2631872a550103371a9078957"),
+        (gen_jigsaw, dict(seed=10, jigsaw_line_count=5, jigsaw_copies=3),
+         "4e447dcc28a5900e139afd101d63d920506f66d5b23cd9483037cfbb8fcd9a15"),
+        (gen_jigsaw, dict(seed=9, jigsaw_line_count=8, jigsaw_copies=3),
+         "b1f9f77871c956456eafe83adbaeebafc89f3f8533f664fd9c2c1483500484a0"),
+        (gen_jigsaw, dict(seed=10, jigsaw_line_count=8, jigsaw_copies=3),
+         "c58c887abecc525253e29deb2422225294b0cbac425f1a8472268a7d146b8d2a"),
+        (gen_jigsaw, dict(seed=11, jigsaw_line_count=8, jigsaw_copies=3),
+         "57f9922f6e1f10c58b9cc4abbfde104b64889bc2b70350853518dd33e7032f1c"),
+        (gen_jigsaw, dict(seed=12, jigsaw_line_count=8, jigsaw_copies=3),
+         "af028f4d683e710d816c1833af37ccf23d376fb847f10f2f22e6c1111a12488c"),
+    ])
+    def test_solve_bytes(self, family, fields, sha256):
+        sol = solve(family(GenConfig(**fields)), SolverConfig(time_budget=60.0, seed=1))
+        assert hashlib.sha256(write_solution(sol)).hexdigest() == sha256
+
+    @pytest.mark.parametrize("family, sha256", [
+        (gen_random, "ed95d57ab90232d133c7c0a0d33e23a61b9d1502313dd9f52ce7d53ad4653703"),
+        (gen_atris, "fa390c78509cd8bb6ac9542dd83b5fab09eb338fcf6dbb3d7a48adefc53fb672"),
+        (gen_satris, "7f71d59826e6dbabb9474e607995f6148fac7c887a1685474a9d566ce1b35579"),
+    ])
+    def test_greedy_bytes(self, family, sha256):
+        inst = family(GenConfig(seed=1, n_target=120))
+        sol = solve_greedy(inst, SolverConfig(time_budget=60.0, seed=0))
+        assert hashlib.sha256(write_solution(sol)).hexdigest() == sha256
+
+
+def cell_by_cell_find_offset(state, idx, coarse_cells):
+    """Reference: the bottom-left grid scan that tests every cell with
+    can_place, refined around the hit as find_offset does."""
+    if state.polys[idx].area2 > state.free_area2:
+        return None
+    cb, b = state.cbox, state.bboxes[idx]
+    lox, hix, loy, hiy = cb[0] - b[0], cb[2] - b[2], cb[1] - b[1], cb[3] - b[3]
+    if lox > hix or loy > hiy:
+        return None
+
+    def scan(x0, x1, y0, y1, step):
+        for ty in range(y0, y1 + 1, step):
+            for tx in range(x0, x1 + 1, step):
+                if state.can_place(idx, (tx, ty)):
+                    return (tx, ty)
+        return None
+
+    step = max(1, -(-max(hix - lox, hiy - loy) // coarse_cells))
+    best = scan(lox, hix, loy, hiy, step)
+    if best is None:
+        return None
+    for _ in range(GRID_LEVELS):
+        if step == 1:
+            break
+        prev, step = step, max(1, step // 2)
+        cand = scan(max(lox, best[0] - prev), min(hix, best[0] + prev),
+                    max(loy, best[1] - prev), min(hiy, best[1] + prev), step)
+        if cand is not None:
+            best = cand
+    return best
+
+
+def transformed(inst, scale, shift):
+    def move(poly):
+        return Polygon([(x * scale + shift, y * scale + shift) for x, y in poly.coords])
+    return Instance(inst.name, move(inst.container),
+                    tuple(Item(move(it.polygon), it.value) for it in inst.items))
+
+
+class TestFindOffsetReference:
+    """find_offset skips the cells exact arithmetic rules out; it must return
+    the cell the cell-by-cell scan returns, on any state."""
+
+    @pytest.mark.parametrize("scale, shift", [
+        (1, 0), (1, -(10 ** 9) - 7), (2 ** 30, 0), (2 ** 30, -(2 ** 45) - 3)])
+    def test_matches_cell_by_cell_scan(self, scale, shift):
+        rng = random.Random(scale + shift)
+        instances = [gen_random(GenConfig(seed=1, n_target=16)),
+                     gen_atris(GenConfig(seed=2, n_target=16)),
+                     gen_satris(GenConfig(seed=3, n_target=16)),
+                     gen_jigsaw(GenConfig(seed=4, jigsaw_line_count=5, jigsaw_copies=2))]
+        compared = found = 0
+        for base in instances:
+            inst = transformed(base, scale, shift)
+            state = PlacementState(inst)
+            cb = state.cbox
+            order = list(range(inst.n_items))
+            rng.shuffle(order)
+            for idx in order:
+                for cells in (7, 24, 48):
+                    got = find_offset(state, idx, cells)
+                    assert got == cell_by_cell_find_offset(state, idx, cells), \
+                        (inst.name, idx, cells)
+                    compared += 1
+                    found += got is not None
+                # grow the state: a random feasible offset, else the scan's hit
+                b = state.bboxes[idx]
+                xs, ys = (cb[0] - b[0], cb[2] - b[2]), (cb[1] - b[1], cb[3] - b[3])
+                off = got
+                if xs[0] <= xs[1] and ys[0] <= ys[1]:
+                    for _ in range(10):
+                        cand = (rng.randint(*xs), rng.randint(*ys))
+                        if state.can_place(idx, cand):
+                            off = cand
+                            break
+                if off is not None:
+                    state.place(idx, off)
+        assert compared > 150 and 0 < found < compared
 
 
 class TestJigsawBaseline:

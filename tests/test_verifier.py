@@ -391,3 +391,21 @@ class TestAdversarialSubmissions:
         rep = verify(inst, sol)
         assert time.monotonic() - start < 2.0
         assert rep.valid and rep.packed_value == n
+
+    def test_squares_above_full_width_bar(self):
+        # one box spanning the container must not make every query scan
+        # every box: width classes keep the bar out of the squares' scans
+        cols, rows = 200, 45
+        width, height = 10 * cols, 1 + 10 * rows
+        square = Polygon([(0, 0), (10, 0), (10, 10), (0, 10)])
+        bar = Polygon([(0, 0), (width, 0), (width, 1), (0, 1)])
+        container = Polygon([(0, 0), (width, 0), (width, height), (0, height)])
+        inst = Instance("bar", container,
+                        (Item(bar, 1),) + tuple(Item(square, 1) for _ in range(cols * rows)))
+        sol = Solution("bar", (Placement(0, (0, 0)),) + tuple(
+            Placement(1 + r * cols + c, (10 * c, 1 + 10 * r))
+            for r in range(rows) for c in range(cols)))
+        start = time.monotonic()
+        rep = verify(inst, sol)
+        assert time.monotonic() - start < 0.5
+        assert rep.valid and rep.packed_value == 1 + cols * rows
