@@ -23,8 +23,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ..geom import (Polygon, _bbox, _min_rect, cross, is_simple, round_nearest,
-                    signed_area2)
+from ..geom import (Polygon, _bbox, _hull, _min_rect, cross, is_simple,
+                    round_nearest, signed_area2)
 from ..model import Instance, Item
 from ..rng import Rng
 from ..valuation import ValueSpec, assign_values
@@ -211,7 +211,7 @@ def _merge_phase(faces, cfg: GenConfig, rng: Rng, container_area2: int):
             a2 = signed_area2(merged)
             if not min_area2 <= a2 <= max_area2:
                 continue
-            _, aspect = _min_rect(merged)
+            _, aspect = _min_rect(_hull(merged))
             if aspect > MAX_PIECE_ASPECT:
                 continue
             used[idx] = used[jdx] = True

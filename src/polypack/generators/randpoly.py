@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from ..geom import AllCollinear, Polygon, convex_hull, ensure_ccw, is_simple
+from ..geom import AllCollinear, Polygon, _hull, convex_hull, ensure_ccw
 from ..model import Instance, Item
 from ..rng import Rng
 from ..valuation import ValueSpec, assign_values
@@ -46,14 +46,11 @@ def _random_item(rng: Rng, cfg: GenConfig, index: int) -> Polygon:
             continue
         if rng.chance(cfg.convexity_ratio):
             try:
-                poly = convex_hull(cloud)
+                pts = _hull(cloud)
             except AllCollinear:
                 continue
-            pts = poly.coords
         else:
             pts = ensure_ccw(_concave_chain(cloud))
-            if not is_simple(pts) or len(set(pts)) != len(pts):
-                continue
         minx = min(x for x, _ in pts)
         miny = min(y for _, y in pts)
         shifted = [(x - minx, y - miny) for x, y in pts]

@@ -184,7 +184,10 @@ def _normalize(pts):
 
 
 def _shear_points(pts, m: Fraction):
-    return [(round_nearest(Fraction(x) + m * y), y) for x, y in pts]
+    # round_nearest(x + m*y) in integers: with m = num/den,
+    # x + m*y = (x*den + num*y) / den
+    num, den = m.numerator, m.denominator
+    return [((2 * (x * den + num * y) + den) // (2 * den), y) for x, y in pts]
 
 
 def shear_polygon(poly: Polygon, m: Fraction) -> Polygon:
@@ -251,7 +254,7 @@ def _gen_tetro(cfg: GenConfig, family: str) -> Instance:
             for _ in range(100):
                 m = rng.fraction(shear_lo, shear_hi)
                 candidate = _shear_points(pts, m)
-                if len(set(candidate)) == len(candidate) and is_simple(candidate):
+                if is_simple(candidate):
                     pts, sheared_m = candidate, m
                     break
             else:

@@ -102,26 +102,46 @@ def segments_intersect(p1: Coord, p2: Coord, q1: Coord, q2: Coord) -> bool:
 
 def is_simple(poly) -> bool:
     """No repeated vertices, no zero-length edges, and non-adjacent edges
-    never meet; adjacent edges meet only at their shared endpoint."""
+    never meet; adjacent edges meet only at their shared endpoint.
+
+    One pass builds every edge's closed bounding box and rejects spikes (an
+    edge folding back over the one before it).  The boxes are then swept in
+    order of min x (the broad phase of Shamos & Hoey's segment-intersection
+    sweep): each box is compared with the later ones until one starts right
+    of its max x, and only non-adjacent edges whose closed boxes meet reach
+    `segments_intersect`.  Polygons whose edges are short against their
+    extent cost O(n log n); edges that all share one x-range (a comb of long
+    horizontal teeth) still cost n(n-1)/2 box comparisons, which only the
+    full Shamos-Hoey line sweep would bound by O(n log n).
+    """
     pts = _coords(poly)
     n = len(pts)
-    if n < 3:
+    if n < 3 or len(set(pts)) != n:
         return False
-    if len(set(pts)) != n:
-        return False
-    for i in range(n):
-        a1, a2 = pts[i], pts[(i + 1) % n]
-        # Adjacent pair: reject spikes (next edge folding back over this one).
-        b1, b2 = pts[(i + 1) % n], pts[(i + 2) % n]
-        if cross(a1, a2, b2) == 0:
-            dx1, dy1 = a1[0] - b1[0], a1[1] - b1[1]
-            dx2, dy2 = b2[0] - b1[0], b2[1] - b1[1]
-            if dx1 * dx2 + dy1 * dy2 > 0:
-                return False
-        for j in range(i + 2, n):
-            if i == 0 and j == n - 1:
-                continue  # adjacent around the wrap
-            if segments_intersect(a1, a2, pts[j], pts[(j + 1) % n]):
+    boxes = []  # (minx, maxx, miny, maxy, i) of edge i = pts[i] -> pts[i + 1]
+    (ax, ay), (bx, by) = pts[-2], pts[-1]
+    for i, (cx, cy) in enumerate(pts, -1):
+        # edges a->b and b->c: a spike if c lies on the line back towards a
+        if (bx - ax) * (cy - ay) == (by - ay) * (cx - ax) and \
+                (ax - bx) * (cx - bx) + (ay - by) * (cy - by) > 0:
+            return False
+        x0, x1 = (bx, cx) if bx <= cx else (cx, bx)
+        y0, y1 = (by, cy) if by <= cy else (cy, by)
+        boxes.append((x0, x1, y0, y1, i))
+        ax, ay, bx, by = bx, by, cx, cy
+    boxes.sort()
+    for k in range(n):
+        _, x1, y0, y1, i = boxes[k]
+        for m in range(k + 1, n):
+            u0, _, v0, v1, j = boxes[m]
+            if u0 > x1:
+                break
+            if v0 > y1 or v1 < y0:
+                continue
+            d = i - j
+            if d == 1 or d == -1 or d == n - 1 or d == 1 - n:
+                continue  # adjacent edges share their endpoint
+            if segments_intersect(pts[i], pts[i + 1], pts[j], pts[j + 1]):
                 return False
     return True
 
@@ -158,12 +178,14 @@ class Polygon:
         pts = _coords(vertices)
         if len(pts) < 3:
             raise GeometryError("polygon needs at least 3 vertices")
-        a2 = signed_area2(pts)
+        # set first: _coords passes a Polygon's coords through, so the checks
+        # below do not convert every point again
+        self.coords = pts
+        a2 = signed_area2(self)
         if a2 <= 0:
             raise GeometryError("polygon must be counterclockwise with positive area")
-        if not is_simple(pts):
+        if not is_simple(self):
             raise GeometryError("polygon is not simple")
-        self.coords = pts
         self._area2 = a2
         self._bbox = _bbox(pts)
         self._convex = None
@@ -215,8 +237,10 @@ class Polygon:
         return f"Polygon({len(self.coords)} vertices, area={self.area})"
 
 
-def convex_hull(points: Iterable) -> Polygon:
-    """Strict counterclockwise hull (collinear boundary points dropped)."""
+def _hull(points: Iterable) -> tuple[Coord, ...]:
+    """Strict counterclockwise hull of a point set as a coords tuple, by
+    Andrew's monotone chain; collinear boundary points are dropped and the
+    hull starts at the lexicographically least point."""
     pts = sorted(set(_coords(points)))
     if len(pts) < 3:
         raise AllCollinear("need at least 3 distinct points")
@@ -233,20 +257,26 @@ def convex_hull(points: Iterable) -> Polygon:
     hull = lower[:-1] + upper[:-1]
     if len(hull) < 3:
         raise AllCollinear("all points collinear")
-    return Polygon(hull)
+    return tuple(hull)
 
 
-def _min_rect(pts: Sequence[Coord]) -> tuple[Fraction, Fraction]:
-    """(area, aspect>=1) of the minimum-area enclosing rectangle.
+def convex_hull(points: Iterable) -> Polygon:
+    """Strict counterclockwise hull (collinear boundary points dropped)."""
+    return Polygon(_hull(points))
 
-    One candidate orientation per hull edge; extents along and across the
-    edge direction are exact, and the squared edge length cancels out of
-    the area ratio so everything stays rational.
+
+def _min_rect(hull: Sequence[Coord]) -> tuple[Fraction, Fraction]:
+    """(area, aspect>=1) of the minimum-area enclosing rectangle of a hull
+    as `_hull` returns it.
+
+    One candidate orientation per hull edge (rotating calipers, Toussaint
+    1983).  Along edge e the extents are du*|e| and dw*|e| for integer
+    projections du, dw, so the area is du*dw / |e|^2: candidates are
+    compared by integer cross-multiplication, the first least-area edge in
+    hull order wins ties, and the two Fractions are built once at the end.
     """
-    hull = convex_hull(pts).coords
     h = len(hull)
-    best_area = None
-    best_aspect = None
+    best_num = best_den = best_du = best_dw = None
     for i in range(h):
         ax, ay = hull[i]
         bx, by = hull[(i + 1) % h]
@@ -255,16 +285,16 @@ def _min_rect(pts: Sequence[Coord]) -> tuple[Fraction, Fraction]:
         ws = [dx * (y - ay) - dy * (x - ax) for x, y in hull]
         du = max(us) - min(us)
         dw = max(ws) - min(ws)
-        area = Fraction(du * dw, dx * dx + dy * dy)
-        if best_area is None or area < best_area:
-            best_area = area
-            best_aspect = Fraction(du, dw) if du >= dw else Fraction(dw, du)
-    return best_area, best_aspect
+        num, den = du * dw, dx * dx + dy * dy
+        if best_num is None or num * best_den < best_num * den:
+            best_num, best_den, best_du, best_dw = num, den, du, dw
+    return (Fraction(best_num, best_den),
+            Fraction(max(best_du, best_dw), min(best_du, best_dw)))
 
 
 def min_area_bounding_rect(poly) -> Fraction:
     """Area of the smallest enclosing rectangle over all orientations."""
-    return _min_rect(_coords(poly))[0]
+    return _min_rect(_hull(poly))[0]
 
 
 def _point_in_closed_triangle(p: Coord, a: Coord, b: Coord, c: Coord) -> bool:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geom import _min_rect, convex_hull
+from .geom import _hull, _min_rect, signed_area2
 from .model import Instance
 from .rng import Rng
 
@@ -57,14 +57,20 @@ class SelectionConfig:
 
 
 def compute_metrics(instance: Instance) -> FeatureVector:
+    """The eleven METRIC_NAMES values of one instance, in that order.
+
+    Each item's hull is built once (`_hull`) and serves both its hull area
+    and its minimum rectangle; every ratio is exact until the final float.
+    """
     items = instance.items
     n = len(items)
     areas = [it.polygon.area for it in items]
-    hulls = [convex_hull(it.polygon.coords).area for it in items]
-    rects = [_min_rect(it.polygon.coords) for it in items]
-    c_area, c_aspect = _min_rect(instance.container.coords)
+    hulls = [_hull(it.polygon) for it in items]
+    rects = [_min_rect(h) for h in hulls]
+    c_area, c_aspect = _min_rect(_hull(instance.container))
 
-    slack = [Fraction(h - a, h) for a, h in zip(areas, hulls)]
+    slack = [Fraction(h2 - it.polygon.area2, h2)
+             for it, h2 in zip(items, map(signed_area2, hulls))]
     rect_ratio = [a / r[0] for a, r in zip(areas, rects)]
     total_area = sum(areas, Fraction(0))
 

@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geom import convex_hull, min_area_bounding_rect, round_nearest
+from .geom import _hull, min_area_bounding_rect, round_nearest, signed_area
 from .model import MAX_TOTAL_VALUE, Instance, Item
 from .rng import Rng
 
@@ -50,7 +50,7 @@ def base_value(item_polygon, kind: ValueKind) -> Fraction:
     if kind is ValueKind.AREA:
         return item_polygon.area
     if kind is ValueKind.CONVEX_HULL_AREA:
-        return convex_hull(item_polygon.coords).area
+        return signed_area(_hull(item_polygon))
     if kind is ValueKind.ROTATED_BBOX:
         return min_area_bounding_rect(item_polygon)
     return Fraction(1)

@@ -172,6 +172,24 @@ class TestJigsawPinnedOutput:
         assert hashlib.sha256(data).hexdigest() == sha256
 
 
+class TestPoolPinnedOutput:
+    """SHA-256 of write_instance for the benchmark pool's random, atris and
+    satris configs (run seed 1): any change to hull building, simplicity
+    checks or shear rounding shows up here."""
+
+    @pytest.mark.parametrize("gen, fields, sha256", [
+        (gen_random, dict(seed=1000020, n_target=120),
+         "bcb5cc1ce7ea5b7c322a17343d371f19edc0d760cc01eabd9b0bb468779540d3"),
+        (gen_atris, dict(seed=1007939, n_target=400),
+         "4073650453e19644eb5c3a189ca5a245d0805eb2d86836a89d95beeaa39f4192"),
+        (gen_satris, dict(seed=1015858, n_target=400),
+         "e1ec4c9551d865f10362f250de01a79267a489d0840db6a818249c931731f2a8"),
+    ])
+    def test_bytes(self, gen, fields, sha256):
+        data = write_instance(gen(GenConfig(**fields)))
+        assert hashlib.sha256(data).hexdigest() == sha256
+
+
 class TestAtrisFamily:
     def test_area_stopping_rule(self):
         for seed in range(10):

@@ -76,6 +76,53 @@ class TestIsSimple:
             agree += 1
         assert agree == 500
 
+    # Non-adjacent edges whose closed boxes meet in one point: an axis-
+    # parallel T-junction (not simple) and a diagonal edge that only reaches
+    # the corner of another edge's box (simple).
+    T_ON_RIGHT_WALL = [(0, 0), (8, 0), (8, 8), (2, 8), (2, 4), (8, 4), (5, 2), (0, 2)]
+    T_ON_TOP_WALL = [(0, 0), (3, 0), (3, 4), (4, 0), (6, 0), (6, 4), (0, 4)]
+    BOX_CORNER_ONLY = [(0, 0), (2, 2), (4, 2), (4, 3), (2, 3), (0, 5), (-2, 2)]
+    # an edge that runs back along part of a non-adjacent edge
+    COLLINEAR_OVERLAP = [(0, 0), (6, 0), (6, 2), (5, 2), (5, 0), (3, 0), (3, 2), (0, 2)]
+
+    def test_box_contact_cases(self):
+        assert not is_simple(self.T_ON_RIGHT_WALL)
+        assert not is_simple(self.T_ON_TOP_WALL)
+        assert is_simple(self.BOX_CORNER_ONLY)
+        assert not is_simple(self.COLLINEAR_OVERLAP)
+
+    def test_exact_branch_against_brute_force(self):
+        # Inputs that pass the early exits and reach the edge-pair tests:
+        # simple star polygons, the same with one vertex moved onto the
+        # midpoint of a non-adjacent edge (a T-junction), and distinct
+        # points of a small grid, whose edges overlap collinearly and whose
+        # boxes touch in single points; each also scaled by 2^30 and
+        # shifted by -(2^45 + 3).
+        rng = random.Random(2718)
+        cases = [self.T_ON_RIGHT_WALL, self.T_ON_TOP_WALL, self.BOX_CORNER_ONLY,
+                 self.COLLINEAR_OVERLAP]
+        for _ in range(150):
+            star = random_star_polygon(rng, rng.randint(4, 12))
+            cases.append(star)
+            moved = [(2 * x, 2 * y) for x, y in star]
+            n = len(moved)
+            j = rng.randrange(n)
+            e = rng.choice([e for e in range(n) if e not in (j, (j - 1) % n)])
+            (ax, ay), (bx, by) = moved[e], moved[(e + 1) % n]
+            moved[j] = ((ax + bx) // 2, (ay + by) // 2)
+            cases.append(moved)
+        grid = [(x, y) for x in range(4) for y in range(4)]
+        for _ in range(600):
+            cases.append(rng.sample(grid, rng.randint(3, 7)))
+        shift = -(2 ** 45 + 3)
+        cases += [[(x * 2 ** 30 + shift, y * 2 ** 30 + shift) for x, y in pts]
+                  for pts in cases]
+        verdicts = [oracles.brute_force_simple(pts) for pts in cases]
+        for pts, expected in zip(cases, verdicts):
+            assert is_simple(pts) == expected, pts
+        # both verdicts are well represented
+        assert 0.2 < sum(verdicts) / len(verdicts) < 0.8
+
 
 class TestIsConvex:
     def test_hexagon(self):
@@ -165,6 +212,52 @@ class TestMinAreaBoundingRect:
             sweep = oracles.min_rect_angle_sweep(hull.coords)
             assert float(exact) <= sweep * (1 + 1e-6)
             assert sweep <= float(exact) * 1.05  # sampling is dense enough
+
+    @staticmethod
+    def _reference(hull):
+        # every hull edge's rectangle as Fractions; the first least area wins
+        best = None
+        for i, (ax, ay) in enumerate(hull):
+            bx, by = hull[(i + 1) % len(hull)]
+            dx, dy = bx - ax, by - ay
+            us = [Fraction(dx * (x - ax) + dy * (y - ay)) for x, y in hull]
+            ws = [Fraction(dx * (y - ay) - dy * (x - ax)) for x, y in hull]
+            du, dw = max(us) - min(us), max(ws) - min(ws)
+            area = du * dw / (dx * dx + dy * dy)
+            if best is None or area < best[0]:
+                best = (area, max(du, dw) / min(du, dw))
+        return best
+
+    TIED = [
+        [(0, 0), (5, 0), (5, 5), (0, 5)],                              # square
+        [(2, 0), (5, 0), (7, 2), (7, 5), (5, 7), (2, 7), (0, 5), (0, 2)],  # octagon
+        [(1, 0), (2, 0), (3, 1), (3, 2), (2, 3), (1, 3), (0, 2), (0, 1)],
+        [(0, 0), (2, 0), (4, 0), (4, 3), (4, 6), (2, 6), (0, 6), (0, 3)],  # collinear
+        [(0, 0), (4, 2), (0, 2)],
+    ]
+
+    def test_tied_edges_match_fraction_reference(self):
+        for pts in self.TIED:
+            hull = geom._hull(pts)
+            assert geom._min_rect(hull) == self._reference(hull)
+
+    def test_tie_keeps_first_edge_in_hull_order(self):
+        # all three edges give area 8; the hull starts with the hypotenuse,
+        # whose rectangle has aspect 5/2, while the legs' have aspect 2
+        hull = geom._hull([(0, 0), (4, 2), (0, 2)])
+        assert hull[:2] == ((0, 0), (4, 2))
+        assert geom._min_rect(hull) == (8, Fraction(5, 2))
+
+    def test_random_hulls_match_fraction_reference(self):
+        rng = random.Random(8)
+        for _ in range(200):
+            cloud = [(rng.randint(-9, 9), rng.randint(-9, 9))
+                     for _ in range(rng.randint(3, 10))]
+            try:
+                hull = geom._hull(cloud)
+            except AllCollinear:
+                continue
+            assert geom._min_rect(hull) == self._reference(hull)
 
 
 class TestTriangulate:

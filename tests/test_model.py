@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import polypack
 from polypack.geom import Polygon
 from polypack.model import (Instance, Item, ParseError, Placement, Solution,
                             ValidationError, read_instance, read_solution,
@@ -142,3 +148,37 @@ def test_programmatic_instance_validates():
     box = Polygon([(0, 0), (5, 0), (5, 5), (0, 5)])
     inst = Instance("x", box, (Item(Polygon([(0, 0), (1, 0), (1, 1)]), 3),))
     assert inst.n_items == 1
+
+
+def test_long_staircase_item_parses_in_bounded_time():
+    # One item of 10,002 vertices: a staircase of 5,000 unit steps closed by
+    # a top and a left edge.  The parser checks the item for simplicity, so
+    # this bounds that check on a large input at the trust boundary.  Run in
+    # a fresh process so a regression to quadratic time is cut by a timeout.
+    script = textwrap.dedent("""
+        import json, time
+        from polypack.model import read_instance
+        k = 5_000
+        pts = [(0, 0)]
+        for i in range(k):
+            pts += [(i + 1, i), (i + 1, i + 1)]
+        pts.append((0, k))
+        box = [(0, 0), (k, 0), (k, k), (0, k)]
+        data = json.dumps({
+            "type": "cgshop2024_instance", "name": "staircase",
+            "container": {"x": [x for x, _ in box], "y": [y for _, y in box]},
+            "items": [{"x": [x for x, _ in pts], "y": [y for _, y in pts],
+                       "value": 1}]})
+        start = time.monotonic()
+        inst = read_instance(data)
+        elapsed = time.monotonic() - start
+        print(json.dumps({"s": elapsed,
+                          "vertices": len(inst.items[0].polygon.coords)}))
+    """)
+    src = Path(polypack.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True, text=True, timeout=60)
+    result = json.loads(done.stdout)
+    assert result["vertices"] == 10_002
+    assert result["s"] < 1.0

@@ -4,7 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from polypack.generators import GenConfig, gen_atris, gen_jigsaw, gen_random
+from polypack.generators import (GenConfig, gen_atris, gen_jigsaw, gen_random,
+                                 gen_satris)
 from polypack.geom import Polygon
 from polypack.model import Instance, Item
 from polypack.selection import (METRIC_NAMES, DegenerateFeatures,
@@ -144,3 +145,34 @@ class TestEndToEndSelection:
         assert lines[0].startswith("name,log_item_count")
         assert len(lines) == 4
         assert len(lines[1].split(",")) == 12
+
+
+class TestMetricsPinned:
+    """The eleven compute_metrics floats for the benchmark pool's first
+    instance of each family (run seed 1): hull, rectangle and aspect
+    arithmetic must give these exact values."""
+
+    @pytest.mark.parametrize("gen, fields, values", [
+        (gen_random, dict(seed=1000020, n_target=120),
+         (4.787491742782046, 0.043000080831568685, 0.8672314691745541,
+          0.6980692883986199, 1.9238835877567075, 0.04396984924623116,
+          6.633333333333334, 0.42334521597553665, 0.058881178105070306,
+          7.0, 1.4818681681921102)),
+        (gen_atris, dict(seed=1007939, n_target=400),
+         (5.883322388488279, 0.2278417939296454, 1.0,
+          0.6485329886447128, 1.5027082435438968, 1.0,
+          8.389972144846796, 0.17635969381918273, 0.15910928567165364,
+          4.0, 2.149433987392249)),
+        (gen_satris, dict(seed=1015858, n_target=400),
+         (5.945420608606575, 0.2345719789518559, 1.0,
+          0.5995007868062809, 1.5002271430069074, 0.7482605945604048,
+          8.277486910994764, 0.19125450634586655, 0.278227359567378,
+          4.0, 3.239605176495825)),
+        (gen_jigsaw, dict(seed=1023777, jigsaw_line_count=30, jigsaw_perturb_amplitude=0),
+         (3.258096538021482, 0.021961093580615335, 1.0,
+          0.512065909434189, 1.0, 0.2967032967032967,
+          3.5, 2.8278383413020833, 0.05495368661021776,
+          4.0, 12.421363586684517)),
+    ])
+    def test_values(self, gen, fields, values):
+        assert compute_metrics(gen(GenConfig(**fields))).values == values
