@@ -57,12 +57,16 @@ class GenConfig:
         object.__setattr__(self, "area_multiple_t", Fraction(self.area_multiple_t))
         object.__setattr__(self, "shear_probability", Fraction(self.shear_probability))
         object.__setattr__(self, "convexity_ratio", Fraction(self.convexity_ratio))
+        object.__setattr__(self, "jigsaw_merge_fraction",
+                           Fraction(self.jigsaw_merge_fraction))
         if not 1 <= self.area_multiple_t <= 2:
             raise ValueError("area_multiple_t must lie in [1, 2]")
         if not 0 <= self.shear_probability <= 1:
             raise ValueError("shear_probability must lie in [0, 1]")
         if not 0 <= self.convexity_ratio <= 1:
             raise ValueError("convexity_ratio must lie in [0, 1]")
+        if not 0 <= self.jigsaw_merge_fraction <= 1:
+            raise ValueError("jigsaw_merge_fraction must lie in [0, 1]")
         if self.n_target < 1:
             raise ValueError("n_target must be >= 1")
         lo, hi = self.pixel_size_range

@@ -1,5 +1,5 @@
-"""Baseline packing solver: greedy placement in value-density order on a
-coarse-to-fine integer grid, followed by local-search improvement.
+"""Baseline packing solver: greedy placement on a coarse-to-fine integer grid,
+followed by local-search improvement.
 
 Candidate offsets live on integer grids only, so every intermediate state is
 exactly verifiable; the verifier's sort-and-sweep box index over placed
@@ -11,10 +11,12 @@ cell: each row starts and ends where the item fits in a convex container
 the blocker's overlap exit (`geom.overlap_exit`, one row of the no-fit
 polygon), both computed exactly in integers.
 
-Local search tries insert, then swap, then a depth-2 eject each round and
-keeps only value-positive moves, so the packed value never decreases.
-Instances of at most 25 items start local search from the best of several
-greedy passes (every `Ordering` plus shuffles).
+`solve` runs greedy in value-density order and, for instances of at most 25
+items, also in every other `Ordering` and three shuffles of the density
+order; local search starts from the first best of these fills.  Local
+search tries insert, then swap, then a depth-2 eject each round and keeps
+only value-positive moves, so the packed value never decreases.  A start
+solution is accepted only if `verifier.verify` finds it valid.
 
 `shelf_pack` is a separate algorithm for rectangular containers: next-fit
 decreasing-height shelves, used for the Moon-Moser square-packing check.
@@ -33,7 +35,7 @@ from typing import Callable, Optional
 from .geom import contained_in_convex, containment_range, overlap_exit
 from .model import Instance, Placement, Solution
 from .rng import Rng
-from .verifier import BoxIndex
+from .verifier import BoxIndex, verify
 
 
 class Ordering(enum.Enum):
@@ -87,14 +89,8 @@ class PlacementState:
         return (b[0] + off[0], b[1] + off[1], b[2] + off[0], b[3] + off[1])
 
     def can_place(self, idx: int, off) -> bool:
-        box = self._moved_box(idx, off)
-        cb = self.cbox
-        if box[0] < cb[0] or box[1] < cb[1] or box[2] > cb[2] or box[3] > cb[3]:
-            return False
-        if not self.rect_container and \
-                not contained_in_convex(self.container, self.polys[idx], off):
-            return False
-        return self.overlap_end(idx, off) is None
+        return contained_in_convex(self.container, self.polys[idx], off) and \
+            self.overlap_end(idx, off) is None
 
     def overlap_end(self, idx: int, off) -> Optional[int]:
         """None if item idx at `off` overlaps no placed item; else an x past
@@ -270,11 +266,10 @@ def solve_greedy(instance: Instance, cfg: SolverConfig,
 
 
 def _state_from_solution(instance: Instance, solution: Solution) -> PlacementState:
+    if not verify(instance, solution).valid:
+        raise ValueError("starting solution does not verify")
     state = PlacementState(instance)
     for pl in solution.placements:
-        if not 0 <= pl.item_index < len(state.polys) or \
-                not state.can_place(pl.item_index, pl.offset):
-            raise ValueError("starting solution does not verify")
         state.place(pl.item_index, pl.offset)
     return state
 
@@ -303,17 +298,15 @@ def _move_swap(state, rng, deadline, depth=1):
         return 0
     removed = []
     for _ in range(depth):
-        pool = [i for i in sorted(state.offsets) if i not in {r[0] for r in removed}]
-        if not pool:
-            break
+        pool = sorted(state.offsets)
         pick = pool[rng.below(len(pool))]
         removed.append((pick, state.offsets[pick]))
         state.remove(pick)
-    removed_value = sum(state.values[i] for i, _ in removed)
+    removed_ids = {i for i, _ in removed}
+    removed_value = sum(state.values[i] for i in removed_ids)
     inserted = []
     budget = 4
-    unpacked = sorted((i for i in state.unpacked()
-                       if i not in {r[0] for r in removed}),
+    unpacked = sorted((i for i in state.unpacked() if i not in removed_ids),
                       key=lambda i: (-state.values[i], i))
     for idx in unpacked[:8]:
         if budget == 0:
@@ -323,12 +316,14 @@ def _move_swap(state, rng, deadline, depth=1):
             state.place(idx, off)
             inserted.append(idx)
             budget -= 1
-    # the ejected items may re-enter too
-    for idx, _ in removed:
-        off = find_offset(state, idx, COARSE_CELLS, deadline)
-        if off is not None:
-            state.place(idx, off)
-            inserted.append(idx)
+    # the ejected items may re-enter too; with nothing new in, re-entry can
+    # at best restore removed_value, so the move would be reverted anyway
+    if inserted:
+        for idx, _ in removed:
+            off = find_offset(state, idx, COARSE_CELLS, deadline)
+            if off is not None:
+                state.place(idx, off)
+                inserted.append(idx)
     gain = sum(state.values[i] for i in inserted) - removed_value
     if gain > 0:
         return gain
@@ -351,11 +346,9 @@ def improve_local(instance: Instance, start: Solution, cfg: SolverConfig,
     insert_failed: set[int] = set()
     while no_improve < LS_MAX_NO_IMPROVE and time.monotonic() < deadline:
         iteration += 1
-        gained = _move_insert(state, deadline, insert_failed)
-        if gained == 0:
-            gained = _move_swap(state, rng, deadline, depth=1)
-        if gained == 0:
-            gained = _move_swap(state, rng, deadline, depth=2)
+        gained = (_move_insert(state, deadline, insert_failed)
+                  or _move_swap(state, rng, deadline, depth=1)
+                  or _move_swap(state, rng, deadline, depth=2))
         if gained > 0:
             no_improve = 0
             insert_failed.clear()  # the landscape changed; rescan everything
@@ -372,29 +365,22 @@ def solution_value(instance: Instance, solution: Solution) -> int:
 
 def solve(instance: Instance, cfg: SolverConfig,
           progress: Optional[Callable] = None) -> Solution:
-    """Size-dispatched pipeline; always returns a verifying solution."""
+    """Greedy under each start order, then local search from the first best
+    fill; always returns a verifying solution."""
     deadline = time.monotonic() + cfg.time_budget
-    n = instance.n_items
-    if n == 0:
-        return Solution(instance.name)
-
-    if n <= 25:
-        # small: greedy under every ordering plus a few shuffles, then full LS
-        starts = []
-        for ordering in Ordering:
-            starts.append(solve_greedy(
-                instance, cfg, deadline,
-                order=priority_order(instance, ordering)))
+    base = priority_order(instance, Ordering.VALUE_DENSITY)
+    orders = [base]
+    if instance.n_items <= 25:
+        # small: every ordering plus a few shuffles of the density order
+        orders += [priority_order(instance, o) for o in Ordering
+                   if o is not Ordering.VALUE_DENSITY]
         shuffle_rng = Rng(cfg.seed, stream=0x5132)
-        base = priority_order(instance, Ordering.VALUE_DENSITY)
         for _ in range(3):
             order = list(base)
             shuffle_rng.shuffle(order)
-            starts.append(solve_greedy(instance, cfg, deadline, order=order))
-        best = max(starts, key=lambda s: solution_value(instance, s))
-        return improve_local(instance, best, cfg, deadline, progress)
-
-    greedy = solve_greedy(instance, cfg, deadline)
+            orders.append(order)
+    fills = [solve_greedy(instance, cfg, deadline, order=o) for o in orders]
+    best = max(fills, key=lambda s: solution_value(instance, s))
     if progress is not None:
-        progress(0, solution_value(instance, greedy))
-    return improve_local(instance, greedy, cfg, deadline, progress)
+        progress(0, solution_value(instance, best))
+    return improve_local(instance, best, cfg, deadline, progress)

@@ -215,8 +215,9 @@ def test_generate_config_file(workdir, capsys):
     (["value", "i.json", "--noise", "1/0"], None, "--noise"),
     (["generate", "random"], "seed = 1\nbogus = 3\n", "bogus"),
     (["generate", "random"], "value_noise = 1/0\n", "1/0"),
+    (["generate", "jigsaw"], "jigsaw_merge_fraction = 3/2\n", "jigsaw_merge_fraction"),
 ], ids=["zero-denominator-flag", "zero-denominator-value-flag",
-        "unknown-config-key", "zero-denominator-config"])
+        "unknown-config-key", "zero-denominator-config", "merge-fraction-above-1"])
 def test_bad_input_exits_2(workdir, capsys, argv, config, named):
     if config is not None:
         path = workdir / "gen.cfg"
