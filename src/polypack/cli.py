@@ -20,11 +20,11 @@ from .generators import FAMILIES, GenConfig, GenerationFailed
 from .model import (ParseError, ValidationError, load_instance, load_solution,
                     write_instance, write_solution)
 from .render import PALETTES, RenderOfInvalidSolution, RenderSpec, render
-from .scoring import (UnknownInstance, build_leaderboard, read_records_csv,
-                      render_table)
-from .selection import SelectionConfig, features_csv, select_from_features
+from .scoring import build_leaderboard, read_records_csv, render_table
+from .selection import (SelectionConfig, compute_metrics, features_csv,
+                        select_from_features)
 from .solver import SolverConfig, shelf_pack, solve
-from .valuation import ValueKind, ValueOverflow, ValueSpec, assign_values
+from .valuation import ValueKind, ValueSpec, assign_values
 from .verifier import InstanceMismatch, verify
 
 EXIT_OK = 0
@@ -63,8 +63,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _load_config_file(path: str) -> dict:
-    """key = value lines; '#' comments; values parsed as int, fraction or
-    range to match the GenConfig field."""
+    """key = value lines; '#' comments; values are returned as strings."""
     out = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -77,39 +76,25 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
-_FRACTION_FIELDS = {"area_multiple_t", "shear_probability", "convexity_ratio",
-                    "jigsaw_merge_fraction", "value_noise", "value_scale"}
-_RANGE_FIELDS = {"pixel_size_range", "random_points_range", "random_extent_range"}
+# a config-file value is parsed by the type of its GenConfig field's default
+_PARSERS = {int: int, Fraction: _fraction, tuple: _parse_range, ValueKind: ValueKind}
 
 
 def _gen_config_from(args) -> GenConfig:
+    fields = {f.name: f for f in dataclasses.fields(GenConfig)}
     kwargs = {}
-    if getattr(args, "config", None):
-        known = {f.name for f in dataclasses.fields(GenConfig)}
+    if args.config:
         for key, value in _load_config_file(args.config).items():
-            if key not in known:
+            if key not in fields:
                 raise ValueError(f"unknown config key {key!r} in {args.config}")
-            if key == "value_kind":
-                kwargs[key] = ValueKind(value)
-            elif key in _FRACTION_FIELDS:
-                kwargs[key] = _fraction(value)
-            elif key in _RANGE_FIELDS:
-                kwargs[key] = _parse_range(value)
-            else:
-                kwargs[key] = int(value)
-    flag_map = {
-        "seed": "seed", "n": "n_target", "t": "area_multiple_t",
-        "convexity_ratio": "convexity_ratio", "lines": "jigsaw_line_count",
-        "copies": "jigsaw_copies", "perturb": "jigsaw_perturb_amplitude",
-        "pixel_range": "pixel_size_range", "shear_prob": "shear_probability",
-        "value_kind": "value_kind", "value_noise": "value_noise",
-        "value_scale": "value_scale",
-    }
-    for flag, field in flag_map.items():
-        v = getattr(args, flag, None)
+            kwargs[key] = _PARSERS[type(fields[key].default)](value)
+    # generate's flags are stored under field names and default to None, so a
+    # flag overrides a file entry only when it is given
+    for name in fields:
+        v = getattr(args, name, None)
         if v is not None:
-            kwargs[field] = v
-    if getattr(args, "container", None):
+            kwargs[name] = v
+    if args.container:
         w, h = (int(p) for p in args.container.lower().split("x"))
         kwargs["container_width"] = w
         kwargs["container_height"] = h
@@ -202,7 +187,6 @@ def cmd_score(args) -> int:
 
 
 def _metrics_worker(path: str):
-    from .selection import compute_metrics
     inst = load_instance(path)
     return inst.name, compute_metrics(inst).values
 
@@ -238,11 +222,7 @@ def cmd_render(args) -> int:
     spec = RenderSpec(instance, solution, scale=args.scale,
                       palette=args.palette, tray=args.tray, force=args.force)
     svg = render(spec)
-    if args.out:
-        Path(args.out).write_bytes(svg)
-        print(json.dumps({"out": args.out, "bytes": len(svg)}))
-    else:
-        sys.stdout.write(svg.decode("utf-8"))
+    _emit(args, svg, {"out": args.out, "bytes": len(svg)})
     return EXIT_OK
 
 
@@ -263,19 +243,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="generate a challenge instance")
     p.add_argument("family", choices=sorted(FAMILIES))
-    p.add_argument("--n", type=int, default=None, help="target item count")
-    p.add_argument("--t", type=_fraction, default=None,
+    p.add_argument("--n", dest="n_target", type=int, default=None,
+                   help="target item count")
+    p.add_argument("--t", dest="area_multiple_t", type=_fraction, default=None,
                    help="total-item-area multiple of container area, in [1,2]")
     p.add_argument("--convexity-ratio", dest="convexity_ratio",
                    type=_fraction, default=None)
-    p.add_argument("--lines", type=int, default=None, help="jigsaw cut lines")
-    p.add_argument("--copies", type=int, default=None, help="jigsaw copies")
-    p.add_argument("--perturb", type=int, default=None,
-                   help="jigsaw perturbation amplitude (0 disables)")
+    p.add_argument("--lines", dest="jigsaw_line_count", type=int, default=None,
+                   help="jigsaw cut lines")
+    p.add_argument("--copies", dest="jigsaw_copies", type=int, default=None,
+                   help="jigsaw copies")
+    p.add_argument("--perturb", dest="jigsaw_perturb_amplitude", type=int,
+                   default=None, help="jigsaw perturbation amplitude (0 disables)")
     p.add_argument("--container", default=None, help="WxH for rectangular families")
-    p.add_argument("--pixel-range", dest="pixel_range", type=_parse_range,
+    p.add_argument("--pixel-range", dest="pixel_size_range", type=_parse_range,
                    default=None, help="atris/satris pixel sizes, lo:hi")
-    p.add_argument("--shear-prob", dest="shear_prob", type=_fraction,
+    p.add_argument("--shear-prob", dest="shear_probability", type=_fraction,
                    default=None)
     p.add_argument("--value-kind", dest="value_kind", type=ValueKind,
                    choices=list(ValueKind), default=None)
@@ -356,9 +339,9 @@ def run(argv=None) -> int:
     except RenderOfInvalidSolution as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (ParseError, ValidationError, ValueOverflow, UnknownInstance,
-            InstanceMismatch, GenerationFailed, FileNotFoundError,
-            ValueError) as exc:
+    # ParseError, ValidationError, ValueOverflow, UnknownInstance and
+    # InstanceMismatch are ValueErrors
+    except (ValueError, GenerationFailed, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # pragma: no cover - defensive

@@ -8,6 +8,12 @@ shoelace half is kept exact.
 Interior-overlap semantics: two placements conflict only if their *open*
 interiors intersect.  Touching boundaries (shared edges or vertices) is legal,
 which is what lets cut-up container pieces be reassembled exactly.
+
+Offsets, like coordinates, are integers: every predicate reads them through
+`operator.index`, so a float offset raises TypeError instead of being
+truncated.  The overlap predicates do not compare the placements' whole
+bounding boxes; that filter is the caller's broad phase (`BoxIndex.query`).
+Containment is decided in one place, `containment_range`.
 """
 from __future__ import annotations
 
@@ -357,34 +363,19 @@ def _separated_by_edge_of(pa: Sequence[Coord], pb: Sequence[Coord],
     return False
 
 
-def _convex_open_overlap(pa: Sequence[Coord], pb: Sequence[Coord],
-                         dx: int, dy: int) -> bool:
-    """Open interiors of two convex CCW polygons intersect (pb offset by d).
-
-    Separating-axis over the edge lines of both polygons; allowing contact
-    on the axis makes this the open-interior test.
-    """
-    if _separated_by_edge_of(pa, pb, dx, dy):
-        return False
-    if _separated_by_edge_of(pb, pa, -dx, -dy):
-        return False
-    return True
-
-
 def _overlapping_parts(a: Polygon, ta, b: Polygon, tb):
     """The first pair of convex parts (pa, pb) whose open interiors meet,
     with b's offset (dx, dy) in a's frame, as (pa, pb, dx, dy); else None."""
-    tax, tay = int(ta[0]), int(ta[1])
-    tbx, tby = int(tb[0]), int(tb[1])
-    dx, dy = tbx - tax, tby - tay  # work in a's frame
-    bb = b.bbox
-    if not boxes_interior_overlap(a.bbox, (bb[0] + dx, bb[1] + dy, bb[2] + dx, bb[3] + dy)):
-        return None
+    dx = operator.index(tb[0]) - operator.index(ta[0])  # work in a's frame
+    dy = operator.index(tb[1]) - operator.index(ta[1])
     for pa, (ax0, ay0, ax1, ay1) in a.parts:
         for pb, (bx0, by0, bx1, by1) in b.parts:
-            # boxes_interior_overlap inlined: this loop is the solver's hot path
+            # boxes_interior_overlap inlined: this loop is the solver's hot
+            # path.  Separating axes over the edge lines of both parts;
+            # allowing contact on the axis makes SAT the open-interior test.
             if (ax0 < bx1 + dx and bx0 + dx < ax1 and ay0 < by1 + dy and by0 + dy < ay1
-                    and _convex_open_overlap(pa, pb, dx, dy)):
+                    and not _separated_by_edge_of(pa, pb, dx, dy)
+                    and not _separated_by_edge_of(pb, pa, -dx, -dy)):
                 return pa, pb, dx, dy
     return None
 
@@ -395,7 +386,8 @@ def interiors_overlap(a: Polygon, ta, b: Polygon, tb) -> bool:
     Boundary contact is not overlap.  Each polygon is taken as its cached
     convex parts (itself, or its triangles if nonconvex): interiors meet iff
     some pair of parts' interiors meet, and each pair whose boxes overlap is
-    decided by exact SAT.
+    decided by exact SAT.  The whole bounding boxes are not compared first;
+    that filter is the caller's broad phase.
     """
     return _overlapping_parts(a, ta, b, tb) is not None
 
@@ -403,37 +395,39 @@ def interiors_overlap(a: Polygon, ta, b: Polygon, tb) -> bool:
 def contained_in_convex(container: Polygon, item: Polygon, t) -> bool:
     """All translated item vertices inside-or-on the convex container.
 
-    Vertex membership suffices because the container is convex.
+    Vertex membership suffices because the container is convex; the test is
+    whether t[0] lies in the row `containment_range` gives for t[1].
     """
-    tx, ty = int(t[0]), int(t[1])
-    cpts = container.coords
-    for x, y in item.coords:
-        px, py = x + tx, y + ty
-        ax, ay = cpts[-1]
-        for bx, by in cpts:
-            if (bx - ax) * (py - ay) - (by - ay) * (px - ax) < 0:
-                return False
-            ax, ay = bx, by
-    return True
+    tx = operator.index(t[0])
+    row = containment_range(container, item, t[1])
+    return row is not None and row[0] <= tx <= row[1]
 
 
 def containment_range(container: Polygon, item: Polygon,
                       ty: int) -> Optional[tuple[int, int]]:
     """Closed range (lo, hi) of the integers tx at which the item translated
     by (tx, ty) is inside-or-on the convex container, or None if there are
-    none.
+    none: one row of the inner-fit polygon (Bennell & Oliveira 2008).
 
     Container edge e = b - a keeps a vertex (x, y) on its left iff
     ey*tx <= ex*(y + ty - ay) - ey*(x - ax): an upper bound on tx if ey > 0,
     a lower bound if ey < 0, and no bound (only a check) if ey == 0.
     """
+    ty = operator.index(ty)
     lo = hi = None
     item_pts = item.coords
     cpts = container.coords
     ax, ay = cpts[-1]
     for bx, by in cpts:
         ex, ey = bx - ax, by - ay
-        r = ex * (ty - ay) + ey * ax + min(ex * y - ey * x for x, y in item_pts)
+        # least ex*y - ey*x over the item; an explicit loop is cheaper here
+        # than min() over a generator or a list
+        least = None
+        for x, y in item_pts:
+            v = ex * y - ey * x
+            if least is None or v < least:
+                least = v
+        r = ex * (ty - ay) + ey * ax + least
         if ey > 0:
             bound = r // ey
             if hi is None or bound < hi:
@@ -486,5 +480,5 @@ def overlap_exit(a: Polygon, ta, b: Polygon, tb) -> Optional[int]:
         return None
     pa, pb, dx, dy = hit
     # a moving right is b moving left in a's frame, and the reverse in b's
-    return int(ta[0]) + min(_exit_along_x(pa, pb, dx, dy, -1),
-                            _exit_along_x(pb, pa, -dx, -dy, 1))
+    return operator.index(ta[0]) + min(_exit_along_x(pa, pb, dx, dy, -1),
+                                       _exit_along_x(pb, pa, -dx, -dy, 1))

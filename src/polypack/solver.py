@@ -35,7 +35,7 @@ from typing import Callable, Optional
 from .geom import contained_in_convex, containment_range, overlap_exit
 from .model import Instance, Placement, Solution
 from .rng import Rng
-from .verifier import BoxIndex, verify
+from .verifier import BoxIndex, placement_box, verify
 
 
 class Ordering(enum.Enum):
@@ -84,10 +84,6 @@ class PlacementState:
         self.value = 0
         self.free_area2 = instance.container.area2
 
-    def _moved_box(self, idx: int, off):
-        b = self.bboxes[idx]
-        return (b[0] + off[0], b[1] + off[1], b[2] + off[0], b[3] + off[1])
-
     def can_place(self, idx: int, off) -> bool:
         return contained_in_convex(self.container, self.polys[idx], off) and \
             self.overlap_end(idx, off) is None
@@ -97,7 +93,7 @@ class PlacementState:
         off[0] such that it overlaps one at every (x', off[1]) with
         off[0] <= x' < x."""
         poly = self.polys[idx]
-        for other in self.tree.query(self._moved_box(idx, off)):
+        for other in self.tree.query(placement_box(self.instance, idx, off)):
             end = overlap_exit(poly, off, self.polys[other], self.offsets[other])
             if end is not None:
                 return end
@@ -105,13 +101,13 @@ class PlacementState:
 
     def place(self, idx: int, off) -> None:
         self.offsets[idx] = (off[0], off[1])
-        self.tree.insert(idx, self._moved_box(idx, off))
+        self.tree.insert(idx, placement_box(self.instance, idx, off))
         self.value += self.values[idx]
         self.free_area2 -= self.polys[idx].area2
 
     def remove(self, idx: int) -> None:
         off = self.offsets.pop(idx)
-        self.tree.remove(idx, self._moved_box(idx, off))
+        self.tree.remove(idx, placement_box(self.instance, idx, off))
         self.value -= self.values[idx]
         self.free_area2 += self.polys[idx].area2
 

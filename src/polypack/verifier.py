@@ -5,7 +5,9 @@ hands only pairs whose box interiors overlap to the exact polygon predicate
 (the one-axis sweep of I-COLLIDE, Cohen, Lin, Manocha & Ponamgi 1995).
 Because a polygon's open interior is strictly inside its bounding box, two
 placements whose boxes merely touch can never conflict, so the candidate set
-is a true superset of the overlapping pairs and nothing is missed.
+is a true superset of the overlapping pairs and nothing is missed.  This is
+the only whole-box filter: the exact predicates test convex parts and never
+compare the whole boxes again.
 
 `verify` queries the index once per placement, in placement order, and
 exact-tests the later placements it returns, so pairs are tested in
@@ -19,7 +21,8 @@ all need an exact test).
 
 Checks run in a fixed order (indices, containment, pairwise overlap) and the
 first violation in deterministic scan order is reported; a valid solution's
-packed value is the exact sum of its item values.
+packed value is the exact sum of its item values.  Offsets must be integers:
+a non-integer offset raises TypeError from the exact predicates.
 """
 from __future__ import annotations
 

@@ -368,17 +368,26 @@ class TestContainedInConvex:
         assert not contained_in_convex(box, sq, (10, 0))
 
     def test_against_halfplane_oracle(self):
+        # also at 2**30 scale, shifted far from the origin, where a unit nudge
+        # of the offset moves a vertex just across a container edge
         rng = random.Random(14)
-        box_pts = [(0, 0), (40, 0), (50, 30), (20, 45), (-5, 25)]
-        box = Polygon(box_pts)
-        for _ in range(300):
-            item = Polygon(random_star_polygon(rng, rng.randint(3, 8), radius=12,
-                                               center=(12, 12)))
-            t = (rng.randint(-20, 40), rng.randint(-20, 40))
-            expected = all(
-                oracles.point_in_convex_halfplanes(box_pts, (x + t[0], y + t[1]))
-                for x, y in item.coords)
-            assert contained_in_convex(box, item, t) == expected
+        for scale, shift in ((1, 0), (2 ** 30, -(2 ** 45 + 3))):
+            box_pts = [(x * scale + shift, y * scale + shift)
+                       for x, y in ((0, 0), (40, 0), (50, 30), (20, 45), (-5, 25))]
+            box = Polygon(box_pts)
+            inside = 0
+            for _ in range(300):
+                item = Polygon([(x * scale, y * scale) for x, y in random_star_polygon(
+                    rng, rng.randint(3, 8), radius=12, center=(12, 12))])
+                nudge = (rng.randint(-1, 1), rng.randint(-1, 1)) if scale > 1 else (0, 0)
+                t = (rng.randint(-20, 40) * scale + shift + nudge[0],
+                     rng.randint(-20, 40) * scale + shift + nudge[1])
+                expected = all(
+                    oracles.point_in_convex_halfplanes(box_pts, (x + t[0], y + t[1]))
+                    for x, y in item.coords)
+                assert contained_in_convex(box, item, t) == expected
+                inside += expected
+            assert inside > 20
 
 
 class TestRowSkipping:
@@ -431,13 +440,16 @@ class TestRowSkipping:
 
     def test_containment_range_against_brute_force(self):
         rng = random.Random(17)
-        box = Polygon([(0, 0), (40, 0), (50, 30), (20, 45), (-5, 25)])
+        box_pts = [(0, 0), (40, 0), (50, 30), (20, 45), (-5, 25)]
+        box = Polygon(box_pts)
         nonempty = 0
         for _ in range(300):
             item = Polygon(random_star_polygon(rng, rng.randint(3, 8), radius=12,
                                                center=(12, 12)))
             ty = rng.randint(-30, 50)
-            inside = [x for x in range(-80, 81) if contained_in_convex(box, item, (x, ty))]
+            inside = [x for x in range(-80, 81)
+                      if all(oracles.point_in_convex_halfplanes(box_pts, (px + x, py + ty))
+                             for px, py in item.coords)]
             got = containment_range(box, item, ty)
             if not inside:
                 assert got is None

@@ -14,6 +14,8 @@ from polypack.solver import (GRID_LEVELS, Ordering, PlacementState,
                              solve, solve_greedy)
 from polypack.verifier import verify
 
+from test_verifier import float_offset_starts
+
 FAST = SolverConfig(time_budget=10.0, seed=1)
 
 
@@ -280,6 +282,10 @@ class TestLocalSearch:
             inst = box_instance(side, [square_item(4), square_item(4)])
             bad = Solution(inst.name, placements)
             with pytest.raises(ValueError, match="verify"):
+                improve_local(inst, bad, FAST)
+        inst, float_starts = float_offset_starts()
+        for bad in float_starts:
+            with pytest.raises(TypeError):
                 improve_local(inst, bad, FAST)
 
 

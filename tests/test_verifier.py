@@ -177,6 +177,17 @@ def simple_instance():
     return Instance("demo", box, (Item(sq, 10), Item(sq, 20), Item(sq, 30)))
 
 
+def float_offset_starts():
+    """Solutions built in memory with non-integer offsets in a 10x10 box: two
+    2x2 squares at y=2 and y=0.5, which overlap, and one at y=8.5, which
+    sticks out of the top.  Truncated to integers, both would verify."""
+    box = Polygon([(0, 0), (10, 0), (10, 10), (0, 10)])
+    sq = Item(Polygon([(0, 0), (2, 0), (2, 2), (0, 2)]), 4)
+    inst = Instance("f", box, (sq, sq))
+    return inst, [Solution("f", (Placement(0, (0, 2)), Placement(1, (0, 0.5)))),
+                  Solution("f", (Placement(0, (0, 8.5)),))]
+
+
 class TestVerify:
     def test_empty_solution_valid(self):
         inst = simple_instance()
@@ -220,6 +231,12 @@ class TestVerify:
     def test_instance_mismatch(self):
         with pytest.raises(InstanceMismatch):
             verify(simple_instance(), Solution("other"))
+
+    def test_non_integer_offset_raises(self):
+        inst, solutions = float_offset_starts()
+        for sol in solutions:
+            with pytest.raises(TypeError):
+                verify(inst, sol)
 
     def test_build_index_superset_random(self):
         rng = random.Random(33)
