@@ -260,8 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None, help="atris/satris pixel sizes, lo:hi")
     p.add_argument("--shear-prob", dest="shear_probability", type=_fraction,
                    default=None)
+    # the metavar lists what the flag accepts: the values, not the members
     p.add_argument("--value-kind", dest="value_kind", type=ValueKind,
-                   choices=list(ValueKind), default=None)
+                   choices=list(ValueKind), default=None,
+                   metavar="{" + ",".join(k.value for k in ValueKind) + "}")
     p.add_argument("--value-noise", dest="value_noise", type=_fraction,
                    default=None)
     p.add_argument("--value-scale", dest="value_scale", type=_fraction,

@@ -18,6 +18,14 @@ search tries insert, then swap, then a depth-2 eject each round and keeps
 only value-positive moves, so the packed value never decreases.  A start
 solution is accepted only if `verifier.verify` finds it valid.
 
+Local search does not redo a move whose outcome it already knows; both
+rules are exact, so they change no result, only the time it takes:
+- a swap is deterministic given the state and its picks, which it draws
+  first, so a pick tuple that gained nothing is not run again until a move
+  is applied;
+- placing an item only blocks cells, so an item that found no offset is not
+  tried again until a swap, which removes items, gains.
+
 `shelf_pack` is a separate algorithm for rectangular containers: next-fit
 decreasing-height shelves, used for the Moon-Moser square-packing check.
 
@@ -270,39 +278,44 @@ def _state_from_solution(instance: Instance, solution: Solution) -> PlacementSta
     return state
 
 
-def _move_insert(state, deadline, failed_cache):
+def _move_insert(state, deadline, failed):
     """Place the highest-value unpacked item that fits anywhere.
 
-    failed_cache remembers items that found no offset since the last applied
-    move, so quiet rounds cost almost nothing."""
+    `failed` holds the items that found no offset since the last swap that
+    gained.  Placing an item only blocks cells and lowers `free_area2`, so
+    such an item keeps failing until a swap removes items."""
     unpacked = sorted(state.unpacked(), key=lambda i: (-state.values[i], i))
     for idx in unpacked:
-        if idx in failed_cache:
+        if idx in failed:
             continue
         off = find_offset(state, idx, COARSE_CELLS * 2, deadline)
         if off is not None:
             state.place(idx, off)
             return state.values[idx]
-        failed_cache.add(idx)
+        failed.add(idx)
     return 0
 
 
-def _move_swap(state, rng, deadline, depth=1):
+def _move_swap(state, rng, deadline, failed, depth=1):
     """Remove `depth` placed items, insert higher-value unpacked ones; revert
-    unless the net change is positive."""
+    unless the net change is positive.
+
+    The picks are drawn first, and the move is deterministic given the state
+    and its picks, so `failed` holds the pick tuples that gained nothing
+    since the last applied move: one drawn again returns 0 at once."""
     if len(state.offsets) < depth:
         return 0
-    removed = []
-    for _ in range(depth):
-        pool = sorted(state.offsets)
-        pick = pool[rng.below(len(pool))]
-        removed.append((pick, state.offsets[pick]))
-        state.remove(pick)
-    removed_ids = {i for i, _ in removed}
-    removed_value = sum(state.values[i] for i in removed_ids)
+    pool = sorted(state.offsets)
+    picks = tuple(pool.pop(rng.below(len(pool))) for _ in range(depth))
+    if picks in failed:
+        return 0
+    removed = [(i, state.offsets[i]) for i in picks]
+    for i in picks:
+        state.remove(i)
+    removed_value = sum(state.values[i] for i in picks)
     inserted = []
     budget = 4
-    unpacked = sorted((i for i in state.unpacked() if i not in removed_ids),
+    unpacked = sorted((i for i in state.unpacked() if i not in picks),
                       key=lambda i: (-state.values[i], i))
     for idx in unpacked[:8]:
         if budget == 0:
@@ -327,6 +340,7 @@ def _move_swap(state, rng, deadline, depth=1):
         state.remove(idx)
     for idx, off in removed:
         state.place(idx, off)
+    failed.add(picks)
     return 0
 
 
@@ -340,14 +354,19 @@ def improve_local(instance: Instance, start: Solution, cfg: SolverConfig,
     no_improve = 0
     iteration = 0
     insert_failed: set[int] = set()
+    swap_failed: set[tuple[int, ...]] = set()
     while no_improve < LS_MAX_NO_IMPROVE and time.monotonic() < deadline:
         iteration += 1
-        gained = (_move_insert(state, deadline, insert_failed)
-                  or _move_swap(state, rng, deadline, depth=1)
-                  or _move_swap(state, rng, deadline, depth=2))
+        gained = _move_insert(state, deadline, insert_failed)
+        if not gained:
+            gained = (_move_swap(state, rng, deadline, swap_failed, depth=1)
+                      or _move_swap(state, rng, deadline, swap_failed, depth=2))
+            if gained:
+                # a swap removed items, so an item that found no offset may fit now
+                insert_failed.clear()
         if gained > 0:
             no_improve = 0
-            insert_failed.clear()  # the landscape changed; rescan everything
+            swap_failed.clear()  # the picks saw a state that is gone
             if progress is not None:
                 progress(iteration, state.value)
         else:

@@ -1,4 +1,5 @@
 import json
+import re
 import shlex
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -9,6 +10,7 @@ from polypack.cli import build_parser, run
 from polypack.generators import GenConfig, gen_jigsaw
 from polypack.model import save_instance, save_solution, write_solution, Solution
 from polypack.render import RenderOfInvalidSolution, RenderSpec, render
+from polypack.valuation import ValueKind
 
 
 @pytest.fixture()
@@ -176,6 +178,19 @@ def test_tetro_value_flags_exit_2(workdir, capsys, family, flag, value):
     assert run(["generate", family, "--seed", "2", "--n", "10", flag, value]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and flag[2:].replace("-", "_") in err
+
+
+def test_value_kind_help_choices_parse(workdir, capsys):
+    assert run(["generate", "--help"]) == 0
+    listed = re.search(r"--value-kind \{([^}]*)\}", capsys.readouterr().out)
+    choices = listed.group(1).split(",")
+    assert sorted(choices) == sorted(k.value for k in ValueKind)
+    totals = set()
+    for choice in choices:
+        out = json.loads(run_ok(capsys, "generate", "random", "--seed", "1", "--n", "5",
+                                "--value-kind", choice, "-o", str(workdir / "i.json")))
+        totals.add(out["total_value"])
+    assert len(totals) > 1
 
 
 def test_readme_quick_start_parses():
