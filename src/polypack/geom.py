@@ -13,7 +13,14 @@ Offsets, like coordinates, are integers: every predicate reads them through
 `operator.index`, so a float offset raises TypeError instead of being
 truncated.  The overlap predicates do not compare the placements' whole
 bounding boxes; that filter is the caller's broad phase (`BoxIndex.query`).
-Containment is decided in one place, `containment_range`.
+Containment is decided in one place, `containment_range`, and overlap in
+one place, `overlap_exit`.  Polygons are only translated, so the offsets at
+which two convex parts overlap form one fixed convex polygon, their no-fit
+polygon, and `overlap_exit` tests a part pair against its half-planes
+k + u*dx + v*dy > 0, one per edge of either part.  A caller that probes many
+offsets of the same polygons (the solver's grid scan) may pass a memo that
+keeps each pair's half-planes between calls; `interiors_overlap`, and so the
+verifier, passes none, so verifying keeps no per-pair tables.
 """
 from __future__ import annotations
 
@@ -223,14 +230,12 @@ class Polygon:
         return self._triangles
 
     @property
-    def parts(self) -> tuple[tuple[tuple[Coord, ...], Box], ...]:
-        """Convex pieces with their bounding boxes: the polygon itself if it
-        is convex, else its triangles."""
+    def parts(self) -> tuple[tuple[tuple[Coord, ...], Box, tuple], ...]:
+        """Convex pieces as (vertices, bounding box, edges as `_edges` gives
+        them): the polygon itself if it is convex, else its triangles."""
         if self._parts is None:
-            if self.convex:
-                self._parts = ((self.coords, self._bbox),)
-            else:
-                self._parts = tuple((t, _bbox(t)) for t in self.triangles)
+            pieces = (self.coords,) if self.convex else self.triangles
+            self._parts = tuple((p, _bbox(p), _edges(p)) for p in pieces)
         return self._parts
 
     def __eq__(self, other):
@@ -347,49 +352,113 @@ def triangulate(poly) -> list[tuple[Coord, Coord, Coord]]:
     return triangles
 
 
-def _separated_by_edge_of(pa: Sequence[Coord], pb: Sequence[Coord],
-                          dx: int, dy: int) -> bool:
-    # pb is shifted by (dx, dy).  CCW pa keeps its interior left of each
-    # edge; an edge separates if every pb vertex sits right-of-or-on it.
-    ax, ay = pa[-1]
-    for bx, by in pa:
+def _edges(pts: Sequence[Coord]) -> tuple[tuple[int, int, int], ...]:
+    """Edges of a CCW polygon, edge i running from vertex i-1 to vertex i, as
+    (ex, ey, ex*ay - ey*ax) with (ax, ay) its start: a point p lies strictly
+    left of the edge iff ex*py - ey*px > ex*ay - ey*ax."""
+    out = []
+    ax, ay = pts[-1]
+    for bx, by in pts:
         ex, ey = bx - ax, by - ay
-        for qx, qy in pb:
-            if ex * (qy + dy - ay) - ey * (qx + dx - ax) > 0:
-                break
-        else:
-            return True
+        out.append((ex, ey, ex * ay - ey * ax))
         ax, ay = bx, by
-    return False
+    return tuple(out)
 
 
-def _overlapping_parts(a: Polygon, ta, b: Polygon, tb):
-    """The first pair of convex parts (pa, pb) whose open interiors meet,
-    with b's offset (dx, dy) in a's frame, as (pa, pb, dx, dy); else None."""
-    dx = operator.index(tb[0]) - operator.index(ta[0])  # work in a's frame
-    dy = operator.index(tb[1]) - operator.index(ta[1])
-    for pa, (ax0, ay0, ax1, ay1) in a.parts:
-        for pb, (bx0, by0, bx1, by1) in b.parts:
-            # boxes_interior_overlap inlined: this loop is the solver's hot
-            # path.  Separating axes over the edge lines of both parts;
-            # allowing contact on the axis makes SAT the open-interior test.
-            if (ax0 < bx1 + dx and bx0 + dx < ax1 and ay0 < by1 + dy and by0 + dy < ay1
-                    and not _separated_by_edge_of(pa, pb, dx, dy)
-                    and not _separated_by_edge_of(pb, pa, -dx, -dy)):
-                return pa, pb, dx, dy
-    return None
+def _extend_no_fit(planes: list, pa: Sequence[Coord], ea, pb: Sequence[Coord],
+                   eb, dx: int, dy: int) -> bool:
+    """Derive the no-fit half-planes of parts pa and pb missing from
+    `planes`, appending each, until one separates the parts at (dx, dy) or
+    the list is whole; True iff none separates.
+
+    `planes` holds the half-planes (u, v, k) of pa's edges, then of pb's, in
+    edge order.  An edge of pa fails to separate iff some vertex of pb
+    shifted by (dx, dy) lies strictly left of it, and an edge of shifted pb
+    iff some vertex of pa does (SAT over both parts' edge lines, with
+    contact on the axis allowed)."""
+    na = len(ea)
+    for i in range(len(planes), na + len(eb)):
+        if i < na:
+            ex, ey, c = ea[i]
+            u, v, pts = -ey, ex, pb
+        else:
+            ex, ey, c = eb[i - na]
+            u, v, pts = ey, -ex, pa
+        # greatest ex*y - ey*x over the other part; an explicit loop is
+        # cheaper here than max() over a comprehension
+        k = None
+        for x, y in pts:
+            w = ex * y - ey * x
+            if k is None or w > k:
+                k = w
+        k -= c
+        planes.append((u, v, k))
+        if k + u * dx + v * dy <= 0:
+            return False
+    return True
 
 
 def interiors_overlap(a: Polygon, ta, b: Polygon, tb) -> bool:
     """True iff the open interiors of the translated polygons intersect.
 
-    Boundary contact is not overlap.  Each polygon is taken as its cached
-    convex parts (itself, or its triangles if nonconvex): interiors meet iff
-    some pair of parts' interiors meet, and each pair whose boxes overlap is
-    decided by exact SAT.  The whole bounding boxes are not compared first;
-    that filter is the caller's broad phase.
+    Boundary contact is not overlap.  Decided by `overlap_exit` without a
+    memo: each box-meeting part pair's half-planes are derived edge by edge
+    until one separates, then dropped.
     """
-    return _overlapping_parts(a, ta, b, tb) is not None
+    return overlap_exit(a, ta, b, tb) is not None
+
+
+def overlap_exit(a: Polygon, ta, b: Polygon, tb,
+                 memo: Optional[dict] = None) -> Optional[int]:
+    """Where a row of overlaps ends.  None if the open interiors of a
+    translated by ta and b translated by tb do not meet; else an integer
+    x > ta[0] such that a translated by (x', ta[1]) still meets b for every
+    integer x' in [ta[0], x).
+
+    Each polygon is taken as its cached convex parts (itself, or its
+    triangles if nonconvex): interiors meet iff some pair of parts'
+    interiors meet.  Without rotation, the offsets (dx, dy) of b against a
+    at which two parts overlap form one fixed open convex polygon,
+    their no-fit polygon (Bennell & Oliveira 2008): the half-planes
+    k + u*dx + v*dy > 0, one per edge of either part.  The first pair of
+    parts, in part order, whose boxes meet and whose half-planes all hold
+    gives the exit: a moving right by one lowers dx by one, so a margin m
+    with u > 0 lasts ceil(m / u) steps, and the row ends at the least of
+    them.  The whole bounding boxes are not compared first; that filter is
+    the caller's broad phase.
+
+    `memo`, if given, is a dict the caller keeps across calls on the same
+    polygons, such as every probe of one grid scan.  It holds each part
+    pair's half-planes, keyed by the parts' identity and filled only as far
+    as a probe needed, so it must not outlive the polygons.  Results do not
+    depend on it.
+    """
+    tx = operator.index(ta[0])
+    dx = operator.index(tb[0]) - tx  # work in a's frame
+    dy = operator.index(tb[1]) - operator.index(ta[1])
+    bparts = b.parts
+    for pa, (ax0, ay0, ax1, ay1), ea in a.parts:
+        for pb, (bx0, by0, bx1, by1), eb in bparts:
+            # boxes_interior_overlap inlined: this loop is the solver's hot path
+            if not (ax0 < bx1 + dx and bx0 + dx < ax1
+                    and ay0 < by1 + dy and by0 + dy < ay1):
+                continue
+            if memo is None:
+                planes = []
+            else:
+                key = (id(ea), id(eb))
+                planes = memo.get(key)
+                if planes is None:
+                    planes = memo[key] = []
+            for u, v, k in planes:
+                if k + u * dx + v * dy <= 0:
+                    break
+            else:
+                if len(planes) == len(ea) + len(eb) or \
+                        _extend_no_fit(planes, pa, ea, pb, eb, dx, dy):
+                    return tx + min([-(-(k + u * dx + v * dy) // u)
+                                     for u, v, k in planes if u > 0])
+    return None
 
 
 def contained_in_convex(container: Polygon, item: Polygon, t) -> bool:
@@ -441,44 +510,3 @@ def containment_range(container: Polygon, item: Polygon,
         ax, ay = bx, by
     # a convex polygon of positive area has edges with ey > 0 and ey < 0
     return (lo, hi) if lo <= hi else None
-
-
-def _exit_along_x(pa: Sequence[Coord], pb: Sequence[Coord],
-                  dx: int, dy: int, direction: int) -> int:
-    # pb, offset by (dx, dy), slides by `direction` per step along x relative
-    # to pa.  An edge of pa fails to separate while some pb vertex stays
-    # strictly left of it; that margin falls by ey * direction per step, so
-    # a falling margin m lasts ceil(m / rate) steps.  A convex polygon of
-    # positive area has edges of either sign of ey, so some margin falls.
-    least = None
-    ax, ay = pa[-1]
-    for bx, by in pa:
-        ex, ey = bx - ax, by - ay
-        rate = ey * direction
-        if rate > 0:
-            margin = max(ex * (qy + dy - ay) - ey * (qx + dx - ax) for qx, qy in pb)
-            steps = -(-margin // rate)
-            if least is None or steps < least:
-                least = steps
-        ax, ay = bx, by
-    return least
-
-
-def overlap_exit(a: Polygon, ta, b: Polygon, tb) -> Optional[int]:
-    """Where a row of overlaps ends.  None if the open interiors of a
-    translated by ta and b translated by tb do not meet; else an integer
-    x > ta[0] such that a translated by (x', ta[1]) still meets b for every
-    integer x' in [ta[0], x).
-
-    The translations at which two convex parts overlap are the interior of
-    their Minkowski difference (the no-fit polygon), an open interval on one
-    row; its right end is the least upper bound the SAT edges put on x.  The
-    first overlapping pair of convex parts gives the exit.
-    """
-    hit = _overlapping_parts(a, ta, b, tb)
-    if hit is None:
-        return None
-    pa, pb, dx, dy = hit
-    # a moving right is b moving left in a's frame, and the reverse in b's
-    return operator.index(ta[0]) + min(_exit_along_x(pa, pb, dx, dy, -1),
-                                       _exit_along_x(pb, pa, -dx, -dy, 1))

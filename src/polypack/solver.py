@@ -9,7 +9,11 @@ grid around the first hit.  The scan finds that cell without testing every
 cell: each row starts and ends where the item fits in a convex container
 (`geom.containment_range`), and a blocked cell jumps to the first cell past
 the blocker's overlap exit (`geom.overlap_exit`, one row of the no-fit
-polygon), both computed exactly in integers.
+polygon), both computed exactly in integers.  Each `find_offset` call makes
+one plain dict that every probe of its scans passes to `geom.overlap_exit`,
+so a pair of convex parts has its no-fit half-planes derived once per call,
+not once per probe.  The dict is dropped when the call returns, so memory
+does not grow with the number of placed items; `can_place` passes none.
 
 `solve` runs greedy in value-density order and, for instances of at most 25
 items, also in every other `Ordering` and three shuffles of the density
@@ -96,13 +100,15 @@ class PlacementState:
         return contained_in_convex(self.container, self.polys[idx], off) and \
             self.overlap_end(idx, off) is None
 
-    def overlap_end(self, idx: int, off) -> Optional[int]:
+    def overlap_end(self, idx: int, off,
+                    memo: Optional[dict] = None) -> Optional[int]:
         """None if item idx at `off` overlaps no placed item; else an x past
         off[0] such that it overlaps one at every (x', off[1]) with
-        off[0] <= x' < x."""
+        off[0] <= x' < x.  `memo` is passed on to `geom.overlap_exit`."""
         poly = self.polys[idx]
         for other in self.tree.query(placement_box(self.instance, idx, off)):
-            end = overlap_exit(poly, off, self.polys[other], self.offsets[other])
+            end = overlap_exit(poly, off, self.polys[other], self.offsets[other],
+                               memo)
             if end is not None:
                 return end
         return None
@@ -154,11 +160,12 @@ def _offset_range(state: PlacementState, idx: int):
     return lox, hix, loy, hiy
 
 
-def _scan_bottom_left(state, idx, lox, hix, loy, hiy, step, deadline):
+def _scan_bottom_left(state, idx, lox, hix, loy, hiy, step, deadline, memo):
     """First feasible cell of the grid lox + i*step, loy + j*step in
     (row, column) order.  Cells that exact arithmetic rules out are skipped,
     not tested: those outside the row's containment range, and on a blocked
-    cell the run of cells up to the blocker's overlap exit."""
+    cell the run of cells up to the blocker's overlap exit.  Every probe
+    shares `memo`, the no-fit half-planes known so far."""
     poly = state.polys[idx]
     for ty in range(loy, hiy + 1, step):
         if deadline is not None and time.monotonic() > deadline:
@@ -171,7 +178,7 @@ def _scan_bottom_left(state, idx, lox, hix, loy, hiy, step, deadline):
             tx = lox + max(0, -(-(row[0] - lox) // step)) * step
             last = min(hix, row[1])
         while tx <= last:
-            end = state.overlap_end(idx, (tx, ty))
+            end = state.overlap_end(idx, (tx, ty), memo)
             if end is None:
                 return (tx, ty)
             tx = lox + -(-(end - lox) // step) * step
@@ -184,7 +191,8 @@ def find_offset(state: PlacementState, idx: int, coarse_cells: int,
 
     Once `deadline` (a `time.monotonic()` value) has passed, no more grid
     rows are scanned: the result is None, or the last feasible hit while
-    refining."""
+    refining.  The scans share one memo of no-fit half-planes; it lives only
+    as long as this call, so its tables are dropped with it."""
     if state.polys[idx].area2 > state.free_area2:
         return None
     rng_range = _offset_range(state, idx)
@@ -193,7 +201,8 @@ def find_offset(state: PlacementState, idx: int, coarse_cells: int,
     lox, hix, loy, hiy = rng_range
     span = max(hix - lox, hiy - loy)
     step = max(1, -(-span // coarse_cells))  # ceil division
-    best = _scan_bottom_left(state, idx, lox, hix, loy, hiy, step, deadline)
+    memo: dict = {}
+    best = _scan_bottom_left(state, idx, lox, hix, loy, hiy, step, deadline, memo)
     if best is None:
         return None
     for _ in range(GRID_LEVELS):
@@ -204,7 +213,8 @@ def find_offset(state: PlacementState, idx: int, coarse_cells: int,
         cand = _scan_bottom_left(
             state, idx,
             max(lox, best[0] - prev), min(hix, best[0] + prev),
-            max(loy, best[1] - prev), min(hiy, best[1] + prev), step, deadline)
+            max(loy, best[1] - prev), min(hiy, best[1] + prev), step, deadline,
+            memo)
         if cand is not None:
             best = cand
     return best
@@ -255,7 +265,8 @@ def solve_greedy(instance: Instance, cfg: SolverConfig,
     """Greedy sequential fill in `order` (default: value density); output
     always verifies."""
     state = PlacementState(instance)
-    deadline = deadline or time.monotonic() + cfg.time_budget
+    if deadline is None:
+        deadline = time.monotonic() + cfg.time_budget
     if order is None:
         order = priority_order(instance, Ordering.VALUE_DENSITY)
     for idx in order:
@@ -349,7 +360,8 @@ def improve_local(instance: Instance, start: Solution, cfg: SolverConfig,
                   progress: Optional[Callable] = None) -> Solution:
     """Local search from a feasible start; packed value never decreases."""
     state = _state_from_solution(instance, start)
-    deadline = deadline or time.monotonic() + cfg.time_budget
+    if deadline is None:
+        deadline = time.monotonic() + cfg.time_budget
     rng = Rng(cfg.seed, stream=0x15EA9C4)
     no_improve = 0
     iteration = 0

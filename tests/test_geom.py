@@ -433,6 +433,39 @@ class TestRowSkipping:
             checked += 1
         assert checked > 50
 
+    def test_memo_reuse_matches_fresh_evaluation(self):
+        # one memo swept over scan-shaped offsets, rows of dy each crossing
+        # many dx, so a part pair's half-planes are left partial by an early
+        # separating edge at one offset and completed at a later one
+        rng = random.Random(18)
+
+        def nonconvex():
+            while True:
+                pts = random_star_polygon(rng, rng.randint(5, 8), radius=12, center=(12, 12))
+                if not is_convex(pts):
+                    return pts
+
+        for scale, shift in ((1, 0), (2 ** 30, -(2 ** 45 + 3))):
+            hits = misses = extended = 0
+            for _ in range(3):
+                a, b = (Polygon([(x * scale + shift, y * scale + shift) for x, y in nonconvex()])
+                        for _ in range(2))
+                tb = (shift, shift)
+                memo = {}
+                for row in range(-22, 23, 4):
+                    for col in range(-22, 23, 3):
+                        nudge = rng.randint(-1, 1) if scale > 1 else 0
+                        ta = (col * scale + shift + nudge, row * scale + shift - nudge)
+                        known = {key: len(planes) for key, planes in memo.items()}
+                        got = overlap_exit(a, ta, b, tb, memo)
+                        extended += any(0 < n < len(memo[key]) for key, n in known.items())
+                        assert got == overlap_exit(a, ta, b, tb), (scale, ta)
+                        expected = oracles.overlap_by_clipping(a.triangles, ta, b.triangles, tb)
+                        assert (got is not None) == expected, (scale, ta)
+                        hits += expected
+                        misses += not expected
+            assert hits > 50 and misses > 50 and extended > 10
+
     def test_no_overlap_no_exit(self):
         sq = Polygon(UNIT_SQUARE)
         assert overlap_exit(sq, (0, 0), sq, (1, 0)) is None
