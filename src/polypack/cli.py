@@ -255,7 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="jigsaw copies")
     p.add_argument("--perturb", dest="jigsaw_perturb_amplitude", type=int,
                    default=None, help="jigsaw perturbation amplitude (0 disables)")
-    p.add_argument("--container", default=None, help="WxH for rectangular families")
+    p.add_argument("--container", default=None,
+                   help="WxH rectangular container for jigsaw, atris and satris "
+                        "(random draws its own)")
     p.add_argument("--pixel-range", dest="pixel_size_range", type=_parse_range,
                    default=None, help="atris/satris pixel sizes, lo:hi")
     p.add_argument("--shear-prob", dest="shear_probability", type=_fraction,

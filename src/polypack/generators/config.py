@@ -36,7 +36,7 @@ class GenerationFailed(RuntimeError):
 class GenConfig:
     seed: int = 0
     n_target: int = 20
-    container_width: int = 0   # 0 means derive from n_target
+    container_width: int = 0   # 0 (both) means the family's default
     container_height: int = 0
     area_multiple_t: Fraction = Fraction(3, 2)
     shear_probability: Fraction = Fraction(1, 2)
@@ -78,3 +78,6 @@ class GenConfig:
             raise ValueError("jigsaw_perturb_amplitude must be >= 0")
         if self.container_width < 0 or self.container_height < 0:
             raise ValueError("container dimensions must be non-negative")
+        if (self.container_width == 0) != (self.container_height == 0):
+            raise ValueError("container dimensions must both be positive, "
+                             "or both 0 for the family's default")

@@ -77,6 +77,9 @@ def _random_container(rng: Rng, total_area2: int, t) -> Polygon:
 
 
 def gen_random(cfg: GenConfig) -> Instance:
+    if cfg.container_width or cfg.container_height:
+        raise ValueError("random draws its own convex container; "
+                         "container_width and container_height must stay 0")
     polys = [_random_item(Rng(cfg.seed, stream=i), cfg, i)
              for i in range(cfg.n_target)]
     total_area2 = sum(p.area2 for p in polys)

@@ -13,14 +13,16 @@ Offsets, like coordinates, are integers: every predicate reads them through
 `operator.index`, so a float offset raises TypeError instead of being
 truncated.  The overlap predicates do not compare the placements' whole
 bounding boxes; that filter is the caller's broad phase (`BoxIndex.query`).
-Containment is decided in one place, `containment_range`, and overlap in
-one place, `overlap_exit`.  Polygons are only translated, so the offsets at
-which two convex parts overlap form one fixed convex polygon, their no-fit
-polygon, and `overlap_exit` tests a part pair against its half-planes
-k + u*dx + v*dy > 0, one per edge of either part.  A caller that probes many
-offsets of the same polygons (the solver's grid scan) may pass a memo that
-keeps each pair's half-planes between calls; `interiors_overlap`, and so the
-verifier, passes none, so verifying keeps no per-pair tables.
+Polygons are only translated, so each check is decided in one place, by
+the half-planes of a fixed convex polygon of offsets.  Containment: an item's
+translations inside the convex container form its inner-fit polygon
+(`inner_fit`, read a row at a time by `containment_range`).  Overlap: the
+offsets at which two convex parts overlap form their no-fit polygon, and
+`overlap_exit` tests its half-planes k + u*dx + v*dy > 0, one per part edge.
+A caller that probes many offsets of the same polygons (the solver's grid
+scan) may pass a memo that keeps each pair's half-planes between calls;
+`interiors_overlap`, and so the verifier, passes none, so verifying keeps no
+per-pair tables.
 """
 from __future__ import annotations
 
@@ -462,41 +464,44 @@ def overlap_exit(a: Polygon, ta, b: Polygon, tb,
 
 
 def contained_in_convex(container: Polygon, item: Polygon, t) -> bool:
-    """All translated item vertices inside-or-on the convex container.
-
-    Vertex membership suffices because the container is convex; the test is
-    whether t[0] lies in the row `containment_range` gives for t[1].
-    """
-    tx = operator.index(t[0])
-    row = containment_range(container, item, t[1])
+    """All translated item vertices inside-or-on the convex container (which
+    suffices, as it is convex): t[0] lies in the inner-fit row at t[1]."""
+    tx, ty = operator.index(t[0]), operator.index(t[1])
+    row = containment_range(inner_fit(container, item), ty)
     return row is not None and row[0] <= tx <= row[1]
 
 
-def containment_range(container: Polygon, item: Polygon,
-                      ty: int) -> Optional[tuple[int, int]]:
-    """Closed range (lo, hi) of the integers tx at which the item translated
-    by (tx, ty) is inside-or-on the convex container, or None if there are
-    none: one row of the inner-fit polygon (Bennell & Oliveira 2008).
-
-    Container edge e = b - a keeps a vertex (x, y) on its left iff
-    ey*tx <= ex*(y + ty - ay) - ey*(x - ax): an upper bound on tx if ey > 0,
-    a lower bound if ey < 0, and no bound (only a check) if ey == 0.
-    """
-    ty = operator.index(ty)
-    lo = hi = None
-    item_pts = item.coords
-    cpts = container.coords
-    ax, ay = cpts[-1]
-    for bx, by in cpts:
+def inner_fit(container: Polygon, item: Polygon) -> tuple:
+    """The item's inner-fit polygon in the convex container (Bennell &
+    Oliveira 2008) as one half-plane (ex, ey, c) per container edge: the
+    item translated by (tx, ty) is inside-or-on iff ey*tx <= ex*ty + c for
+    all of them.  Edge e = b - a keeps item vertex (x, y) on its left iff
+    ey*(x + tx - ax) <= ex*(y + ty - ay), so c = ey*ax - ex*ay + the least
+    ex*y - ey*x over the item's vertices."""
+    out = []
+    ax, ay = container.coords[-1]
+    for bx, by in container.coords:
         ex, ey = bx - ax, by - ay
-        # least ex*y - ey*x over the item; an explicit loop is cheaper here
-        # than min() over a generator or a list
+        # an explicit loop is cheaper here than min() over a generator
         least = None
-        for x, y in item_pts:
+        for x, y in item.coords:
             v = ex * y - ey * x
             if least is None or v < least:
                 least = v
-        r = ex * (ty - ay) + ey * ax + least
+        out.append((ex, ey, ey * ax - ex * ay + least))
+        ax, ay = bx, by
+    return tuple(out)
+
+
+def containment_range(fit, ty: int) -> Optional[tuple[int, int]]:
+    """Closed range (lo, hi) of the integers tx at which the item translated
+    by (tx, ty) is inside-or-on the container, or None if there are none:
+    one row of the inner-fit half-planes `fit`, in O(container edges).  A
+    half-plane bounds tx from above if ey > 0, from below if ey < 0, and
+    only checks ty if ey == 0."""
+    lo = hi = None
+    for ex, ey, c in fit:
+        r = ex * ty + c
         if ey > 0:
             bound = r // ey
             if hi is None or bound < hi:
@@ -507,6 +512,5 @@ def containment_range(container: Polygon, item: Polygon,
                 lo = bound
         elif r < 0:
             return None
-        ax, ay = bx, by
     # a convex polygon of positive area has edges with ey > 0 and ey < 0
     return (lo, hi) if lo <= hi else None

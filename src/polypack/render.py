@@ -6,6 +6,7 @@ Unplaced items can be laid out in a tray strip to the right of the container.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,6 +32,10 @@ class RenderSpec:
     palette: str = "default"
     tray: bool = False
     force: bool = False
+
+    def __post_init__(self):
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"scale must be finite and positive, got {self.scale}")
 
 
 def _poly_points(coords, dx=0, dy=0) -> str:
@@ -80,6 +85,8 @@ def render(spec: RenderSpec) -> bytes:
         total_w = span_x
 
     view = (cb[0] - margin, cb[1] - margin, total_w + 2 * margin, span_y + 2 * margin)
+    if not math.isfinite(max(view[2], view[3]) * spec.scale):
+        raise ValueError(f"scale {spec.scale} makes the picture size overflow")
     width_px = max(1, round(view[2] * spec.scale))
     height_px = max(1, round(view[3] * spec.scale))
     parts.append(

@@ -133,7 +133,8 @@ def _achieved_at(records, team, best, final_total: Fraction) -> datetime:
 
 def read_records_csv(data) -> list[SubmissionRecord]:
     """CSV columns: team, instance, value, iso8601_timestamp (header row
-    optional)."""
+    optional).  Timestamps must all carry a UTC offset or all lack one, since
+    the two kinds cannot be ordered against each other."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     out = []
@@ -145,6 +146,8 @@ def read_records_csv(data) -> list[SubmissionRecord]:
         team, instance, value, stamp = (c.strip() for c in row)
         out.append(SubmissionRecord(team, instance, int(value),
                                     datetime.fromisoformat(stamp)))
+    if len({r.timestamp.utcoffset() is None for r in out}) > 1:
+        raise ValueError("timestamps mix values with and without a UTC offset")
     return out
 
 

@@ -6,10 +6,11 @@ exactly verifiable; the verifier's sort-and-sweep box index over placed
 items keeps feasibility checks local.  The greedy pass prefers the
 lowest-then-leftmost feasible cell (bottom-left heuristic) and refines the
 grid around the first hit.  The scan finds that cell without testing every
-cell: each row starts and ends where the item fits in a convex container
-(`geom.containment_range`), and a blocked cell jumps to the first cell past
-the blocker's overlap exit (`geom.overlap_exit`, one row of the no-fit
-polygon), both computed exactly in integers.  Each `find_offset` call makes
+cell: each row starts and ends where the item fits in the convex container
+(`geom.containment_range` on the item's inner-fit half-planes, built once
+per item), and a blocked cell jumps to the first cell past the blocker's
+overlap exit (`geom.overlap_exit`, one row of the no-fit polygon), both
+computed exactly in integers.  Each `find_offset` call makes
 one plain dict that every probe of its scans passes to `geom.overlap_exit`,
 so a pair of convex parts has its no-fit half-planes derived once per call,
 not once per probe.  The dict is dropped when the call returns, so memory
@@ -44,7 +45,7 @@ import time
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .geom import contained_in_convex, containment_range, overlap_exit
+from .geom import contained_in_convex, containment_range, inner_fit, overlap_exit
 from .model import Instance, Placement, Solution
 from .rng import Rng
 from .verifier import BoxIndex, placement_box, verify
@@ -90,7 +91,7 @@ class PlacementState:
         self.bboxes = [p.bbox for p in self.polys]
         self.container = instance.container
         self.cbox = instance.container.bbox
-        self.rect_container = _is_axis_rect(instance.container)
+        self.fits = [inner_fit(self.container, p) for p in self.polys]
         self.tree = BoxIndex()
         self.offsets: dict[int, tuple[int, int]] = {}
         self.value = 0
@@ -166,17 +167,16 @@ def _scan_bottom_left(state, idx, lox, hix, loy, hiy, step, deadline, memo):
     not tested: those outside the row's containment range, and on a blocked
     cell the run of cells up to the blocker's overlap exit.  Every probe
     shares `memo`, the no-fit half-planes known so far."""
-    poly = state.polys[idx]
+    fit = state.fits[idx]
     for ty in range(loy, hiy + 1, step):
         if deadline is not None and time.monotonic() > deadline:
             return None
-        tx, last = lox, hix
-        if not state.rect_container:
-            row = containment_range(state.container, poly, ty)
-            if row is None:
-                continue
-            tx = lox + max(0, -(-(row[0] - lox) // step)) * step
-            last = min(hix, row[1])
+        row = containment_range(fit, ty)
+        if row is None:
+            continue
+        lo, last = row
+        tx = lox if lo <= lox else lox + -(-(lo - lox) // step) * step
+        last = min(last, hix)
         while tx <= last:
             end = state.overlap_end(idx, (tx, ty), memo)
             if end is None:
@@ -225,9 +225,9 @@ def shelf_pack(instance: Instance, deadline: Optional[float] = None) -> Solution
     container; packs any set of squares of total area at most half the
     container square.  No item is placed once `deadline` (a
     `time.monotonic()` value) has passed."""
-    state = PlacementState(instance)
-    if not state.rect_container:
+    if not _is_axis_rect(instance.container):
         raise ValueError("shelf placement requires an axis-aligned rectangular container")
+    state = PlacementState(instance)
     cb = state.cbox
     width = cb[2] - cb[0]
     height = cb[3] - cb[1]
@@ -259,6 +259,21 @@ def shelf_pack(instance: Instance, deadline: Optional[float] = None) -> Solution
     return state.to_solution()
 
 
+def _fill(state, order, deadline, limit=None) -> list[int]:
+    """Place each item of `order` at `find_offset`'s cell on the coarse grid
+    until `limit` items are placed or `deadline` passes; return those placed."""
+    placed = []
+    for idx in order:
+        if len(placed) == limit or time.monotonic() > deadline:
+            break
+        if idx not in state.offsets:
+            off = find_offset(state, idx, COARSE_CELLS, deadline)
+            if off is not None:
+                state.place(idx, off)
+                placed.append(idx)
+    return placed
+
+
 def solve_greedy(instance: Instance, cfg: SolverConfig,
                  deadline: Optional[float] = None,
                  order: Optional[list[int]] = None) -> Solution:
@@ -269,14 +284,7 @@ def solve_greedy(instance: Instance, cfg: SolverConfig,
         deadline = time.monotonic() + cfg.time_budget
     if order is None:
         order = priority_order(instance, Ordering.VALUE_DENSITY)
-    for idx in order:
-        if time.monotonic() > deadline:
-            break
-        if idx in state.offsets:
-            continue
-        off = find_offset(state, idx, COARSE_CELLS, deadline)
-        if off is not None:
-            state.place(idx, off)
+    _fill(state, order, deadline)
     return state.to_solution()
 
 
@@ -324,26 +332,13 @@ def _move_swap(state, rng, deadline, failed, depth=1):
     for i in picks:
         state.remove(i)
     removed_value = sum(state.values[i] for i in picks)
-    inserted = []
-    budget = 4
     unpacked = sorted((i for i in state.unpacked() if i not in picks),
                       key=lambda i: (-state.values[i], i))
-    for idx in unpacked[:8]:
-        if budget == 0:
-            break
-        off = find_offset(state, idx, COARSE_CELLS, deadline)
-        if off is not None:
-            state.place(idx, off)
-            inserted.append(idx)
-            budget -= 1
+    inserted = _fill(state, unpacked[:8], deadline, limit=4)
     # the ejected items may re-enter too; with nothing new in, re-entry can
     # at best restore removed_value, so the move would be reverted anyway
     if inserted:
-        for idx, _ in removed:
-            off = find_offset(state, idx, COARSE_CELLS, deadline)
-            if off is not None:
-                state.place(idx, off)
-                inserted.append(idx)
+        inserted += _fill(state, picks, deadline)
     gain = sum(state.values[i] for i in inserted) - removed_value
     if gain > 0:
         return gain

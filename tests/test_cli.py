@@ -111,6 +111,21 @@ def test_score_subcommand(workdir, capsys):
     assert board["standings"][1]["total_display"] == "0.75"
 
 
+def test_score_mixed_utc_offsets_exits_2(workdir, capsys):
+    inst_dir = workdir / "instances"
+    inst_dir.mkdir()
+    run_ok(capsys, "generate", "random", "--seed", "1", "--n", "5",
+           "-o", str(inst_dir / "i.json"))
+    name = json.loads((inst_dir / "i.json").read_text())["name"]
+    records = workdir / "records.csv"
+    records.write_text(f"t1,{name},5,2024-01-01T00:00:00\n"
+                       f"t1,{name},7,2024-01-02T00:00:00+00:00\n")
+    assert run(["score", "--instances", str(inst_dir), "--records", str(records)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "UTC offset" in err
+    assert "internal error" not in err
+
+
 def test_select_subcommand(workdir, capsys):
     cand = workdir / "cands"
     cand.mkdir()
@@ -244,6 +259,17 @@ def test_bad_input_exits_2(workdir, capsys, argv, config, named):
     assert "internal error" not in err
 
 
+@pytest.mark.parametrize("family, container", [("random", "50x50"), ("atris", "0x40"),
+                                               ("jigsaw", "600x0")])
+def test_unusable_container_exits_2(workdir, capsys, family, container):
+    # random draws its own container; a zero side has no default of its own
+    assert run(["generate", family, "--seed", "1", "--n", "5",
+                "--container", container]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "container" in err
+    assert "internal error" not in err
+
+
 def test_stdout_is_instance_json_without_out(workdir, capsys):
     out = run_ok(capsys, "generate", "atris", "--seed", "4", "--n", "8", "--quiet")
     obj = json.loads(out)
@@ -304,3 +330,23 @@ class TestRender:
                                     "-o", str(out_path)))
         assert summary["bytes"] > 0
         ET.fromstring(out_path.read_bytes())
+
+    @pytest.mark.parametrize("scale", ["0", "-1", "inf", "nan"])
+    def test_rejects_scale_not_finite_positive(self, workdir, capsys, scale):
+        inst = self.make_jigsaw()
+        with pytest.raises(ValueError, match="scale"):
+            RenderSpec(inst, scale=float(scale))
+        inst_path = workdir / "i.json"
+        save_instance(inst, inst_path)
+        assert run(["render", str(inst_path), "--scale", scale,
+                    "-o", str(workdir / "i.svg")]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "scale" in err
+        assert not (workdir / "i.svg").exists()
+
+    def test_rejects_scale_that_overflows(self, workdir, capsys):
+        inst_path = workdir / "i.json"
+        save_instance(self.make_jigsaw(), inst_path)
+        assert run(["render", str(inst_path), "--scale", "1e308"]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "overflow" in err

@@ -58,6 +58,25 @@ class TestRandomFamily:
                 assert is_simple(it.polygon)
                 assert it.value >= 1
 
+    def test_rejects_container_size(self):
+        # the container is drawn from the items, so a size could not apply
+        with pytest.raises(ValueError, match="container"):
+            gen_random(GenConfig(seed=1, n_target=5, container_width=50,
+                                 container_height=50))
+
+
+class TestContainerConfig:
+    @pytest.mark.parametrize("width, height", [(0, 40), (40, 0)])
+    def test_one_zero_side_rejected(self, width, height):
+        with pytest.raises(ValueError, match="both"):
+            GenConfig(container_width=width, container_height=height)
+
+    def test_rectangular_families_read_it(self):
+        for gen in (gen_jigsaw, gen_atris, gen_satris):
+            inst = gen(GenConfig(seed=1, n_target=5, container_width=120,
+                                 container_height=90))
+            assert inst.container.bbox == (0, 0, 120, 90)
+
 
 class TestJigsawFamily:
     def test_unperturbed_identity_tiles_exactly(self):

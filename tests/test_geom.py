@@ -6,8 +6,8 @@ import pytest
 
 from polypack import geom
 from polypack.geom import (AllCollinear, Polygon, contained_in_convex,
-                           containment_range, convex_hull, interiors_overlap,
-                           is_convex, is_simple, min_area_bounding_rect,
+                           containment_range, convex_hull, inner_fit,
+                           interiors_overlap, is_convex, is_simple, min_area_bounding_rect,
                            overlap_exit, signed_area, triangulate)
 
 import oracles
@@ -483,7 +483,7 @@ class TestRowSkipping:
             inside = [x for x in range(-80, 81)
                       if all(oracles.point_in_convex_halfplanes(box_pts, (px + x, py + ty))
                              for px, py in item.coords)]
-            got = containment_range(box, item, ty)
+            got = containment_range(inner_fit(box, item), ty)
             if not inside:
                 assert got is None
                 continue
@@ -495,11 +495,39 @@ class TestRowSkipping:
     def test_containment_range_horizontal_edges(self):
         box = Polygon([(0, 0), (10, 0), (10, 10), (0, 10)])
         sq = Polygon(UNIT_SQUARE)
-        assert containment_range(box, sq, 0) == (0, 9)
-        assert containment_range(box, sq, 9) == (0, 9)
-        assert containment_range(box, sq, 10) is None
-        assert containment_range(box, sq, -1) is None
-        assert containment_range(box, Polygon([(0, 0), (11, 0), (0, 1)]), 0) is None
+        assert containment_range(inner_fit(box, sq), 0) == (0, 9)
+        assert containment_range(inner_fit(box, sq), 9) == (0, 9)
+        assert containment_range(inner_fit(box, sq), 10) is None
+        assert containment_range(inner_fit(box, sq), -1) is None
+        assert containment_range(inner_fit(box, Polygon([(0, 0), (11, 0), (0, 1)])),
+                                 0) is None
+
+    def test_axis_rectangle_rows_are_the_box_range(self):
+        # in an axis-aligned rectangle, containment is the bounding-box test:
+        # every row from loy to hiy is exactly (lox, hix), and none outside
+        rng = random.Random(19)
+        checked = 0
+        for scale, shift in ((1, 0), (2 ** 30, -(2 ** 45 + 3))):
+            for _ in range(60):
+                w, h = rng.randint(10, 60), rng.randint(10, 60)
+                x0, y0 = rng.randint(-20, 20), rng.randint(-20, 20)
+                box = Polygon([((x0 + dx) * scale + shift, (y0 + dy) * scale + shift)
+                               for dx, dy in ((0, 0), (w, 0), (w, h), (0, h))])
+                item = Polygon([(x * scale + shift, y * scale + shift) for x, y in
+                                random_star_polygon(rng, rng.randint(3, 8), radius=15)])
+                cb, b = box.bbox, item.bbox
+                lox, hix, loy, hiy = cb[0] - b[0], cb[2] - b[2], cb[1] - b[1], cb[3] - b[3]
+                if lox > hix or loy > hiy:
+                    continue
+                fit = inner_fit(box, item)
+                rows = range(loy, hiy + 1) if scale == 1 else \
+                    [loy, loy + 1, hiy - 1, hiy] + [rng.randint(loy, hiy) for _ in range(20)]
+                for ty in rows:
+                    assert containment_range(fit, ty) == (lox, hix), (scale, ty)
+                assert containment_range(fit, loy - 1) is None
+                assert containment_range(fit, hiy + 1) is None
+                checked += 1
+        assert checked > 60
 
 
 class TestPolygonClass:
