@@ -101,8 +101,26 @@ def _gen_config_from(args) -> GenConfig:
     return GenConfig(**kwargs)
 
 
+# generate's family-specific flags: (dest, flag, families that read it).  A
+# flag given to a family that does not read it is a usage error; config-file
+# keys stay shared, since one GenConfig serves every family.
+_FAMILY_FLAGS = (
+    ("n_target", "--n", {"random", "atris", "satris"}),
+    ("area_multiple_t", "--t", {"random", "atris", "satris"}),
+    ("convexity_ratio", "--convexity-ratio", {"random"}),
+    ("jigsaw_line_count", "--lines", {"jigsaw"}),
+    ("jigsaw_copies", "--copies", {"jigsaw"}),
+    ("jigsaw_perturb_amplitude", "--perturb", {"jigsaw"}),
+    ("pixel_size_range", "--pixel-range", {"atris", "satris"}),
+    ("shear_probability", "--shear-prob", {"satris"}),
+)
+
+
 def cmd_generate(args) -> int:
     cfg = _gen_config_from(args)
+    for dest, flag, families in _FAMILY_FLAGS:
+        if getattr(args, dest) is not None and args.family not in families:
+            raise ValueError(f"{args.family} does not read {flag}")
     instance = FAMILIES[args.family](cfg)
     data = write_instance(instance)
     _emit(args, data, {

@@ -7,14 +7,20 @@ items keeps feasibility checks local.  The greedy pass prefers the
 lowest-then-leftmost feasible cell (bottom-left heuristic) and refines the
 grid around the first hit.  The scan finds that cell without testing every
 cell: each row starts and ends where the item fits in the convex container
-(`geom.containment_range` on the item's inner-fit half-planes, built once
-per item), and a blocked cell jumps to the first cell past the blocker's
+(`geom.containment_range` on the item's slanted inner-fit half-planes,
+built once per item; an axis rectangle has none, so its rows span the
+offset box), and a blocked cell jumps to the first cell past the blocker's
 overlap exit (`geom.overlap_exit`, one row of the no-fit polygon), both
-computed exactly in integers.  Each `find_offset` call makes
-one plain dict that every probe of its scans passes to `geom.overlap_exit`,
-so a pair of convex parts has its no-fit half-planes derived once per call,
-not once per probe.  The dict is dropped when the call returns, so memory
-does not grow with the number of placed items; `can_place` passes none.
+computed exactly in integers.  A scan queries the box index once, for the
+box the item sweeps over the scan's window, and keeps each returned item's
+offset intervals; a row tests only its band (the items whose ty interval
+holds the row), and a probe only the band items whose tx interval holds
+it.  Each `find_offset` call makes one plain dict that every probe of its
+scans passes to `geom.overlap_exit`, so a pair of convex parts has its
+no-fit half-planes derived once per call, not once per probe.  The dict is
+dropped when the call returns, so memory does not grow with the number of
+placed items.  `can_place`, used by `shelf_pack`, is containment plus
+`geom.interiors_overlap` against one box query's items.
 
 `solve` runs greedy in value-density order and, for instances of at most 25
 items, also in every other `Ordering` and three shuffles of the density
@@ -45,7 +51,8 @@ import time
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .geom import contained_in_convex, containment_range, inner_fit, overlap_exit
+from .geom import (contained_in_convex, containment_range, inner_fit,
+                   interiors_overlap, overlap_exit)
 from .model import Instance, Placement, Solution
 from .rng import Rng
 from .verifier import BoxIndex, placement_box, verify
@@ -80,6 +87,23 @@ def _is_axis_rect(poly) -> bool:
     return set(poly.coords) == corners
 
 
+def _cutting_planes(fit) -> tuple:
+    """The inner-fit half-planes that can end a row inside the offset box.
+
+    A horizontal or vertical edge of a convex container lies on its bounding
+    box, so its half-plane repeats a bound of `_offset_range`, which the scan
+    applies anyway.  Those are dropped, except that a vertical one is kept
+    when no slanted edge bounds tx from that side, as `containment_range`
+    needs both sides.  Empty for an axis rectangle: every row spans the box."""
+    slanted = [h for h in fit if h[0] and h[1]]
+    if not slanted:
+        return ()
+    for side in (1, -1):
+        if not any(h[1] * side > 0 for h in slanted):
+            slanted += [h for h in fit if h[1] * side > 0]
+    return tuple(slanted)
+
+
 class PlacementState:
     """Current placements plus the occupancy index; mutations keep the state
     feasible, so a snapshot is always a valid solution."""
@@ -91,28 +115,20 @@ class PlacementState:
         self.bboxes = [p.bbox for p in self.polys]
         self.container = instance.container
         self.cbox = instance.container.bbox
-        self.fits = [inner_fit(self.container, p) for p in self.polys]
+        self.fits = [_cutting_planes(inner_fit(self.container, p))
+                     for p in self.polys]
         self.tree = BoxIndex()
         self.offsets: dict[int, tuple[int, int]] = {}
         self.value = 0
         self.free_area2 = instance.container.area2
 
     def can_place(self, idx: int, off) -> bool:
-        return contained_in_convex(self.container, self.polys[idx], off) and \
-            self.overlap_end(idx, off) is None
-
-    def overlap_end(self, idx: int, off,
-                    memo: Optional[dict] = None) -> Optional[int]:
-        """None if item idx at `off` overlaps no placed item; else an x past
-        off[0] such that it overlaps one at every (x', off[1]) with
-        off[0] <= x' < x.  `memo` is passed on to `geom.overlap_exit`."""
+        if not contained_in_convex(self.container, self.polys[idx], off):
+            return False
         poly = self.polys[idx]
-        for other in self.tree.query(placement_box(self.instance, idx, off)):
-            end = overlap_exit(poly, off, self.polys[other], self.offsets[other],
-                               memo)
-            if end is not None:
-                return end
-        return None
+        return not any(
+            interiors_overlap(poly, off, self.polys[j], self.offsets[j])
+            for j in self.tree.query(placement_box(self.instance, idx, off)))
 
     def place(self, idx: int, off) -> None:
         self.offsets[idx] = (off[0], off[1])
@@ -161,24 +177,63 @@ def _offset_range(state: PlacementState, idx: int):
     return lox, hix, loy, hiy
 
 
+def _row_range(fit, ty, lox, hix):
+    """Closed range of the tx in [lox, hix] at which the item is inside-or-on
+    the container in row ty, or None; `fit` holds its `_cutting_planes`."""
+    if not fit:
+        return lox, hix
+    row = containment_range(fit, ty)
+    if row is None:
+        return None
+    lo, hi = max(row[0], lox), min(row[1], hix)
+    return (lo, hi) if lo <= hi else None
+
+
 def _scan_bottom_left(state, idx, lox, hix, loy, hiy, step, deadline, memo):
     """First feasible cell of the grid lox + i*step, loy + j*step in
     (row, column) order.  Cells that exact arithmetic rules out are skipped,
     not tested: those outside the row's containment range, and on a blocked
     cell the run of cells up to the blocker's overlap exit.  Every probe
-    shares `memo`, the no-fit half-planes known so far."""
+    shares `memo`, the no-fit half-planes known so far.
+
+    The placed set does not change during a scan, so the box index is asked
+    once, with the box the item sweeps over the window.  Each placed item it
+    returns becomes a blocker: the open ty and tx intervals in which its box
+    meets the item's box.  A row keeps the blockers whose ty interval holds
+    it (its band), and a probe exact-tests the band entries whose tx
+    interval holds the probe's tx, which are exactly the items a box query
+    at that cell would return.  They are tried furthest-reaching box first,
+    and the first exit found moves the scan on: which blocker supplies it
+    does not change the result, as every exit skips only overlapping cells,
+    but one that reaches further right tends to skip more."""
     fit = state.fits[idx]
+    poly = state.polys[idx]
+    ix0, iy0, ix1, iy1 = state.bboxes[idx]
+    blockers = []
+    for j in state.tree.query((lox + ix0, loy + iy0, hix + ix1, hiy + iy1)):
+        ox, oy = state.offsets[j]
+        bx0, by0, bx1, by1 = state.bboxes[j]
+        blockers.append((by0 + oy - iy1, by1 + oy - iy0,
+                         (bx0 + ox - ix1, bx1 + ox - ix0, state.polys[j], (ox, oy))))
+    blockers.sort(key=lambda b: -b[2][1])
     for ty in range(loy, hiy + 1, step):
         if deadline is not None and time.monotonic() > deadline:
             return None
-        row = containment_range(fit, ty)
+        row = _row_range(fit, ty, lox, hix)
         if row is None:
             continue
         lo, last = row
-        tx = lox if lo <= lox else lox + -(-(lo - lox) // step) * step
-        last = min(last, hix)
+        tx = lox + -(-(lo - lox) // step) * step
+        band = [e for y0, y1, e in blockers if y0 < ty < y1]
         while tx <= last:
-            end = state.overlap_end(idx, (tx, ty), memo)
+            end = None
+            for x0, x1, p, o in band:
+                if x1 <= tx:
+                    break  # sorted by x1 descending: no later entry holds tx
+                if x0 < tx:
+                    end = overlap_exit(poly, (tx, ty), p, o, memo)
+                    if end is not None:
+                        break
             if end is None:
                 return (tx, ty)
             tx = lox + -(-(end - lox) // step) * step

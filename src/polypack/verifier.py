@@ -12,9 +12,12 @@ compare the whole boxes again.
 `verify` queries the index once per placement, in placement order, and
 exact-tests the later placements it returns, so pairs are tested in
 (pos_a, pos_b) order and the first overlap ends the check; memory stays
-O(n) whatever the input.  The index keeps boxes in width classes (widths
-below 2**k), and a query scans each class only as far left as that class's
-widths reach, so one wide box costs its own class's scans, not everyone's.
+O(n) whatever the input.  The solver keeps its own index of placed items:
+its grid scan queries it once per scan, with the box the item sweeps over
+the scan's window, and `can_place` once per call.  The index keeps boxes
+in width classes (widths below 2**k), and a query scans each class only as
+far left as that class's widths reach, so one wide box costs its own
+class's scans, not everyone's.
 Time is O(n log n) plus those scans: O(n^2) when boxes overlap pairwise in
 a valid packing (n thin parallel diagonal slivers, whose n(n-1)/2 box pairs
 all need an exact test).

@@ -195,6 +195,42 @@ def test_tetro_value_flags_exit_2(workdir, capsys, family, flag, value):
     assert "error:" in err and flag[2:].replace("-", "_") in err
 
 
+# a valid value for each family-specific generate flag
+FLAG_VALUES = {"--n": "5", "--t": "3/2", "--convexity-ratio": "1/2", "--lines": "3",
+               "--copies": "2", "--perturb": "0", "--pixel-range": "4:6",
+               "--shear-prob": "1/2"}
+FLAGS_READ = {
+    "random": ["--n", "--t", "--convexity-ratio"],
+    "jigsaw": ["--lines", "--copies", "--perturb"],
+    "atris": ["--n", "--t", "--pixel-range"],
+    "satris": ["--n", "--t", "--pixel-range", "--shear-prob"],
+}
+
+
+@pytest.mark.parametrize("family, flag", [
+    (family, flag) for family, read in FLAGS_READ.items()
+    for flag in FLAG_VALUES if flag not in read])
+def test_generate_rejects_flags_the_family_does_not_read(workdir, capsys, family, flag):
+    out = workdir / "i.json"
+    assert run(["generate", family, "--seed", "1", flag, FLAG_VALUES[flag],
+                "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and flag in err and "internal error" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family", sorted(FLAGS_READ))
+def test_generate_accepts_every_flag_it_reads(workdir, capsys, family):
+    argv = ["generate", family, "--seed", "1", "-o", str(workdir / "i.json")]
+    for flag in FLAGS_READ[family]:
+        argv += [flag, FLAG_VALUES[flag]]
+    if family != "random":
+        argv += ["--container", "60x60"]
+    if family in ("random", "jigsaw"):
+        argv += ["--value-kind", "hull", "--value-noise", "1/10", "--value-scale", "2"]
+    assert json.loads(run_ok(capsys, *argv))["n_items"] > 0
+
+
 def test_value_kind_help_choices_parse(workdir, capsys):
     assert run(["generate", "--help"]) == 0
     listed = re.search(r"--value-kind \{([^}]*)\}", capsys.readouterr().out)

@@ -7,13 +7,15 @@ import time
 import pytest
 
 from polypack.generators import GenConfig, gen_atris, gen_jigsaw, gen_random, gen_satris
-from polypack.geom import Polygon
+import polypack.solver as solver_module
+from polypack.geom import Polygon, containment_range, inner_fit
 from polypack.model import Instance, Item, Solution, write_solution
 from polypack.solver import (GRID_LEVELS, Ordering, PlacementState,
+                             _offset_range, _row_range,
                              SolverConfig, find_offset, improve_local,
                              priority_order, shelf_pack, solution_value,
                              solve, solve_greedy)
-from polypack.verifier import verify
+from polypack.verifier import BoxIndex, verify
 
 from test_verifier import float_offset_starts
 
@@ -236,23 +238,43 @@ def transformed(inst, scale, shift):
                     tuple(Item(move(it.polygon), it.value) for it in inst.items))
 
 
+SCALE_SHIFTS = pytest.mark.parametrize("scale, shift", [
+    (1, 0), (1, -(10 ** 9) - 7), (2 ** 30, 0), (2 ** 30, -(2 ** 45) - 3)])
+
+
+def reference_instances():
+    return [gen_random(GenConfig(seed=1, n_target=16)),
+            gen_atris(GenConfig(seed=2, n_target=16)),
+            gen_satris(GenConfig(seed=3, n_target=16)),
+            gen_jigsaw(GenConfig(seed=4, jigsaw_line_count=5, jigsaw_copies=2))]
+
+
+def grow(state, idx, hit, rng):
+    """Place item idx at a random feasible offset, else at `hit` if any."""
+    cb, b = state.cbox, state.bboxes[idx]
+    xs, ys = (cb[0] - b[0], cb[2] - b[2]), (cb[1] - b[1], cb[3] - b[3])
+    off = hit
+    if xs[0] <= xs[1] and ys[0] <= ys[1]:
+        for _ in range(10):
+            cand = (rng.randint(*xs), rng.randint(*ys))
+            if state.can_place(idx, cand):
+                off = cand
+                break
+    if off is not None:
+        state.place(idx, off)
+
+
 class TestFindOffsetReference:
     """find_offset skips the cells exact arithmetic rules out; it must return
     the cell the cell-by-cell scan returns, on any state."""
 
-    @pytest.mark.parametrize("scale, shift", [
-        (1, 0), (1, -(10 ** 9) - 7), (2 ** 30, 0), (2 ** 30, -(2 ** 45) - 3)])
+    @SCALE_SHIFTS
     def test_matches_cell_by_cell_scan(self, scale, shift):
         rng = random.Random(scale + shift)
-        instances = [gen_random(GenConfig(seed=1, n_target=16)),
-                     gen_atris(GenConfig(seed=2, n_target=16)),
-                     gen_satris(GenConfig(seed=3, n_target=16)),
-                     gen_jigsaw(GenConfig(seed=4, jigsaw_line_count=5, jigsaw_copies=2))]
         compared = found = 0
-        for base in instances:
+        for base in reference_instances():
             inst = transformed(base, scale, shift)
             state = PlacementState(inst)
-            cb = state.cbox
             order = list(range(inst.n_items))
             rng.shuffle(order)
             for idx in order:
@@ -262,19 +284,120 @@ class TestFindOffsetReference:
                         (inst.name, idx, cells)
                     compared += 1
                     found += got is not None
-                # grow the state: a random feasible offset, else the scan's hit
-                b = state.bboxes[idx]
-                xs, ys = (cb[0] - b[0], cb[2] - b[2]), (cb[1] - b[1], cb[3] - b[3])
-                off = got
-                if xs[0] <= xs[1] and ys[0] <= ys[1]:
-                    for _ in range(10):
-                        cand = (rng.randint(*xs), rng.randint(*ys))
-                        if state.can_place(idx, cand):
-                            off = cand
-                            break
-                if off is not None:
-                    state.place(idx, off)
+                grow(state, idx, got, rng)
         assert compared > 150 and 0 < found < compared
+
+    @SCALE_SHIFTS
+    def test_matches_after_removals(self, scale, shift):
+        # swap-shaped states: items removed from a grown state leave holes
+        # among the remaining blockers, as a swap move does
+        rng = random.Random(scale + shift + 1)
+        compared = found = 0
+        for base in reference_instances():
+            inst = transformed(base, scale, shift)
+            state = PlacementState(inst)
+            order = list(range(inst.n_items))
+            rng.shuffle(order)
+            for idx in order:
+                grow(state, idx, find_offset(state, idx, 24), rng)
+            for _ in range(2):
+                removed = rng.sample(sorted(state.offsets), rng.randint(1, 2))
+                offsets = [state.offsets[i] for i in removed]
+                for i in removed:
+                    state.remove(i)
+                others = [i for i in state.unpacked() if i not in removed]
+                for idx in removed + rng.sample(others, min(2, len(others))):
+                    for cells in (24, 48):
+                        got = find_offset(state, idx, cells)
+                        assert got == cell_by_cell_find_offset(state, idx, cells), \
+                            (inst.name, removed, idx, cells)
+                        compared += 1
+                        found += got is not None
+                for i, off in zip(removed, offsets):
+                    state.place(i, off)
+        assert compared >= 40 and found > 0
+
+    def test_one_box_query_per_scan(self, monkeypatch):
+        # a scan queries the box index once, not once per probed cell
+        queries = []
+        probes = set()
+        real_query, real_exit = BoxIndex.query, solver_module.overlap_exit
+
+        def counting_query(self, box):
+            queries.append(box)
+            return real_query(self, box)
+
+        def recording_exit(a, ta, b, tb, memo=None):
+            probes.add(tuple(ta))
+            return real_exit(a, ta, b, tb, memo)
+
+        monkeypatch.setattr(BoxIndex, "query", counting_query)
+        monkeypatch.setattr(solver_module, "overlap_exit", recording_exit)
+        inst = gen_atris(GenConfig(seed=3, n_target=60))
+        state = PlacementState(inst)
+        most_probes = 0
+        for idx in priority_order(inst, Ordering.VALUE_DENSITY):
+            queries.clear()
+            probes.clear()
+            off = find_offset(state, idx, 24)
+            assert len(queries) <= 1 + GRID_LEVELS, (idx, len(queries))
+            most_probes = max(most_probes, len(probes))
+            if off is not None:
+                state.place(idx, off)
+        # a query per probed cell would have broken the bound above
+        assert most_probes > 4 * (1 + GRID_LEVELS)
+
+
+class TestRowRange:
+    """The scan reads each row from the inner-fit half-planes of the slanted
+    container edges only, clipped to the offset box; it must equal the row
+    of the full inner-fit polygon clipped the same way."""
+
+    CONTAINERS = {
+        "rectangle": [(0, 0), (40, 0), (40, 30), (0, 30)],
+        "trapezoid": [(0, 0), (50, 0), (38, 30), (9, 30)],
+        "hexagon": [(20, 0), (40, 10), (40, 30), (20, 40), (0, 30), (0, 10)],
+        # one slanted edge: a vertical side is the other tx bound
+        "left-triangle": [(0, 0), (40, 0), (0, 30)],
+        "right-triangle": [(0, 0), (40, 0), (40, 30)],
+    }
+    ITEMS = [[(0, 0), (5, 0), (5, 5), (0, 5)],
+             [(0, 0), (9, 0), (2, 4)],
+             [(0, 0), (8, 0), (8, 2), (2, 2), (2, 7), (0, 7)],
+             [(0, 0), (13, 0), (13, 1), (0, 1)]]
+
+    @pytest.mark.parametrize("scale, shift", [(1, 0), (2 ** 30, -(2 ** 45) - 3)])
+    def test_rows_match_full_inner_fit(self, scale, shift):
+        def move(pts):
+            return Polygon([(x * scale + shift, y * scale + shift) for x, y in pts])
+
+        rng = random.Random(scale)
+        for name, pts in self.CONTAINERS.items():
+            container = move(pts)
+            inst = Instance(name, container,
+                            tuple(Item(move(it), 1) for it in self.ITEMS))
+            state = PlacementState(inst)
+            for idx, item in enumerate(inst.items):
+                fit = state.fits[idx]
+                if name == "rectangle":
+                    assert fit == ()
+                elif name in ("trapezoid", "hexagon"):
+                    assert fit and all(ex and ey for ex, ey, _ in fit)
+                lox, hix, loy, hiy = _offset_range(state, idx)
+                if scale == 1:
+                    rows = range(loy, hiy + 1)
+                else:
+                    marks = [loy + k * (hiy - loy) // 40 for k in range(41)]
+                    rows = sorted({min(hiy, max(loy, m + d))
+                                   for m in marks for d in (-1, 0, 1)} |
+                                  {rng.randint(loy, hiy) for _ in range(100)})
+                full = inner_fit(container, item.polygon)
+                for ty in rows:
+                    ref = containment_range(full, ty)
+                    if ref is not None:
+                        lo, hi = max(ref[0], lox), min(ref[1], hix)
+                        ref = (lo, hi) if lo <= hi else None
+                    assert _row_range(fit, ty, lox, hix) == ref, (name, idx, ty)
 
 
 class TestKnownOutcomes:
@@ -442,9 +565,11 @@ class TestSolveDispatch:
 
     @pytest.mark.parametrize("family", [gen_random, gen_satris])
     def test_returns_within_budget(self, family):
-        # greedy takes about 0.1 s and the solve converges after 0.5-1 s on
-        # these instances, so the clock, not convergence, ends the solve
-        inst = family(GenConfig(seed=3, n_target=60))
+        # unbudgeted, solve takes 2.1 s (random, 300 items) and 2.3 s (satris,
+        # 180 items) on these instances on a 2-core VM, 8-9 times the budget,
+        # so the clock, not convergence, ends the solve
+        n_target = {gen_random: 300, gen_satris: 200}[family]
+        inst = family(GenConfig(seed=3, n_target=n_target))
         start = time.monotonic()
         sol = solve(inst, SolverConfig(time_budget=0.25, seed=1))
         assert 0.25 <= time.monotonic() - start < 0.25 + 0.3
