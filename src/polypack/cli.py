@@ -94,8 +94,11 @@ def _gen_config_from(args) -> GenConfig:
         v = getattr(args, name, None)
         if v is not None:
             kwargs[name] = v
-    if args.container:
+    if args.container is not None:
+        # a zero side means the family default only as a config-file value
         w, h = (int(p) for p in args.container.lower().split("x"))
+        if w < 1 or h < 1:
+            raise ValueError(f"--container sides must be at least 1, got {args.container!r}")
         kwargs["container_width"] = w
         kwargs["container_height"] = h
     return GenConfig(**kwargs)

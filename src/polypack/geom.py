@@ -16,7 +16,9 @@ bounding boxes; that filter is the caller's broad phase (`BoxIndex.query`).
 Polygons are only translated, so each check is decided in one place, by
 the half-planes of a fixed convex polygon of offsets.  Containment: an item's
 translations inside the convex container form its inner-fit polygon
-(`inner_fit`, read a row at a time by `containment_range`).  Overlap: the
+(`inner_fit`): the offset box, container box less item box, which stands for
+every horizontal and vertical container edge, cut by one half-plane per
+slanted edge; `containment_range` reads it a row at a time.  Overlap: the
 offsets at which two convex parts overlap form their no-fit polygon, and
 `overlap_exit` tests its half-planes k + u*dx + v*dy > 0, one per part edge.
 A caller that probes many offsets of the same polygons (the solver's grid
@@ -183,11 +185,11 @@ class Polygon:
 
     Construction validates the full invariant (simplicity, positive area), so
     holding a Polygon is proof the shape is usable; predicates never
-    re-validate.  Derived data (bounding box, triangulation, convex parts) is
+    re-validate.  Derived data (bounding box, convexity, convex parts) is
     cached.
     """
 
-    __slots__ = ("coords", "_area2", "_bbox", "_convex", "_triangles", "_parts")
+    __slots__ = ("coords", "_area2", "_bbox", "_convex", "_parts")
 
     def __init__(self, vertices: Iterable):
         pts = _coords(vertices)
@@ -204,7 +206,6 @@ class Polygon:
         self._area2 = a2
         self._bbox = _bbox(pts)
         self._convex = None
-        self._triangles = None
         self._parts = None
 
     @property
@@ -226,17 +227,11 @@ class Polygon:
         return self._convex
 
     @property
-    def triangles(self) -> tuple[tuple[Coord, Coord, Coord], ...]:
-        if self._triangles is None:
-            self._triangles = tuple(triangulate(self.coords))
-        return self._triangles
-
-    @property
     def parts(self) -> tuple[tuple[tuple[Coord, ...], Box, tuple], ...]:
         """Convex pieces as (vertices, bounding box, edges as `_edges` gives
         them): the polygon itself if it is convex, else its triangles."""
         if self._parts is None:
-            pieces = (self.coords,) if self.convex else self.triangles
+            pieces = (self.coords,) if self.convex else triangulate(self.coords)
             self._parts = tuple((p, _bbox(p), _edges(p)) for p in pieces)
         return self._parts
 
@@ -465,7 +460,7 @@ def overlap_exit(a: Polygon, ta, b: Polygon, tb,
 
 def contained_in_convex(container: Polygon, item: Polygon, t) -> bool:
     """All translated item vertices inside-or-on the convex container (which
-    suffices, as it is convex): t[0] lies in the inner-fit row at t[1]."""
+    suffices, as it is convex): t[0] lies in the `inner_fit` row at t[1]."""
     tx, ty = operator.index(t[0]), operator.index(t[1])
     row = containment_range(inner_fit(container, item), ty)
     return row is not None and row[0] <= tx <= row[1]
@@ -473,44 +468,53 @@ def contained_in_convex(container: Polygon, item: Polygon, t) -> bool:
 
 def inner_fit(container: Polygon, item: Polygon) -> tuple:
     """The item's inner-fit polygon in the convex container (Bennell &
-    Oliveira 2008) as one half-plane (ex, ey, c) per container edge: the
-    item translated by (tx, ty) is inside-or-on iff ey*tx <= ex*ty + c for
-    all of them.  Edge e = b - a keeps item vertex (x, y) on its left iff
-    ey*(x + tx - ax) <= ex*(y + ty - ay), so c = ey*ax - ex*ay + the least
-    ex*y - ey*x over the item's vertices."""
-    out = []
+    Oliveira 2008): the offsets (tx, ty) at which the translated item is
+    inside-or-on, as (lox, hix, loy, hiy, planes).
+
+    A horizontal or vertical edge of a convex polygon lies on its bounding
+    box, so its half-plane is one side of the offset box [lox, hix] x
+    [loy, hiy], the container's box less the item's.  `planes` holds one
+    half-plane (ex, ey, c) per slanted edge, which keeps the item inside iff
+    ey*tx <= ex*ty + c: edge e = b - a keeps item vertex (x, y) on its left
+    iff ey*(x + tx - ax) <= ex*(y + ty - ay), so c = ey*ax - ex*ay + the
+    least ex*y - ey*x over the item's vertices.  An axis rectangle has no
+    planes."""
+    planes = []
     ax, ay = container.coords[-1]
     for bx, by in container.coords:
         ex, ey = bx - ax, by - ay
-        # an explicit loop is cheaper here than min() over a generator
-        least = None
-        for x, y in item.coords:
-            v = ex * y - ey * x
-            if least is None or v < least:
-                least = v
-        out.append((ex, ey, ey * ax - ex * ay + least))
+        if ex and ey:
+            # an explicit loop is cheaper here than min() over a generator
+            least = None
+            for x, y in item.coords:
+                v = ex * y - ey * x
+                if least is None or v < least:
+                    least = v
+            planes.append((ex, ey, ey * ax - ex * ay + least))
         ax, ay = bx, by
-    return tuple(out)
+    cx0, cy0, cx1, cy1 = container.bbox
+    ix0, iy0, ix1, iy1 = item.bbox
+    return cx0 - ix0, cx1 - ix1, cy0 - iy0, cy1 - iy1, tuple(planes)
 
 
 def containment_range(fit, ty: int) -> Optional[tuple[int, int]]:
     """Closed range (lo, hi) of the integers tx at which the item translated
     by (tx, ty) is inside-or-on the container, or None if there are none:
-    one row of the inner-fit half-planes `fit`, in O(container edges).  A
-    half-plane bounds tx from above if ey > 0, from below if ey < 0, and
-    only checks ty if ey == 0."""
-    lo = hi = None
-    for ex, ey, c in fit:
+    one row of the inner-fit polygon `fit`, in O(slanted container edges).
+    The row starts as the offset box's [lox, hix] if ty is in [loy, hiy],
+    and each slanted half-plane lowers hi if ey > 0 and raises lo if
+    ey < 0."""
+    lo, hi, loy, hiy, planes = fit
+    if not loy <= ty <= hiy:
+        return None
+    for ex, ey, c in planes:
         r = ex * ty + c
         if ey > 0:
             bound = r // ey
-            if hi is None or bound < hi:
+            if bound < hi:
                 hi = bound
-        elif ey < 0:
+        else:
             bound = -(r // -ey)  # ceil(r / ey)
-            if lo is None or bound > lo:
+            if bound > lo:
                 lo = bound
-        elif r < 0:
-            return None
-    # a convex polygon of positive area has edges with ey > 0 and ey < 0
     return (lo, hi) if lo <= hi else None

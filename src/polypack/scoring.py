@@ -132,19 +132,25 @@ def _achieved_at(records, team, best, final_total: Fraction) -> datetime:
 
 
 def read_records_csv(data) -> list[SubmissionRecord]:
-    """CSV columns: team, instance, value, iso8601_timestamp (header row
-    optional).  Timestamps must all carry a UTC offset or all lack one, since
-    the two kinds cannot be ordered against each other."""
+    """CSV columns: team, instance, value, iso8601_timestamp.  The first row
+    is a header, and skipped, iff its value cell is not an integer; a team
+    may be named anything, "team" included.  Timestamps must all carry a UTC
+    offset or all lack one, since the two kinds cannot be ordered against
+    each other."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     out = []
-    for row in csv.reader(io.StringIO(data)):
-        if not row or row[0].strip().lower() == "team":
-            continue
+    for i, row in enumerate(r for r in csv.reader(io.StringIO(data)) if r):
         if len(row) != 4:
             raise ValueError(f"expected 4 columns, got {row!r}")
         team, instance, value, stamp = (c.strip() for c in row)
-        out.append(SubmissionRecord(team, instance, int(value),
+        try:
+            value = int(value)
+        except ValueError:
+            if i == 0:
+                continue  # the header
+            raise
+        out.append(SubmissionRecord(team, instance, value,
                                     datetime.fromisoformat(stamp)))
     if len({r.timestamp.utcoffset() is None for r in out}) > 1:
         raise ValueError("timestamps mix values with and without a UTC offset")

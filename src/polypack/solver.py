@@ -7,17 +7,18 @@ items keeps feasibility checks local.  The greedy pass prefers the
 lowest-then-leftmost feasible cell (bottom-left heuristic) and refines the
 grid around the first hit.  The scan finds that cell without testing every
 cell: each row starts and ends where the item fits in the convex container
-(`geom.containment_range` on the item's slanted inner-fit half-planes,
-built once per item; an axis rectangle has none, so its rows span the
-offset box), and a blocked cell jumps to the first cell past the blocker's
-overlap exit (`geom.overlap_exit`, one row of the no-fit polygon), both
-computed exactly in integers.  A scan queries the box index once, for the
-box the item sweeps over the scan's window, and keeps each returned item's
-offset intervals; a row tests only its band (the items whose ty interval
-holds the row), and a probe only the band items whose tx interval holds
-it.  Each `find_offset` call makes one plain dict that every probe of its
-scans passes to `geom.overlap_exit`, so a pair of convex parts has its
-no-fit half-planes derived once per call, not once per probe.  The dict is
+within the scan's window (`geom.containment_range` on the item's
+`geom.inner_fit`, built once per item: the offset box cut by the slanted
+container edges, so an axis rectangle's rows span the box), and a blocked
+cell jumps to the first cell past the blocker's overlap exit
+(`geom.overlap_exit`, one row of the no-fit polygon), both computed exactly
+in integers.  A scan queries the box index once, for the box the item
+sweeps over the scan's window, and keeps each returned item's offset
+intervals; a row tests only its band (the items whose ty interval holds the
+row), and a probe only the band items whose tx interval holds it.  Each
+`find_offset` call makes one plain dict that every probe of its scans
+passes to `geom.overlap_exit`, so a pair of convex parts has its no-fit
+half-planes derived once per call, not once per probe.  The dict is
 dropped when the call returns, so memory does not grow with the number of
 placed items.  `can_place`, used by `shelf_pack`, is containment plus
 `geom.interiors_overlap` against one box query's items.
@@ -87,23 +88,6 @@ def _is_axis_rect(poly) -> bool:
     return set(poly.coords) == corners
 
 
-def _cutting_planes(fit) -> tuple:
-    """The inner-fit half-planes that can end a row inside the offset box.
-
-    A horizontal or vertical edge of a convex container lies on its bounding
-    box, so its half-plane repeats a bound of `_offset_range`, which the scan
-    applies anyway.  Those are dropped, except that a vertical one is kept
-    when no slanted edge bounds tx from that side, as `containment_range`
-    needs both sides.  Empty for an axis rectangle: every row spans the box."""
-    slanted = [h for h in fit if h[0] and h[1]]
-    if not slanted:
-        return ()
-    for side in (1, -1):
-        if not any(h[1] * side > 0 for h in slanted):
-            slanted += [h for h in fit if h[1] * side > 0]
-    return tuple(slanted)
-
-
 class PlacementState:
     """Current placements plus the occupancy index; mutations keep the state
     feasible, so a snapshot is always a valid solution."""
@@ -115,8 +99,7 @@ class PlacementState:
         self.bboxes = [p.bbox for p in self.polys]
         self.container = instance.container
         self.cbox = instance.container.bbox
-        self.fits = [_cutting_planes(inner_fit(self.container, p))
-                     for p in self.polys]
+        self.fits = [inner_fit(self.container, p) for p in self.polys]
         self.tree = BoxIndex()
         self.offsets: dict[int, tuple[int, int]] = {}
         self.value = 0
@@ -167,28 +150,6 @@ def priority_order(instance: Instance, ordering: Ordering) -> list[int]:
     return idx
 
 
-def _offset_range(state: PlacementState, idx: int):
-    cb = state.cbox
-    b = state.bboxes[idx]
-    lox, hix = cb[0] - b[0], cb[2] - b[2]
-    loy, hiy = cb[1] - b[1], cb[3] - b[3]
-    if lox > hix or loy > hiy:
-        return None
-    return lox, hix, loy, hiy
-
-
-def _row_range(fit, ty, lox, hix):
-    """Closed range of the tx in [lox, hix] at which the item is inside-or-on
-    the container in row ty, or None; `fit` holds its `_cutting_planes`."""
-    if not fit:
-        return lox, hix
-    row = containment_range(fit, ty)
-    if row is None:
-        return None
-    lo, hi = max(row[0], lox), min(row[1], hix)
-    return (lo, hi) if lo <= hi else None
-
-
 def _scan_bottom_left(state, idx, lox, hix, loy, hiy, step, deadline, memo):
     """First feasible cell of the grid lox + i*step, loy + j*step in
     (row, column) order.  Cells that exact arithmetic rules out are skipped,
@@ -219,11 +180,11 @@ def _scan_bottom_left(state, idx, lox, hix, loy, hiy, step, deadline, memo):
     for ty in range(loy, hiy + 1, step):
         if deadline is not None and time.monotonic() > deadline:
             return None
-        row = _row_range(fit, ty, lox, hix)
+        row = containment_range(fit, ty)
         if row is None:
             continue
-        lo, last = row
-        tx = lox + -(-(lo - lox) // step) * step
+        last = min(row[1], hix)
+        tx = lox + -(-(max(row[0], lox) - lox) // step) * step
         band = [e for y0, y1, e in blockers if y0 < ty < y1]
         while tx <= last:
             end = None
@@ -250,10 +211,9 @@ def find_offset(state: PlacementState, idx: int, coarse_cells: int,
     as long as this call, so its tables are dropped with it."""
     if state.polys[idx].area2 > state.free_area2:
         return None
-    rng_range = _offset_range(state, idx)
-    if rng_range is None:
+    lox, hix, loy, hiy, _ = state.fits[idx]
+    if lox > hix or loy > hiy:
         return None
-    lox, hix, loy, hiy = rng_range
     span = max(hix - lox, hiy - loy)
     step = max(1, -(-span // coarse_cells))  # ceil division
     memo: dict = {}

@@ -101,6 +101,32 @@ def point_in_convex_halfplanes(container_pts, p) -> bool:
     return True
 
 
+def containment_row(container_pts, item_pts, ty):
+    """Closed range (lo, hi) of the integers tx at which every vertex of the
+    item shifted by (tx, ty) lies inside-or-on the CCW convex container, or
+    None.  Each (edge, vertex) pair gives one linear bound on tx, solved
+    over Q; a horizontal edge gives none on tx and is checked directly."""
+    lo = hi = None
+    n = len(container_pts)
+    for i in range(n):
+        (x1, y1), (x2, y2) = container_pts[i], container_pts[(i + 1) % n]
+        for x, y in item_pts:
+            # vertex (x + tx, y + ty) on or left of the edge:
+            # (x2 - x1) * (y + ty - y1) - (y2 - y1) * (x + tx - x1) >= 0
+            slope = y2 - y1
+            rest = (x2 - x1) * (y + ty - y1) - slope * (x - x1)
+            if slope == 0:
+                if rest < 0:
+                    return None
+            elif slope > 0:
+                bound = math.floor(Fraction(rest, slope))
+                hi = bound if hi is None else min(hi, bound)
+            else:
+                bound = math.ceil(Fraction(rest, slope))
+                lo = bound if lo is None else max(lo, bound)
+    return (lo, hi) if lo <= hi else None
+
+
 def clip_convex(subject, clip):
     """Sutherland-Hodgman over Fractions; both polygons CCW convex."""
     out = [(Fraction(x), Fraction(y)) for x, y in subject]

@@ -296,14 +296,28 @@ def test_bad_input_exits_2(workdir, capsys, argv, config, named):
 
 
 @pytest.mark.parametrize("family, container", [("random", "50x50"), ("atris", "0x40"),
-                                               ("jigsaw", "600x0")])
+                                               ("jigsaw", "600x0"), ("random", "0x0"),
+                                               ("jigsaw", "0x0"), ("atris", "0x0"),
+                                               ("satris", "0x0")])
 def test_unusable_container_exits_2(workdir, capsys, family, container):
-    # random draws its own container; a zero side has no default of its own
+    # random draws its own container; a zero side has no default of its own,
+    # and only a config-file 0 (both sides) means the family default
+    out = workdir / "i.json"
     assert run(["generate", family, "--seed", "1", "--n", "5",
-                "--container", container]) == 2
+                "--container", container, "-o", str(out)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "container" in err
     assert "internal error" not in err
+    assert not out.exists()
+
+
+def test_zero_container_config_keeps_family_default(workdir, capsys):
+    cfg = workdir / "gen.cfg"
+    cfg.write_text("container_width = 0\ncontainer_height = 0\n")
+    for family in ("jigsaw", "atris"):
+        default = run_ok(capsys, "generate", family, "--seed", "1")
+        assert run_ok(capsys, "generate", family, "--seed", "1",
+                      "--config", str(cfg)) == default
 
 
 def test_stdout_is_instance_json_without_out(workdir, capsys):

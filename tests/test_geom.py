@@ -321,7 +321,8 @@ class TestInteriorsOverlap:
         rng = random.Random(11)
         for _ in range(250):
             a, ta, b, tb = random_overlap_case(rng)
-            expected = oracles.overlap_by_clipping(a.triangles, ta, b.triangles, tb)
+            expected = oracles.overlap_by_clipping(
+                triangulate(a.coords), ta, triangulate(b.coords), tb)
             assert interiors_overlap(a, ta, b, tb) == expected
 
     def test_against_raster_oracle_small_coords(self):
@@ -340,7 +341,7 @@ class TestInteriorsOverlap:
             else:
                 # sampling missed or truly disjoint; clipping decides
                 assert got == oracles.overlap_by_clipping(
-                    pa.triangles, ta, pb.triangles, tb)
+                    triangulate(pa.coords), ta, triangulate(pb.coords), tb)
         assert checked_hits > 30  # the raster branch actually exercised
 
     def test_symmetry_and_translation_equivariance(self):
@@ -367,27 +368,34 @@ class TestContainedInConvex:
         sq = Polygon(UNIT_SQUARE)
         assert not contained_in_convex(box, sq, (10, 0))
 
+    CONTAINERS = [
+        [(0, 0), (40, 0), (50, 30), (20, 45), (-5, 25)],
+        [(-5, 0), (45, 0), (45, 45), (-5, 45)],  # rectangle: no slanted edge
+        [(-5, 0), (50, 0), (50, 50)],  # right triangle: one slanted edge
+        [(-10, 0), (55, 0), (40, 45), (5, 45)],  # trapezoid
+    ]
+
     def test_against_halfplane_oracle(self):
         # also at 2**30 scale, shifted far from the origin, where a unit nudge
         # of the offset moves a vertex just across a container edge
         rng = random.Random(14)
         for scale, shift in ((1, 0), (2 ** 30, -(2 ** 45 + 3))):
-            box_pts = [(x * scale + shift, y * scale + shift)
-                       for x, y in ((0, 0), (40, 0), (50, 30), (20, 45), (-5, 25))]
-            box = Polygon(box_pts)
-            inside = 0
-            for _ in range(300):
-                item = Polygon([(x * scale, y * scale) for x, y in random_star_polygon(
-                    rng, rng.randint(3, 8), radius=12, center=(12, 12))])
-                nudge = (rng.randint(-1, 1), rng.randint(-1, 1)) if scale > 1 else (0, 0)
-                t = (rng.randint(-20, 40) * scale + shift + nudge[0],
-                     rng.randint(-20, 40) * scale + shift + nudge[1])
-                expected = all(
-                    oracles.point_in_convex_halfplanes(box_pts, (x + t[0], y + t[1]))
-                    for x, y in item.coords)
-                assert contained_in_convex(box, item, t) == expected
-                inside += expected
-            assert inside > 20
+            for pts in self.CONTAINERS:
+                box_pts = [(x * scale + shift, y * scale + shift) for x, y in pts]
+                box = Polygon(box_pts)
+                inside = 0
+                for _ in range(300):
+                    item = Polygon([(x * scale, y * scale) for x, y in random_star_polygon(
+                        rng, rng.randint(3, 8), radius=12, center=(12, 12))])
+                    nudge = (rng.randint(-1, 1), rng.randint(-1, 1)) if scale > 1 else (0, 0)
+                    t = (rng.randint(-20, 40) * scale + shift + nudge[0],
+                         rng.randint(-20, 40) * scale + shift + nudge[1])
+                    expected = all(
+                        oracles.point_in_convex_halfplanes(box_pts, (x + t[0], y + t[1]))
+                        for x, y in item.coords)
+                    assert contained_in_convex(box, item, t) == expected, (pts, t)
+                    inside += expected
+                assert inside > 20, pts
 
 
 class TestRowSkipping:
@@ -460,7 +468,8 @@ class TestRowSkipping:
                         got = overlap_exit(a, ta, b, tb, memo)
                         extended += any(0 < n < len(memo[key]) for key, n in known.items())
                         assert got == overlap_exit(a, ta, b, tb), (scale, ta)
-                        expected = oracles.overlap_by_clipping(a.triangles, ta, b.triangles, tb)
+                        expected = oracles.overlap_by_clipping(
+                            triangulate(a.coords), ta, triangulate(b.coords), tb)
                         assert (got is not None) == expected, (scale, ta)
                         hits += expected
                         misses += not expected

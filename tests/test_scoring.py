@@ -168,3 +168,23 @@ def test_csv_round_trip():
     obj = board.to_json_obj()
     assert obj["standings"][0]["total_display"] == "1.00"
     assert obj["standings"][1]["total_display"] == "0.25"
+
+
+def test_team_named_team_keeps_its_records():
+    # only a first row whose value cell is not an integer is a header
+    rows = ("Team,i0,5,2023-10-01T12:00:00\n"
+            "beta,i0,4,2023-10-01T13:00:00\n"
+            "team,i1,3,2023-10-01T14:00:00\n")
+    for csv_data in (rows, "team,instance,value,timestamp\n" + rows):
+        records = read_records_csv(csv_data)
+        assert [r.team for r in records] == ["Team", "beta", "team"]
+        board = build_leaderboard(records, ["i0", "i1"])
+        assert board.ranking() == ["Team", "team", "beta"]  # tie: Team earlier
+        by_team = {s.team: s.total for s in board.standings}
+        assert by_team == {"team": 1, "Team": 1, "beta": Fraction(16, 25)}
+
+
+def test_only_the_first_row_may_be_a_header():
+    with pytest.raises(ValueError):
+        read_records_csv("alpha,i0,5,2023-10-01T12:00:00\n"
+                         "team,instance,value,timestamp\n")

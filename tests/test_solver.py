@@ -11,12 +11,12 @@ import polypack.solver as solver_module
 from polypack.geom import Polygon, containment_range, inner_fit
 from polypack.model import Instance, Item, Solution, write_solution
 from polypack.solver import (GRID_LEVELS, Ordering, PlacementState,
-                             _offset_range, _row_range,
                              SolverConfig, find_offset, improve_local,
                              priority_order, shelf_pack, solution_value,
                              solve, solve_greedy)
 from polypack.verifier import BoxIndex, verify
 
+import oracles
 from test_verifier import float_offset_starts
 
 FAST = SolverConfig(time_budget=10.0, seed=1)
@@ -349,9 +349,10 @@ class TestFindOffsetReference:
 
 
 class TestRowRange:
-    """The scan reads each row from the inner-fit half-planes of the slanted
-    container edges only, clipped to the offset box; it must equal the row
-    of the full inner-fit polygon clipped the same way."""
+    """The scan reads each row from `geom.inner_fit` (the offset box plus the
+    slanted edges' half-planes), built once per item in `PlacementState`;
+    every row, including those just outside the box, must equal the row an
+    independent oracle computes from every container edge and item vertex."""
 
     CONTAINERS = {
         "rectangle": [(0, 0), (40, 0), (40, 30), (0, 30)],
@@ -369,35 +370,35 @@ class TestRowRange:
     @pytest.mark.parametrize("scale, shift", [(1, 0), (2 ** 30, -(2 ** 45) - 3)])
     def test_rows_match_full_inner_fit(self, scale, shift):
         def move(pts):
-            return Polygon([(x * scale + shift, y * scale + shift) for x, y in pts])
+            return [(x * scale + shift, y * scale + shift) for x, y in pts]
 
         rng = random.Random(scale)
         for name, pts in self.CONTAINERS.items():
             container = move(pts)
-            inst = Instance(name, container,
-                            tuple(Item(move(it), 1) for it in self.ITEMS))
+            inst = Instance(name, Polygon(container),
+                            tuple(Item(Polygon(move(it)), 1) for it in self.ITEMS))
             state = PlacementState(inst)
             for idx, item in enumerate(inst.items):
                 fit = state.fits[idx]
+                assert fit == inner_fit(inst.container, item.polygon)
+                planes = fit[4]
                 if name == "rectangle":
-                    assert fit == ()
-                elif name in ("trapezoid", "hexagon"):
-                    assert fit and all(ex and ey for ex, ey, _ in fit)
-                lox, hix, loy, hiy = _offset_range(state, idx)
+                    assert planes == ()
+                else:
+                    assert planes and all(ex and ey for ex, ey, _ in planes)
+                loy = min(y for _, y in container) - min(y for _, y in item.polygon.coords)
+                hiy = max(y for _, y in container) - max(y for _, y in item.polygon.coords)
                 if scale == 1:
-                    rows = range(loy, hiy + 1)
+                    rows = range(loy - 1, hiy + 2)
                 else:
                     marks = [loy + k * (hiy - loy) // 40 for k in range(41)]
                     rows = sorted({min(hiy, max(loy, m + d))
                                    for m in marks for d in (-1, 0, 1)} |
-                                  {rng.randint(loy, hiy) for _ in range(100)})
-                full = inner_fit(container, item.polygon)
+                                  {rng.randint(loy, hiy) for _ in range(100)} |
+                                  {loy - 1, hiy + 1})
                 for ty in rows:
-                    ref = containment_range(full, ty)
-                    if ref is not None:
-                        lo, hi = max(ref[0], lox), min(ref[1], hix)
-                        ref = (lo, hi) if lo <= hi else None
-                    assert _row_range(fit, ty, lox, hix) == ref, (name, idx, ty)
+                    ref = oracles.containment_row(container, item.polygon.coords, ty)
+                    assert containment_range(fit, ty) == ref, (name, idx, ty)
 
 
 class TestKnownOutcomes:
