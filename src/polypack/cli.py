@@ -213,17 +213,21 @@ def _metrics_worker(path: str):
 
 
 def cmd_select(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    cfg = SelectionConfig(k=args.k, pca_components=args.pca_components,
+                          seed=args.seed or 0, kmeans_restarts=args.restarts)
     files = sorted(str(p) for p in Path(args.candidates).glob("*.json"))
     if not files:
         raise FileNotFoundError(f"no *.json instances under {args.candidates}")
-    if args.jobs > 1:
+    # a forking pool starts every worker at once, so start no idle ones
+    workers = min(args.jobs, len(files))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             named = list(pool.map(_metrics_worker, files))
     else:
         named = [_metrics_worker(f) for f in files]
-    cfg = SelectionConfig(k=args.k, pca_components=args.pca_components,
-                          seed=args.seed or 0, kmeans_restarts=args.restarts)
     import warnings
     with warnings.catch_warnings():
         if args.quiet:
@@ -335,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pca-components", dest="pca_components", type=int, default=0)
     p.add_argument("--features-csv", dest="features_csv", default=None)
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallelism across instances")
+                   help="worker processes across instances (at least 1)")
     _add_common(p, out=False)
     p.set_defaults(func=cmd_select)
 

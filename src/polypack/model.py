@@ -71,7 +71,8 @@ class Placement:
 class Solution:
     instance_name: str
     placements: tuple[Placement, ...] = ()
-    submitted_at: Optional[str] = None  # ISO-8601, used only for tie-breaking
+    # ISO-8601; nothing reads it, read_solution and write_solution carry it
+    submitted_at: Optional[str] = None
 
     @property
     def n_placed(self) -> int:

@@ -55,6 +55,13 @@ class SelectionConfig:
     seed: int = 0
     kmeans_restarts: int = 10
 
+    def __post_init__(self):
+        if self.pca_components < 0:
+            raise ValueError("pca_components must be 0 (auto) or positive, "
+                             f"got {self.pca_components}")
+        if self.kmeans_restarts < 1:
+            raise ValueError(f"kmeans_restarts must be at least 1, got {self.kmeans_restarts}")
+
 
 def compute_metrics(instance: Instance) -> FeatureVector:
     """The eleven METRIC_NAMES values of one instance, in that order.
@@ -198,7 +205,7 @@ def select_from_features(named_features, cfg: SelectionConfig) -> list[str]:
     proj = _pca_project(z, cfg.pca_components)
 
     best = None
-    for restart in range(max(1, cfg.kmeans_restarts)):
+    for restart in range(cfg.kmeans_restarts):
         assign, inertia = _kmeans_once(proj, cfg.k, Rng(cfg.seed, stream=restart))
         if best is None or inertia < best[1]:
             best = (assign, inertia)

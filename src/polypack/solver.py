@@ -25,18 +25,17 @@ placed items.  `can_place`, used by `shelf_pack`, is containment plus
 
 `solve` runs greedy in value-density order and, for instances of at most 25
 items, also in every other `Ordering` and three shuffles of the density
-order; local search starts from the first best of these fills.  Local
-search tries insert, then swap, then a depth-2 eject each round and keeps
-only value-positive moves, so the packed value never decreases.  A start
+order; local search starts from the first best of these fills and its
+order.  Local search is an order search: each of a fixed `SEARCH_STEPS`
+steps swaps two positions at most 8 apart in the current order and refills.
+A fill is deterministic and tries each item once, at its position, so the
+current fill's placements of the unchanged prefix's items are exactly what
+that prefix places: they are replayed, and only the rest is filled.  An
+order already filled is not filled again.  A refill becomes the current
+order if its value is not lower and the best if it is higher, so the packed
+value never decreases.  The step count, not the clock, ends the search, so
+its output depends only on the seed while the budget lasts.  A start
 solution is accepted only if `verifier.verify` finds it valid.
-
-Local search does not redo a move whose outcome it already knows; both
-rules are exact, so they change no result, only the time it takes:
-- a swap is deterministic given the state and its picks, which it draws
-  first, so a pick tuple that gained nothing is not run again until a move
-  is applied;
-- placing an item only blocks cells, so an item that found no offset is not
-  tried again until a swap, which removes items, gains.
 
 `shelf_pack` is a separate algorithm for rectangular containers: next-fit
 decreasing-height shelves, used for the Moon-Moser square-packing check.
@@ -67,7 +66,7 @@ class Ordering(enum.Enum):
 
 GRID_LEVELS = 6  # refinement passes around the coarse-grid hit
 COARSE_CELLS = 24  # coarse-grid resolution across the longer span
-LS_MAX_NO_IMPROVE = 15  # local search stops after this many quiet rounds
+SEARCH_STEPS = 8  # order-search steps after the start fill
 
 
 @dataclasses.dataclass(frozen=True)
@@ -274,19 +273,16 @@ def shelf_pack(instance: Instance, deadline: Optional[float] = None) -> Solution
     return state.to_solution()
 
 
-def _fill(state, order, deadline, limit=None) -> list[int]:
+def _fill(state, order, deadline) -> None:
     """Place each item of `order` at `find_offset`'s cell on the coarse grid
-    until `limit` items are placed or `deadline` passes; return those placed."""
-    placed = []
+    until `deadline` passes."""
     for idx in order:
-        if len(placed) == limit or time.monotonic() > deadline:
+        if time.monotonic() > deadline:
             break
         if idx not in state.offsets:
             off = find_offset(state, idx, COARSE_CELLS, deadline)
             if off is not None:
                 state.place(idx, off)
-                placed.append(idx)
-    return placed
 
 
 def solve_greedy(instance: Instance, cfg: SolverConfig,
@@ -312,88 +308,57 @@ def _state_from_solution(instance: Instance, solution: Solution) -> PlacementSta
     return state
 
 
-def _move_insert(state, deadline, failed):
-    """Place the highest-value unpacked item that fits anywhere.
-
-    `failed` holds the items that found no offset since the last swap that
-    gained.  Placing an item only blocks cells and lowers `free_area2`, so
-    such an item keeps failing until a swap removes items."""
-    unpacked = sorted(state.unpacked(), key=lambda i: (-state.values[i], i))
-    for idx in unpacked:
-        if idx in failed:
-            continue
-        off = find_offset(state, idx, COARSE_CELLS * 2, deadline)
-        if off is not None:
-            state.place(idx, off)
-            return state.values[idx]
-        failed.add(idx)
-    return 0
-
-
-def _move_swap(state, rng, deadline, failed, depth=1):
-    """Remove `depth` placed items, insert higher-value unpacked ones; revert
-    unless the net change is positive.
-
-    The picks are drawn first, and the move is deterministic given the state
-    and its picks, so `failed` holds the pick tuples that gained nothing
-    since the last applied move: one drawn again returns 0 at once."""
-    if len(state.offsets) < depth:
-        return 0
-    pool = sorted(state.offsets)
-    picks = tuple(pool.pop(rng.below(len(pool))) for _ in range(depth))
-    if picks in failed:
-        return 0
-    removed = [(i, state.offsets[i]) for i in picks]
-    for i in picks:
-        state.remove(i)
-    removed_value = sum(state.values[i] for i in picks)
-    unpacked = sorted((i for i in state.unpacked() if i not in picks),
-                      key=lambda i: (-state.values[i], i))
-    inserted = _fill(state, unpacked[:8], deadline, limit=4)
-    # the ejected items may re-enter too; with nothing new in, re-entry can
-    # at best restore removed_value, so the move would be reverted anyway
-    if inserted:
-        inserted += _fill(state, picks, deadline)
-    gain = sum(state.values[i] for i in inserted) - removed_value
-    if gain > 0:
-        return gain
-    for idx in inserted:
-        state.remove(idx)
-    for idx, off in removed:
-        state.place(idx, off)
-    failed.add(picks)
-    return 0
-
-
 def improve_local(instance: Instance, start: Solution, cfg: SolverConfig,
                   deadline: Optional[float] = None,
-                  progress: Optional[Callable] = None) -> Solution:
-    """Local search from a feasible start; packed value never decreases."""
+                  progress: Optional[Callable] = None,
+                  order: Optional[list[int]] = None) -> Solution:
+    """Order search from a feasible start; packed value never decreases.
+
+    `order` is the order whose fill is `start`; by default, the start's items
+    and then the rest, each in value-density order, which refills a
+    density-order greedy start exactly.  Each of `SEARCH_STEPS` steps swaps
+    two positions at most 8 apart in the current order.  An order already
+    filled is skipped; any other is filled from a replay of the current
+    fill's placements in the unchanged prefix.  It becomes the current order
+    if its value is not lower, and the best if its value is higher."""
     state = _state_from_solution(instance, start)
     if deadline is None:
         deadline = time.monotonic() + cfg.time_budget
+    if order is None:
+        density = priority_order(instance, Ordering.VALUE_DENSITY)
+        order = ([i for i in density if i in state.offsets]
+                 + [i for i in density if i not in state.offsets])
     rng = Rng(cfg.seed, stream=0x15EA9C4)
-    no_improve = 0
-    iteration = 0
-    insert_failed: set[int] = set()
-    swap_failed: set[tuple[int, ...]] = set()
-    while no_improve < LS_MAX_NO_IMPROVE and time.monotonic() < deadline:
-        iteration += 1
-        gained = _move_insert(state, deadline, insert_failed)
-        if not gained:
-            gained = (_move_swap(state, rng, deadline, swap_failed, depth=1)
-                      or _move_swap(state, rng, deadline, swap_failed, depth=2))
-            if gained:
-                # a swap removed items, so an item that found no offset may fit now
-                insert_failed.clear()
-        if gained > 0:
-            no_improve = 0
-            swap_failed.clear()  # the picks saw a state that is gone
+    best, best_value = state.to_solution(), state.value
+    current, current_offsets, current_value = tuple(order), state.offsets, state.value
+    filled = {current}
+    n = len(current)
+    for step in range(1, SEARCH_STEPS + 1):
+        if n < 2 or time.monotonic() > deadline:
+            break
+        i = rng.below(n)
+        j = min(n - 1, max(0, i + rng.in_range(-8, 8)))
+        cand = list(current)
+        cand[i], cand[j] = cand[j], cand[i]
+        cand = tuple(cand)
+        if cand in filled:
+            continue
+        filled.add(cand)
+        # a fill tries each item once, at its position, so the current
+        # fill's placements of cand[:k]'s items are what that prefix places
+        k = min(i, j)
+        state = PlacementState(instance)
+        for idx in cand[:k]:
+            if idx in current_offsets:
+                state.place(idx, current_offsets[idx])
+        _fill(state, cand[k:], deadline)
+        if state.value >= current_value:
+            current, current_offsets, current_value = cand, state.offsets, state.value
+        if state.value > best_value:
+            best, best_value = state.to_solution(), state.value
             if progress is not None:
-                progress(iteration, state.value)
-        else:
-            no_improve += 1
-    return state.to_solution()
+                progress(step, best_value)
+    return best
 
 
 def solution_value(instance: Instance, solution: Solution) -> int:
@@ -403,7 +368,7 @@ def solution_value(instance: Instance, solution: Solution) -> int:
 def solve(instance: Instance, cfg: SolverConfig,
           progress: Optional[Callable] = None) -> Solution:
     """Greedy under each start order, then local search from the first best
-    fill; always returns a verifying solution."""
+    fill and its order; always returns a verifying solution."""
     deadline = time.monotonic() + cfg.time_budget
     base = priority_order(instance, Ordering.VALUE_DENSITY)
     orders = [base]
@@ -417,7 +382,8 @@ def solve(instance: Instance, cfg: SolverConfig,
             shuffle_rng.shuffle(order)
             orders.append(order)
     fills = [solve_greedy(instance, cfg, deadline, order=o) for o in orders]
-    best = max(fills, key=lambda s: solution_value(instance, s))
+    values = [solution_value(instance, s) for s in fills]
+    k = values.index(max(values))
     if progress is not None:
-        progress(0, solution_value(instance, best))
-    return improve_local(instance, best, cfg, deadline, progress)
+        progress(0, values[k])
+    return improve_local(instance, fills[k], cfg, deadline, progress, order=orders[k])

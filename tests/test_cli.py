@@ -268,6 +268,53 @@ def test_jobs_flag_only_on_select(workdir, capsys):
     assert sel == json.loads(run_ok(capsys, *argv))
 
 
+@pytest.mark.parametrize("flag, value, named", [
+    ("--jobs", "0", "--jobs"), ("--jobs", "-3", "--jobs"),
+    ("--restarts", "0", "restarts"), ("--restarts", "-1", "restarts"),
+    ("--pca-components", "-1", "pca_components")])
+def test_select_rejects_unusable_counts(workdir, capsys, flag, value, named):
+    # these used to run serially, clamp to one restart, or mean "auto"
+    cand = workdir / "cands"
+    cand.mkdir()
+    for seed in range(3):
+        run_ok(capsys, "generate", "random", "--seed", str(seed), "--n", "5",
+               "-o", str(cand / f"c{seed}.json"))
+    assert run(["select", "--candidates", str(cand), "--k", "2", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and named in err
+    assert "internal error" not in err
+
+
+def test_select_starts_no_more_workers_than_files(workdir, capsys, monkeypatch):
+    import concurrent.futures
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    cand = workdir / "cands"
+    cand.mkdir()
+    for seed in range(2):
+        run_ok(capsys, "generate", "random", "--seed", str(seed), "--n", "5",
+               "-o", str(cand / f"c{seed}.json"))
+    argv = ["select", "--candidates", str(cand), "--k", "1", "--seed", "1"]
+    serial = run_ok(capsys, *argv)
+    assert started == []
+    assert run_ok(capsys, *argv, "--jobs", "100000") == serial
+    assert started == [2]
+
+
 def test_generate_config_file(workdir, capsys):
     cfg = workdir / "gen.cfg"
     cfg.write_text("seed = 9\nn_target = 7\nconvexity_ratio = 1/1\n")

@@ -110,6 +110,17 @@ class TestSelection:
             out = select_from_features(feats, SelectionConfig(k=3, seed=4))
         assert len(out) == 3
 
+    @pytest.mark.parametrize("fields, named", [
+        (dict(kmeans_restarts=0), "kmeans_restarts"),
+        (dict(kmeans_restarts=-2), "kmeans_restarts"),
+        (dict(pca_components=-1), "pca_components"),
+    ])
+    def test_unusable_config_rejected(self, fields, named):
+        # no silent clamp to one restart, and no negative count read as "auto"
+        with pytest.raises(ValueError, match=named):
+            SelectionConfig(k=2, **fields)
+        assert SelectionConfig(k=2, kmeans_restarts=1, pca_components=0)
+
     def test_pca_variance_retained(self):
         rng = np.random.default_rng(42)
         base = rng.normal(size=(200, 3))
