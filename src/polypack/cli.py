@@ -251,9 +251,13 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sp, out=True):
-    sp.add_argument("--seed", type=int, default=None, help="random seed")
-    sp.add_argument("--quiet", action="store_true", help="suppress stderr chatter")
+def _add_common(sp, seed=True, quiet=True, out=True):
+    """The shared flags; a subcommand takes only those it reads, so passing
+    any other is a usage error."""
+    if seed:
+        sp.add_argument("--seed", type=int, default=None, help="random seed")
+    if quiet:
+        sp.add_argument("--quiet", action="store_true", help="suppress stderr chatter")
     if out:
         sp.add_argument("--out", "-o", default=None, help="output file")
 
@@ -307,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=_fraction, default="1")
     p.add_argument("--no-record", action="store_true",
                    help="do not record the value spec in instance meta")
-    _add_common(p)
+    _add_common(p, quiet=False)
     p.set_defaults(func=cmd_value)
 
     p = sub.add_parser("solve", help="produce a feasible high-value packing")
@@ -322,14 +326,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exactly check a solution")
     p.add_argument("instance")
     p.add_argument("solution")
-    _add_common(p, out=False)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("score", help="leaderboard from verified submission records")
     p.add_argument("--instances", required=True, help="directory of instance JSON")
     p.add_argument("--records", required=True,
                    help="CSV: team,instance,value,iso8601_timestamp")
-    _add_common(p, out=False)
+    _add_common(p, seed=False, out=False)
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("select", help="curate a diverse benchmark subset")
@@ -351,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tray", action="store_true", help="draw unplaced items aside")
     p.add_argument("--force", action="store_true",
                    help="render even when the solution is invalid")
-    _add_common(p)
+    _add_common(p, seed=False, quiet=False)
     p.set_defaults(func=cmd_render)
 
     return parser

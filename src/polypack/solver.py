@@ -24,8 +24,8 @@ placed items.  `can_place`, used by `shelf_pack`, is containment plus
 `geom.interiors_overlap` against one box query's items.
 
 `solve` runs greedy in value-density order and, for instances of at most 25
-items, also in every other `Ordering` and three shuffles of the density
-order; local search starts from the first best of these fills and its
+items, also in area order and three shuffles of the density order; then
+local search starts from the first best of these fills and its
 order.  Local search is an order search: each of a fixed `SEARCH_STEPS`
 steps swaps two positions at most 8 apart in the current order and refills.
 A fill is deterministic and tries each item once, at its position, so the
@@ -60,11 +60,9 @@ from .verifier import BoxIndex, placement_box, verify
 
 class Ordering(enum.Enum):
     VALUE_DENSITY = "density"
-    VALUE_DESC = "value"
     AREA_DESC = "area"
 
 
-GRID_LEVELS = 6  # refinement passes around the coarse-grid hit
 COARSE_CELLS = 24  # coarse-grid resolution across the longer span
 SEARCH_STEPS = 8  # order-search steps after the start fill
 
@@ -142,14 +140,12 @@ def priority_order(instance: Instance, ordering: Ordering) -> list[int]:
     idx = list(range(len(items)))
     if ordering is Ordering.VALUE_DENSITY:
         idx.sort(key=lambda i: (-density(i), -items[i].value, i))
-    elif ordering is Ordering.VALUE_DESC:
-        idx.sort(key=lambda i: (-items[i].value, i))
     else:
         idx.sort(key=lambda i: (-items[i].polygon.area2, i))
     return idx
 
 
-def _scan_bottom_left(state, idx, lox, hix, loy, hiy, step, deadline, memo):
+def _scan_bottom_left(state, idx, lox, hix, loy, hiy, step, memo):
     """First feasible cell of the grid lox + i*step, loy + j*step in
     (row, column) order.  Cells that exact arithmetic rules out are skipped,
     not tested: those outside the row's containment range, and on a blocked
@@ -177,8 +173,6 @@ def _scan_bottom_left(state, idx, lox, hix, loy, hiy, step, deadline, memo):
                          (bx0 + ox - ix1, bx1 + ox - ix0, state.polys[j], (ox, oy))))
     blockers.sort(key=lambda b: -b[2][1])
     for ty in range(loy, hiy + 1, step):
-        if deadline is not None and time.monotonic() > deadline:
-            return None
         row = containment_range(fit, ty)
         if row is None:
             continue
@@ -200,14 +194,15 @@ def _scan_bottom_left(state, idx, lox, hix, loy, hiy, step, deadline, memo):
     return None
 
 
-def find_offset(state: PlacementState, idx: int, coarse_cells: int,
-                deadline: Optional[float] = None) -> Optional[tuple[int, int]]:
+def find_offset(state: PlacementState, idx: int,
+                coarse_cells: int) -> Optional[tuple[int, int]]:
     """Bottom-left feasible offset on a coarse grid, refined around the hit.
 
-    Once `deadline` (a `time.monotonic()` value) has passed, no more grid
-    rows are scanned: the result is None, or the last feasible hit while
-    refining.  The scans share one memo of no-fit half-planes; it lives only
-    as long as this call, so its tables are dropped with it."""
+    Each refinement halves the step and rescans the old step's window around
+    the best hit so far, down to step 1.  No clock is read here, so a solve
+    runs past its budget by at most one call.  The scans share one memo of
+    no-fit half-planes; it lives only as long as this call, so its tables
+    are dropped with it."""
     if state.polys[idx].area2 > state.free_area2:
         return None
     lox, hix, loy, hiy, _ = state.fits[idx]
@@ -216,19 +211,15 @@ def find_offset(state: PlacementState, idx: int, coarse_cells: int,
     span = max(hix - lox, hiy - loy)
     step = max(1, -(-span // coarse_cells))  # ceil division
     memo: dict = {}
-    best = _scan_bottom_left(state, idx, lox, hix, loy, hiy, step, deadline, memo)
+    best = _scan_bottom_left(state, idx, lox, hix, loy, hiy, step, memo)
     if best is None:
         return None
-    for _ in range(GRID_LEVELS):
-        if step == 1:
-            break
-        prev = step
-        step = max(1, step // 2)
+    while step > 1:
+        prev, step = step, step // 2
         cand = _scan_bottom_left(
             state, idx,
             max(lox, best[0] - prev), min(hix, best[0] + prev),
-            max(loy, best[1] - prev), min(hiy, best[1] + prev), step, deadline,
-            memo)
+            max(loy, best[1] - prev), min(hiy, best[1] + prev), step, memo)
         if cand is not None:
             best = cand
     return best
@@ -275,26 +266,32 @@ def shelf_pack(instance: Instance, deadline: Optional[float] = None) -> Solution
 
 def _fill(state, order, deadline) -> None:
     """Place each item of `order` at `find_offset`'s cell on the coarse grid
-    until `deadline` passes."""
+    until `deadline` passes; the clock is read once per item."""
     for idx in order:
         if time.monotonic() > deadline:
             break
-        if idx not in state.offsets:
-            off = find_offset(state, idx, COARSE_CELLS, deadline)
-            if off is not None:
-                state.place(idx, off)
+        off = find_offset(state, idx, COARSE_CELLS)
+        if off is not None:
+            state.place(idx, off)
+
+
+def _check_order(instance: Instance, order) -> None:
+    items = set(order)
+    if len(items) != len(order) or not items <= set(range(instance.n_items)):
+        raise ValueError("order must hold distinct item indices in range(n_items)")
 
 
 def solve_greedy(instance: Instance, cfg: SolverConfig,
                  deadline: Optional[float] = None,
                  order: Optional[list[int]] = None) -> Solution:
-    """Greedy sequential fill in `order` (default: value density); output
-    always verifies."""
+    """Greedy sequential fill in `order` (default: value density), which must
+    be distinct item indices (ValueError otherwise); output always verifies."""
     state = PlacementState(instance)
     if deadline is None:
         deadline = time.monotonic() + cfg.time_budget
     if order is None:
         order = priority_order(instance, Ordering.VALUE_DENSITY)
+    _check_order(instance, order)
     _fill(state, order, deadline)
     return state.to_solution()
 
@@ -320,7 +317,8 @@ def improve_local(instance: Instance, start: Solution, cfg: SolverConfig,
     two positions at most 8 apart in the current order.  An order already
     filled is skipped; any other is filled from a replay of the current
     fill's placements in the unchanged prefix.  It becomes the current order
-    if its value is not lower, and the best if its value is higher."""
+    if its value is not lower, and the best if its value is higher.  An
+    `order` that is not distinct item indices raises ValueError."""
     state = _state_from_solution(instance, start)
     if deadline is None:
         deadline = time.monotonic() + cfg.time_budget
@@ -328,6 +326,7 @@ def improve_local(instance: Instance, start: Solution, cfg: SolverConfig,
         density = priority_order(instance, Ordering.VALUE_DENSITY)
         order = ([i for i in density if i in state.offsets]
                  + [i for i in density if i not in state.offsets])
+    _check_order(instance, order)
     rng = Rng(cfg.seed, stream=0x15EA9C4)
     best, best_value = state.to_solution(), state.value
     current, current_offsets, current_value = tuple(order), state.offsets, state.value
@@ -373,9 +372,8 @@ def solve(instance: Instance, cfg: SolverConfig,
     base = priority_order(instance, Ordering.VALUE_DENSITY)
     orders = [base]
     if instance.n_items <= 25:
-        # small: every ordering plus a few shuffles of the density order
-        orders += [priority_order(instance, o) for o in Ordering
-                   if o is not Ordering.VALUE_DENSITY]
+        # small: the area order plus a few shuffles of the density order
+        orders.append(priority_order(instance, Ordering.AREA_DESC))
         shuffle_rng = Rng(cfg.seed, stream=0x5132)
         for _ in range(3):
             order = list(base)

@@ -89,6 +89,41 @@ def test_usage_errors(workdir, capsys):
     capsys.readouterr()
 
 
+# (subcommand, shared flag, whether the subcommand reads it)
+COMMON_FLAG_USE = [
+    ("value", "--seed", True), ("value", "--quiet", False),
+    ("verify", "--seed", False), ("verify", "--quiet", False),
+    ("score", "--seed", False), ("score", "--quiet", True),
+    ("render", "--seed", False), ("render", "--quiet", False),
+]
+
+
+@pytest.mark.parametrize("command, flag, reads", COMMON_FLAG_USE)
+def test_shared_flags_only_where_read(workdir, capsys, command, flag, reads):
+    inst_dir = workdir / "instances"
+    inst_dir.mkdir()
+    inst_path = inst_dir / "i.json"
+    run_ok(capsys, "generate", "random", "--seed", "1", "--n", "5", "-o", str(inst_path))
+    name = json.loads(inst_path.read_text())["name"]
+    sol_path = workdir / "s.json"
+    sol_path.write_bytes(write_solution(Solution(name)))
+    records = workdir / "records.csv"
+    records.write_text(f"alpha,{name},1,2024-01-01T00:00:00\n")
+    argv = {
+        "value": ["value", str(inst_path), "-o", str(workdir / "v.json")],
+        "verify": ["verify", str(inst_path), str(sol_path)],
+        "score": ["score", "--instances", str(inst_dir), "--records", str(records)],
+        "render": ["render", str(inst_path), "-o", str(workdir / "p.svg")],
+    }[command]
+    run_ok(capsys, *argv)
+    extra = [flag, "1"] if flag == "--seed" else [flag]
+    if reads:
+        run_ok(capsys, *argv, *extra)
+    else:
+        assert run(argv + extra) == 2
+        assert "unrecognized arguments: " + " ".join(extra) in capsys.readouterr().err
+
+
 def test_score_subcommand(workdir, capsys):
     inst_dir = workdir / "instances"
     inst_dir.mkdir()

@@ -10,7 +10,7 @@ from polypack.generators import GenConfig, gen_atris, gen_jigsaw, gen_random, ge
 import polypack.solver as solver_module
 from polypack.geom import Polygon, containment_range, inner_fit
 from polypack.model import Instance, Item, Solution, write_solution
-from polypack.solver import (GRID_LEVELS, Ordering, PlacementState,
+from polypack.solver import (Ordering, PlacementState,
                              SolverConfig, find_offset, improve_local,
                              priority_order, shelf_pack, solution_value,
                              solve, solve_greedy)
@@ -71,10 +71,19 @@ class TestGreedy:
         items = [square_item(3, value=1), square_item(2, value=50),
                  square_item(6, value=10)]
         inst = box_instance(30, items)
-        assert priority_order(inst, Ordering.VALUE_DESC)[0] == 1
         assert priority_order(inst, Ordering.AREA_DESC)[0] == 2
         # density: 50/4 > 10/36 > 1/9
         assert priority_order(inst, Ordering.VALUE_DENSITY)[0] == 1
+
+    @pytest.mark.parametrize("order", [[-1], [99], [0, 0], [2, 0, 2]])
+    def test_order_must_be_distinct_item_indices(self, order):
+        inst = gen_random(GenConfig(seed=3, n_target=6))
+        assert inst.n_items < 99
+        start = solve_greedy(inst, FAST, order=[0])
+        with pytest.raises(ValueError, match="order"):
+            solve_greedy(inst, FAST, order=order)
+        with pytest.raises(ValueError, match="order"):
+            improve_local(inst, start, FAST, order=order)
 
     def test_zero_deadline_places_nothing(self):
         # 0.0 is a deadline long past, not "no deadline"
@@ -176,7 +185,7 @@ class TestSolverPinnedOutput:
         (gen_satris, dict(seed=4, n_target=8), 2,
          "dbf615445f53aa4bab0ccf52bafed3c88610c12affa0aa6067481207d04595ec"),
         (gen_satris, dict(seed=4, n_target=8), 3,
-         "ae4c70cdefec46c96a70ba61d56768cf69d8548c04a239be4b29b8807d760df0"),
+         "e224ca68d03083a7e5f71c1e0198019907ad77dda6f162140e81787559257518"),
         (gen_jigsaw, dict(seed=9, jigsaw_line_count=8, jigsaw_copies=3), 2,
          "631317195d1a08ccdb0c0893df994ab2b1a491ec2c9c0ea1e2c7aa2c52617302"),
         (gen_jigsaw, dict(seed=9, jigsaw_line_count=8, jigsaw_copies=3), 3,
@@ -220,10 +229,8 @@ def cell_by_cell_find_offset(state, idx, coarse_cells):
     best = scan(lox, hix, loy, hiy, step)
     if best is None:
         return None
-    for _ in range(GRID_LEVELS):
-        if step == 1:
-            break
-        prev, step = step, max(1, step // 2)
+    while step > 1:
+        prev, step = step, step // 2
         cand = scan(max(lox, best[0] - prev), min(hix, best[0] + prev),
                     max(loy, best[1] - prev), min(hiy, best[1] + prev), step)
         if cand is not None:
@@ -335,17 +342,41 @@ class TestFindOffsetReference:
         monkeypatch.setattr(solver_module, "overlap_exit", recording_exit)
         inst = gen_atris(GenConfig(seed=3, n_target=60))
         state = PlacementState(inst)
-        most_probes = 0
+        most_probes = most_scans = 0
         for idx in priority_order(inst, Ordering.VALUE_DENSITY):
             queries.clear()
             probes.clear()
+            # the coarse scan, then one per halving of its step down to 1
+            lox, hix, loy, hiy, _ = state.fits[idx]
+            scans = max(1, -(-max(hix - lox, hiy - loy) // 24)).bit_length()
             off = find_offset(state, idx, 24)
-            assert len(queries) <= 1 + GRID_LEVELS, (idx, len(queries))
+            assert len(queries) <= scans, (idx, len(queries), scans)
             most_probes = max(most_probes, len(probes))
+            most_scans = max(most_scans, scans)
             if off is not None:
                 state.place(idx, off)
         # a query per probed cell would have broken the bound above
-        assert most_probes > 4 * (1 + GRID_LEVELS)
+        assert most_probes > 10 * most_scans
+
+    @pytest.mark.parametrize("side, blocker, shift", [
+        (5_000, 1_001, 0), (5_000, 1_001, -(10 ** 9) - 7),
+        (10 ** 6 + 3, 123_457, 2 ** 40 + 1)])
+    def test_refines_to_step_one_at_large_coordinates(self, side, blocker, shift):
+        # a coarse step of 128 or more takes over six halvings to reach 1;
+        # the item must still land exactly against the blocker's right side
+        def square(s):
+            return Polygon([(shift, shift), (shift + s, shift),
+                            (shift + s, shift + s), (shift, shift + s)])
+
+        inst = Instance("wide", square(side),
+                        (Item(square(blocker), 1), Item(square(999), 1)))
+        state = PlacementState(inst)
+        state.place(0, (0, 0))
+        lox, hix, loy, hiy, _ = state.fits[1]
+        assert -(-max(hix - lox, hiy - loy) // 24) >= 128
+        got = find_offset(state, 1, 24)
+        assert got == (blocker, 0)
+        assert got == cell_by_cell_find_offset(state, 1, 24)
 
 
 class TestRowRange:
