@@ -27,13 +27,18 @@ placed items.  `can_place`, used by `shelf_pack`, is containment plus
 items, also in area order and three shuffles of the density order; then
 local search starts from the first best of these fills and its
 order.  Local search is an order search: each of a fixed `SEARCH_STEPS`
-steps swaps two positions at most 8 apart in the current order and refills.
-A fill is deterministic and tries each item once, at its position, so the
-current fill's placements of the unchanged prefix's items are exactly what
-that prefix places: they are replayed, and only the rest is filled.  An
-order already filled is not filled again.  A refill becomes the current
-order if its value is not lower and the best if it is higher, so the packed
-value never decreases.  The step count, not the clock, ends the search, so
+steps swaps two positions at most 8 apart in the current order and refills
+it from position 0, with the current fill as reference.  A fill is
+deterministic and tries each item once, at its position, and `find_offset`
+depends only on the item and the placed set; a failure stands as items are
+added.  So while the refill has placed exactly what the current fill had
+placed by the same position, the current fill's item there keeps its
+outcome, and an item the current fill failed earlier fails, with no
+`find_offset` call: that covers the unchanged prefix, and the rest of the
+order too wherever the swap left the placed set as it was.  An order
+already filled is not filled again.  A refill becomes the current order if
+its value is not lower and the best if it is higher, so the packed value
+never decreases.  The step count, not the clock, ends the search, so
 its output depends only on the seed while the budget lasts.  A start
 solution is accepted only if `verifier.verify` finds it valid.
 
@@ -264,15 +269,40 @@ def shelf_pack(instance: Instance, deadline: Optional[float] = None) -> Solution
     return state.to_solution()
 
 
-def _fill(state, order, deadline) -> None:
+def _fill(state, order, deadline, ref=None) -> None:
     """Place each item of `order` at `find_offset`'s cell on the coarse grid
-    until `deadline` passes; the clock is read once per item."""
-    for idx in order:
-        if time.monotonic() > deadline:
-            break
-        off = find_offset(state, idx, COARSE_CELLS)
+    until `deadline` passes; the clock is read before each `find_offset`
+    call.
+
+    `ref`, if given, is a reference fill `(ref_order, ref_offsets)`: an order
+    and the offsets its fill placed.  A fill is deterministic, trying each
+    item once, and `find_offset` depends only on the item and the placed set,
+    so while this fill's placed (item, offset) pairs equal the reference's
+    at the same position, two outcomes are known without a call: the
+    reference's item at this position gets the reference's outcome, and an
+    item the reference failed at an earlier position fails, because a
+    failure stands as items are added.  Every other position calls
+    `find_offset`."""
+    ref_order, ref_offsets = ref or ((), {})
+    diff = set()  # pairs placed by one fill but not the other, so far
+    ref_failed = set()  # items the reference failed at earlier positions
+    for pos, idx in enumerate(order):
+        r = ref_order[pos] if pos < len(ref_order) else None
+        if not diff and idx == r:
+            off = ref_offsets.get(idx)
+        elif not diff and idx in ref_failed:
+            off = None
+        else:
+            if time.monotonic() > deadline:
+                break
+            off = find_offset(state, idx, COARSE_CELLS)
         if off is not None:
             state.place(idx, off)
+            diff ^= {(idx, off)}
+        if r in ref_offsets:
+            diff ^= {(r, ref_offsets[r])}
+        elif r is not None:
+            ref_failed.add(r)
 
 
 def _check_order(instance: Instance, order) -> None:
@@ -315,10 +345,15 @@ def improve_local(instance: Instance, start: Solution, cfg: SolverConfig,
     and then the rest, each in value-density order, which refills a
     density-order greedy start exactly.  Each of `SEARCH_STEPS` steps swaps
     two positions at most 8 apart in the current order.  An order already
-    filled is skipped; any other is filled from a replay of the current
-    fill's placements in the unchanged prefix.  It becomes the current order
-    if its value is not lower, and the best if its value is higher.  An
-    `order` that is not distinct item indices raises ValueError."""
+    filled is skipped; any other is filled from position 0 with the current
+    order and its offsets as `_fill`'s reference fill: while the two fills'
+    placed sets agree, the reference's item at a position keeps the
+    reference's outcome and an item the reference failed earlier fails,
+    without a `find_offset` call.  That is exact only because a fill is
+    deterministic and a failure stands as items are added.  The candidate
+    becomes the current order if its value is not lower, and the best if its
+    value is higher.  An `order` that is not distinct item indices, or that
+    leaves out an item the start places, raises ValueError."""
     state = _state_from_solution(instance, start)
     if deadline is None:
         deadline = time.monotonic() + cfg.time_budget
@@ -327,6 +362,8 @@ def improve_local(instance: Instance, start: Solution, cfg: SolverConfig,
         order = ([i for i in density if i in state.offsets]
                  + [i for i in density if i not in state.offsets])
     _check_order(instance, order)
+    if not state.offsets.keys() <= set(order):
+        raise ValueError("order must hold every item the start places")
     rng = Rng(cfg.seed, stream=0x15EA9C4)
     best, best_value = state.to_solution(), state.value
     current, current_offsets, current_value = tuple(order), state.offsets, state.value
@@ -343,14 +380,8 @@ def improve_local(instance: Instance, start: Solution, cfg: SolverConfig,
         if cand in filled:
             continue
         filled.add(cand)
-        # a fill tries each item once, at its position, so the current
-        # fill's placements of cand[:k]'s items are what that prefix places
-        k = min(i, j)
         state = PlacementState(instance)
-        for idx in cand[:k]:
-            if idx in current_offsets:
-                state.place(idx, current_offsets[idx])
-        _fill(state, cand[k:], deadline)
+        _fill(state, cand, deadline, (current, current_offsets))
         if state.value >= current_value:
             current, current_offsets, current_value = cand, state.offsets, state.value
         if state.value > best_value:

@@ -437,7 +437,11 @@ class TestKnownOutcomes:
     found no offset keeps failing as items are added, so the default order
     refills a density-order greedy start exactly; a fill replayed from the
     current fill's placements of an unchanged prefix equals the fill from
-    scratch; and an order already filled is not filled again."""
+    scratch; a fill with the current fill as reference, which copies the
+    reference's outcome at a position and fails an item the reference
+    failed earlier while the two placed sets agree, equals the fill from
+    scratch (exact only because a fill is deterministic and failures
+    stand); and an order already filled is not filled again."""
 
     def test_failed_item_keeps_failing_as_items_are_added(self):
         # placing an item only blocks cells, so a find_offset failure stands
@@ -505,6 +509,70 @@ class TestKnownOutcomes:
                 order, offsets = cand, got
         assert replayed > 50
 
+    @pytest.mark.parametrize("scale, shift", [(1, 0), (2 ** 30, -(2 ** 45) - 3)])
+    def test_reference_fill_equals_fill_from_scratch(self, scale, shift, monkeypatch):
+        calls = []
+        real_find_offset = solver_module.find_offset
+
+        def recording_find_offset(state, idx, cells):
+            calls.append(idx)
+            return real_find_offset(state, idx, cells)
+
+        monkeypatch.setattr(solver_module, "find_offset", recording_find_offset)
+
+        def fill(order, ref=None):
+            state = PlacementState(inst)
+            solver_module._fill(state, order, math.inf, ref)
+            return state
+
+        rng = random.Random(scale + shift + 9)
+        copied_after = 0
+        for base in reference_instances():
+            inst = transformed(base, scale, shift)
+            order = tuple(priority_order(inst, Ordering.VALUE_DENSITY))
+            current = fill(order)
+            n = len(order)
+            for _ in range(12):
+                # a chain of swaps, each accepted as the search accepts it
+                i = rng.randrange(n)
+                j = min(n - 1, max(0, i + rng.randint(-8, 8)))
+                cand = list(order)
+                cand[i], cand[j] = cand[j], cand[i]
+                cand = tuple(cand)
+                calls.clear()
+                got = fill(cand, (order, current.offsets))
+                called = set(calls)
+                copied_after += sum(idx not in called for idx in cand[max(i, j) + 1:])
+                assert got.offsets == fill(cand).offsets, (inst.name, i, j)
+                if got.value >= current.value:
+                    order, current = cand, got
+        # 71 and 100 positions past max(i, j) are copied at the two scales
+        assert copied_after > 40
+
+    def test_swap_of_two_failing_items_costs_one_call(self, monkeypatch):
+        # the 6-square leaves an L of width 4, where no 5-square fits: the
+        # first swapped item calls find_offset and fails, the second failed
+        # earlier in the reference, and the 2-square keeps its outcome
+        inst = box_instance(10, [square_item(6), square_item(5),
+                                 square_item(5), square_item(2)])
+        order = (0, 1, 2, 3)
+        current = PlacementState(inst)
+        solver_module._fill(current, order, math.inf)
+        assert set(current.offsets) == {0, 3}
+        calls = 0
+        real_find_offset = solver_module.find_offset
+
+        def counting_find_offset(*args):
+            nonlocal calls
+            calls += 1
+            return real_find_offset(*args)
+
+        monkeypatch.setattr(solver_module, "find_offset", counting_find_offset)
+        state = PlacementState(inst)
+        solver_module._fill(state, (0, 2, 1, 3), math.inf, (order, current.offsets))
+        assert calls == 1
+        assert state.offsets == current.offsets
+
     def test_order_already_filled_is_not_filled_again(self, monkeypatch):
         # two items have two orders: the start's, and the one every swap
         # draws; each is filled at most once, however many steps swap
@@ -560,6 +628,22 @@ class TestLocalSearch:
         assert start.n_placed == 1
         assert improve_local(inst, start, FAST, deadline=0.0) == start
         assert improve_local(inst, start, FAST).n_placed > 1
+
+    def test_order_must_hold_every_placed_item(self):
+        # `start` is the fill of `order`, so `order` holds every item the
+        # start places; one left out would be dropped from every refill
+        inst = gen_atris(GenConfig(seed=3, n_target=20))
+        density = priority_order(inst, Ordering.VALUE_DENSITY)
+        start = solve_greedy(inst, FAST, order=density)
+        placed = {p.item_index for p in start.placements}
+        first = next(i for i in density if i in placed)
+        with pytest.raises(ValueError, match="order"):
+            improve_local(inst, start, FAST, order=[i for i in density if i != first])
+        # leaving out an unplaced item is legal
+        unplaced = next(i for i in density if i not in placed)
+        out = improve_local(inst, start, FAST, order=[i for i in density if i != unplaced])
+        assert verify(inst, out).valid
+        assert solution_value(inst, out) >= solution_value(inst, start)
 
     def test_invalid_start_rejected(self):
         from polypack.model import Placement
