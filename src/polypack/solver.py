@@ -8,9 +8,9 @@ lowest-then-leftmost feasible cell (bottom-left heuristic) and refines the
 grid around the first hit.  The scan finds that cell without testing every
 cell: each row starts and ends where the item fits in the convex container
 within the scan's window (`geom.containment_range` on the item's
-`geom.inner_fit`, built once per item: the offset box cut by the slanted
-container edges, so an axis rectangle's rows span the box), and a blocked
-cell jumps to the first cell past the blocker's overlap exit
+`geom.inner_fit`, built once per item and solve: the offset box cut by the
+slanted container edges, so an axis rectangle's rows span the box), and a
+blocked cell jumps to the first cell past the blocker's overlap exit
 (`geom.overlap_exit`, one row of the no-fit polygon), both computed exactly
 in integers.  A scan queries the box index once, for the box the item
 sweeps over the scan's window, and keeps each returned item's offset
@@ -20,8 +20,9 @@ row), and a probe only the band items whose tx interval holds it.  Each
 passes to `geom.overlap_exit`, so a pair of convex parts has its no-fit
 half-planes derived once per call, not once per probe.  The dict is
 dropped when the call returns, so memory does not grow with the number of
-placed items.  `can_place`, used by `shelf_pack`, is containment plus
-`geom.interiors_overlap` against one box query's items.
+placed items.  `can_place`, used by `shelf_pack`, is the inner-fit row
+test plus `overlaps`: `geom.interiors_overlap` against one box query's
+items.
 
 `solve` runs greedy in value-density order and, for instances of at most 25
 items, also in area order and three shuffles of the density order; then
@@ -35,7 +36,18 @@ added.  So while the refill has placed exactly what the current fill had
 placed by the same position, the current fill's item there keeps its
 outcome, and an item the current fill failed earlier fails, with no
 `find_offset` call: that covers the unchanged prefix, and the rest of the
-order too wherever the swap left the placed set as it was.  An order
+order too wherever the swap left the placed set as it was.
+
+Every `find_offset` outcome also carries a certificate: its blockers (the
+placed items whose overlap exit moved a scan on) and its hits (the coarse
+hit and each refinement hit that replaced the best cell).  Placing an item
+only blocks cells, so the outcome holds on any placed set that keeps every
+blocker at its offset and meets the item at no hit.  `solve` keeps one
+`Record` of these certificates per item, shared by all its fills; at a
+position the reference fill does not decide, a fill reuses any outcome
+whose certificate holds there, and only where none does is `find_offset`
+called.  So an item that failed, or found a cell, in an
+earlier fill or under a smaller placed set is not scanned again.  An order
 already filled is not filled again.  A refill becomes the current order if
 its value is not lower and the best if it is higher, so the packed value
 never decreases.  The step count, not the clock, ends the search, so
@@ -56,8 +68,7 @@ import time
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .geom import (contained_in_convex, containment_range, inner_fit,
-                   interiors_overlap, overlap_exit)
+from .geom import containment_range, inner_fit, interiors_overlap, overlap_exit
 from .model import Instance, Placement, Solution
 from .rng import Rng
 from .verifier import BoxIndex, placement_box, verify
@@ -90,30 +101,41 @@ def _is_axis_rect(poly) -> bool:
     return set(poly.coords) == corners
 
 
+def _inner_fits(instance: Instance) -> list:
+    """Each item's `geom.inner_fit` in the instance's container."""
+    return [inner_fit(instance.container, it.polygon) for it in instance.items]
+
+
 class PlacementState:
     """Current placements plus the occupancy index; mutations keep the state
-    feasible, so a snapshot is always a valid solution."""
+    feasible, so a snapshot is always a valid solution.  `fits`, if given,
+    is the instance's `_inner_fits`, so that the states of one solve share
+    them."""
 
-    def __init__(self, instance: Instance):
+    def __init__(self, instance: Instance, fits: Optional[list] = None):
         self.instance = instance
         self.polys = [it.polygon for it in instance.items]
         self.values = [it.value for it in instance.items]
         self.bboxes = [p.bbox for p in self.polys]
-        self.container = instance.container
         self.cbox = instance.container.bbox
-        self.fits = [inner_fit(self.container, p) for p in self.polys]
+        self.fits = _inner_fits(instance) if fits is None else fits
         self.tree = BoxIndex()
         self.offsets: dict[int, tuple[int, int]] = {}
         self.value = 0
         self.free_area2 = instance.container.area2
 
-    def can_place(self, idx: int, off) -> bool:
-        if not contained_in_convex(self.container, self.polys[idx], off):
-            return False
+    def overlaps(self, idx: int, off) -> bool:
+        """Whether item idx at `off` meets a placed item's interior: one box
+        query, then an exact test per returned item."""
         poly = self.polys[idx]
-        return not any(
+        return any(
             interiors_overlap(poly, off, self.polys[j], self.offsets[j])
             for j in self.tree.query(placement_box(self.instance, idx, off)))
+
+    def can_place(self, idx: int, off) -> bool:
+        row = containment_range(self.fits[idx], off[1])
+        return (row is not None and row[0] <= off[0] <= row[1]
+                and not self.overlaps(idx, off))
 
     def place(self, idx: int, off) -> None:
         self.offsets[idx] = (off[0], off[1])
@@ -150,12 +172,13 @@ def priority_order(instance: Instance, ordering: Ordering) -> list[int]:
     return idx
 
 
-def _scan_bottom_left(state, idx, lox, hix, loy, hiy, step, memo):
+def _scan_bottom_left(state, idx, lox, hix, loy, hiy, step, memo, blocked):
     """First feasible cell of the grid lox + i*step, loy + j*step in
     (row, column) order.  Cells that exact arithmetic rules out are skipped,
     not tested: those outside the row's containment range, and on a blocked
     cell the run of cells up to the blocker's overlap exit.  Every probe
-    shares `memo`, the no-fit half-planes known so far.
+    shares `memo`, the no-fit half-planes known so far, and each placed item
+    whose exit moves the scan on is added to the set `blocked`.
 
     The placed set does not change during a scan, so the box index is asked
     once, with the box the item sweeps over the window.  Each placed item it
@@ -175,7 +198,7 @@ def _scan_bottom_left(state, idx, lox, hix, loy, hiy, step, memo):
         ox, oy = state.offsets[j]
         bx0, by0, bx1, by1 = state.bboxes[j]
         blockers.append((by0 + oy - iy1, by1 + oy - iy0,
-                         (bx0 + ox - ix1, bx1 + ox - ix0, state.polys[j], (ox, oy))))
+                         (bx0 + ox - ix1, bx1 + ox - ix0, state.polys[j], (ox, oy), j)))
     blockers.sort(key=lambda b: -b[2][1])
     for ty in range(loy, hiy + 1, step):
         row = containment_range(fit, ty)
@@ -186,7 +209,7 @@ def _scan_bottom_left(state, idx, lox, hix, loy, hiy, step, memo):
         band = [e for y0, y1, e in blockers if y0 < ty < y1]
         while tx <= last:
             end = None
-            for x0, x1, p, o in band:
+            for x0, x1, p, o, j in band:
                 if x1 <= tx:
                     break  # sorted by x1 descending: no later entry holds tx
                 if x0 < tx:
@@ -195,39 +218,77 @@ def _scan_bottom_left(state, idx, lox, hix, loy, hiy, step, memo):
                         break
             if end is None:
                 return (tx, ty)
+            blocked.add(j)
             tx = lox + -(-(end - lox) // step) * step
     return None
 
 
-def find_offset(state: PlacementState, idx: int,
-                coarse_cells: int) -> Optional[tuple[int, int]]:
+def find_offset(state: PlacementState, idx: int, coarse_cells: int,
+                certs: Optional[list] = None) -> Optional[tuple[int, int]]:
     """Bottom-left feasible offset on a coarse grid, refined around the hit.
 
     Each refinement halves the step and rescans the old step's window around
     the best hit so far, down to step 1.  No clock is read here, so a solve
     runs past its budget by at most one call.  The scans share one memo of
     no-fit half-planes; it lives only as long as this call, so its tables
-    are dropped with it."""
+    are dropped with it.
+
+    If `certs` is given, the outcome's certificate is appended to it:
+    `(outcome, blockers, hits, offsets)`.  The blockers are the placed items
+    whose overlap exit moved any of the call's scans on, the hits are the
+    coarse hit and each refinement hit that replaced the best cell, and
+    `offsets` is the state's own offsets dict, where each blocker's offset
+    is read.  Every cell a scan passed over lies outside the inner fit or
+    inside a blocker, and each hit was free, so the call returns the same
+    outcome on any placed set that holds every blocker at its offset and
+    meets no hit (`_certified`): a placed item only blocks cells.  That is
+    why `offsets` may be a fill's live dict, which only grows.  A failure
+    of the area test is not certified, as it depends on no blocker."""
     if state.polys[idx].area2 > state.free_area2:
         return None
     lox, hix, loy, hiy, _ = state.fits[idx]
-    if lox > hix or loy > hiy:
-        return None
-    span = max(hix - lox, hiy - loy)
-    step = max(1, -(-span // coarse_cells))  # ceil division
-    memo: dict = {}
-    best = _scan_bottom_left(state, idx, lox, hix, loy, hiy, step, memo)
-    if best is None:
-        return None
-    while step > 1:
-        prev, step = step, step // 2
-        cand = _scan_bottom_left(
-            state, idx,
-            max(lox, best[0] - prev), min(hix, best[0] + prev),
-            max(loy, best[1] - prev), min(hiy, best[1] + prev), step, memo)
-        if cand is not None:
-            best = cand
-    return best
+    blocked: set = set()
+    hits = []
+    if lox <= hix and loy <= hiy:
+        span = max(hix - lox, hiy - loy)
+        step = max(1, -(-span // coarse_cells))  # ceil division
+        memo: dict = {}
+        best = _scan_bottom_left(state, idx, lox, hix, loy, hiy, step, memo, blocked)
+        if best is not None:
+            hits.append(best)
+            while step > 1:
+                prev, step = step, step // 2
+                cand = _scan_bottom_left(
+                    state, idx,
+                    max(lox, best[0] - prev), min(hix, best[0] + prev),
+                    max(loy, best[1] - prev), min(hiy, best[1] + prev), step,
+                    memo, blocked)
+                if cand is not None and cand != best:
+                    best = cand
+                    hits.append(best)
+    outcome = hits[-1] if hits else None
+    if certs is not None:
+        certs.append((outcome, tuple(blocked), tuple(hits), state.offsets))
+    return outcome
+
+
+def _certified(state: PlacementState, idx: int, certs: list):
+    """The first of item idx's certificates (see `find_offset`) that holds
+    on the state's placed set, or None: every blocker is placed at its
+    recorded offset, and no placed item meets the item at any hit."""
+    offsets = state.offsets
+    for cert in certs:
+        _, blocked, hits, recorded = cert
+        for j in blocked:
+            if offsets.get(j) != recorded[j]:
+                break
+        else:
+            for hit in hits:
+                if state.overlaps(idx, hit):
+                    break
+            else:
+                return cert
+    return None
 
 
 def shelf_pack(instance: Instance, deadline: Optional[float] = None) -> Solution:
@@ -269,7 +330,7 @@ def shelf_pack(instance: Instance, deadline: Optional[float] = None) -> Solution
     return state.to_solution()
 
 
-def _fill(state, order, deadline, ref=None) -> None:
+def _fill(state, order, deadline, ref=None, certs=None) -> None:
     """Place each item of `order` at `find_offset`'s cell on the coarse grid
     until `deadline` passes; the clock is read before each `find_offset`
     call.
@@ -281,8 +342,15 @@ def _fill(state, order, deadline, ref=None) -> None:
     at the same position, two outcomes are known without a call: the
     reference's item at this position gets the reference's outcome, and an
     item the reference failed at an earlier position fails, because a
-    failure stands as items are added.  Every other position calls
-    `find_offset`."""
+    failure stands as items are added.
+
+    `certs` is the solve's `Record.certs`: per item, the certificates of its
+    `find_offset` outcomes so far (default: none).  At a position the
+    reference does not decide, an outcome whose certificate holds on the
+    placed set (`_certified`) is reused; only where none does is
+    `find_offset` called, and it adds its outcome's certificate."""
+    if certs is None:
+        certs = [[] for _ in state.polys]
     ref_order, ref_offsets = ref or ((), {})
     diff = set()  # pairs placed by one fill but not the other, so far
     ref_failed = set()  # items the reference failed at earlier positions
@@ -292,10 +360,12 @@ def _fill(state, order, deadline, ref=None) -> None:
             off = ref_offsets.get(idx)
         elif not diff and idx in ref_failed:
             off = None
+        elif (cert := _certified(state, idx, certs[idx])) is not None:
+            off = cert[0]
         else:
             if time.monotonic() > deadline:
                 break
-            off = find_offset(state, idx, COARSE_CELLS)
+            off = find_offset(state, idx, COARSE_CELLS, certs[idx])
         if off is not None:
             state.place(idx, off)
             diff ^= {(idx, off)}
@@ -303,6 +373,16 @@ def _fill(state, order, deadline, ref=None) -> None:
             diff ^= {(r, ref_offsets[r])}
         elif r is not None:
             ref_failed.add(r)
+
+
+class Record:
+    """What one solve keeps across its fills: each item's inner fit, built
+    once, and `certs`, the certificates of each item's `find_offset`
+    outcomes (`_fill`'s record)."""
+
+    def __init__(self, instance: Instance):
+        self.fits = _inner_fits(instance)
+        self.certs: list[list] = [[] for _ in instance.items]
 
 
 def _check_order(instance: Instance, order) -> None:
@@ -313,23 +393,29 @@ def _check_order(instance: Instance, order) -> None:
 
 def solve_greedy(instance: Instance, cfg: SolverConfig,
                  deadline: Optional[float] = None,
-                 order: Optional[list[int]] = None) -> Solution:
+                 order: Optional[list[int]] = None, *,
+                 record: Optional[Record] = None) -> Solution:
     """Greedy sequential fill in `order` (default: value density), which must
-    be distinct item indices (ValueError otherwise); output always verifies."""
-    state = PlacementState(instance)
+    be distinct item indices (ValueError otherwise); output always verifies.
+    `record` is the solve's `Record`; a call on its own starts an empty
+    one."""
+    if record is None:
+        record = Record(instance)
+    state = PlacementState(instance, record.fits)
     if deadline is None:
         deadline = time.monotonic() + cfg.time_budget
     if order is None:
         order = priority_order(instance, Ordering.VALUE_DENSITY)
     _check_order(instance, order)
-    _fill(state, order, deadline)
+    _fill(state, order, deadline, certs=record.certs)
     return state.to_solution()
 
 
-def _state_from_solution(instance: Instance, solution: Solution) -> PlacementState:
+def _state_from_solution(instance: Instance, solution: Solution,
+                         fits: list) -> PlacementState:
     if not verify(instance, solution).valid:
         raise ValueError("starting solution does not verify")
-    state = PlacementState(instance)
+    state = PlacementState(instance, fits)
     for pl in solution.placements:
         state.place(pl.item_index, pl.offset)
     return state
@@ -338,7 +424,8 @@ def _state_from_solution(instance: Instance, solution: Solution) -> PlacementSta
 def improve_local(instance: Instance, start: Solution, cfg: SolverConfig,
                   deadline: Optional[float] = None,
                   progress: Optional[Callable] = None,
-                  order: Optional[list[int]] = None) -> Solution:
+                  order: Optional[list[int]] = None, *,
+                  record: Optional[Record] = None) -> Solution:
     """Order search from a feasible start; packed value never decreases.
 
     `order` is the order whose fill is `start`; by default, the start's items
@@ -350,11 +437,15 @@ def improve_local(instance: Instance, start: Solution, cfg: SolverConfig,
     placed sets agree, the reference's item at a position keeps the
     reference's outcome and an item the reference failed earlier fails,
     without a `find_offset` call.  That is exact only because a fill is
-    deterministic and a failure stands as items are added.  The candidate
+    deterministic and a failure stands as items are added.  Elsewhere a
+    refill reuses any outcome of `record` (the solve's `Record`; a call on
+    its own starts an empty one) whose certificate holds.  The candidate
     becomes the current order if its value is not lower, and the best if its
     value is higher.  An `order` that is not distinct item indices, or that
     leaves out an item the start places, raises ValueError."""
-    state = _state_from_solution(instance, start)
+    if record is None:
+        record = Record(instance)
+    state = _state_from_solution(instance, start, record.fits)
     if deadline is None:
         deadline = time.monotonic() + cfg.time_budget
     if order is None:
@@ -380,8 +471,8 @@ def improve_local(instance: Instance, start: Solution, cfg: SolverConfig,
         if cand in filled:
             continue
         filled.add(cand)
-        state = PlacementState(instance)
-        _fill(state, cand, deadline, (current, current_offsets))
+        state = PlacementState(instance, record.fits)
+        _fill(state, cand, deadline, (current, current_offsets), record.certs)
         if state.value >= current_value:
             current, current_offsets, current_value = cand, state.offsets, state.value
         if state.value > best_value:
@@ -398,8 +489,10 @@ def solution_value(instance: Instance, solution: Solution) -> int:
 def solve(instance: Instance, cfg: SolverConfig,
           progress: Optional[Callable] = None) -> Solution:
     """Greedy under each start order, then local search from the first best
-    fill and its order; always returns a verifying solution."""
+    fill and its order, all sharing one `Record`; always returns a
+    verifying solution."""
     deadline = time.monotonic() + cfg.time_budget
+    record = Record(instance)
     base = priority_order(instance, Ordering.VALUE_DENSITY)
     orders = [base]
     if instance.n_items <= 25:
@@ -410,9 +503,11 @@ def solve(instance: Instance, cfg: SolverConfig,
             order = list(base)
             shuffle_rng.shuffle(order)
             orders.append(order)
-    fills = [solve_greedy(instance, cfg, deadline, order=o) for o in orders]
+    fills = [solve_greedy(instance, cfg, deadline, order=o, record=record)
+             for o in orders]
     values = [solution_value(instance, s) for s in fills]
     k = values.index(max(values))
     if progress is not None:
         progress(0, values[k])
-    return improve_local(instance, fills[k], cfg, deadline, progress, order=orders[k])
+    return improve_local(instance, fills[k], cfg, deadline, progress,
+                         order=orders[k], record=record)

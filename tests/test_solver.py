@@ -514,9 +514,9 @@ class TestKnownOutcomes:
         calls = []
         real_find_offset = solver_module.find_offset
 
-        def recording_find_offset(state, idx, cells):
+        def recording_find_offset(state, idx, cells, certs=None):
             calls.append(idx)
-            return real_find_offset(state, idx, cells)
+            return real_find_offset(state, idx, cells, certs)
 
         monkeypatch.setattr(solver_module, "find_offset", recording_find_offset)
 
@@ -592,6 +592,152 @@ class TestKnownOutcomes:
             out = improve_local(inst, start, SolverConfig(time_budget=60.0, seed=seed))
             assert out.n_placed == 2
             assert fills == 1, seed
+
+
+class TestCertificates:
+    """A find_offset outcome is reused, without a call, on any placed set
+    that holds every blocker of its certificate at its recorded offset and
+    meets the item at none of its hits; solve keeps one record of these
+    certificates across all its fills."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        calls = []
+        real_find_offset = solver_module.find_offset
+
+        def counting_find_offset(state, idx, cells, certs=None):
+            calls.append(idx)
+            return real_find_offset(state, idx, cells, certs)
+
+        monkeypatch.setattr(solver_module, "find_offset", counting_find_offset)
+        return calls
+
+    @staticmethod
+    def fill(inst, order, record=None, ref=None):
+        if record is None:
+            record = solver_module.Record(inst)
+        state = PlacementState(inst, record.fits)
+        solver_module._fill(state, order, math.inf, ref, record.certs)
+        return state
+
+    @pytest.mark.parametrize("scale, shift", [(1, 0), (2 ** 30, -(2 ** 45) - 3)])
+    def test_record_answers_equal_find_offset(self, scale, shift, monkeypatch):
+        # every certificate that holds, not only the first, must give the
+        # outcome a from-scratch find_offset gives on the same placed set
+        held = {True: 0, False: 0}  # by whether the outcome is a cell
+        real_certified = solver_module._certified
+
+        def checking_certified(state, idx, certs):
+            fresh = find_offset(state, idx, solver_module.COARSE_CELLS)
+            for cert in certs:
+                if real_certified(state, idx, [cert]) is not None:
+                    assert cert[0] == fresh, (state.instance.name, idx)
+                    held[fresh is not None] += 1
+            return real_certified(state, idx, certs)
+
+        monkeypatch.setattr(solver_module, "_certified", checking_certified)
+        rng = random.Random(scale + shift + 13)
+        for base in reference_instances():
+            inst = transformed(base, scale, shift)
+            record = solver_module.Record(inst)
+            density = priority_order(inst, Ordering.VALUE_DENSITY)
+            # the multi-start orders, each filled on the shared record
+            starts = [density, priority_order(inst, Ordering.AREA_DESC)]
+            for _ in range(3):
+                starts.append(rng.sample(density, len(density)))
+            fills = [self.fill(inst, tuple(o), record) for o in starts]
+            for o, got in zip(starts, fills):
+                assert got.offsets == self.fill(inst, o).offsets, inst.name
+            # then a chain of swaps, refilled against the current fill
+            order, current = tuple(density), fills[0]
+            n = len(order)
+            for _ in range(12):
+                i = rng.randrange(n)
+                j = min(n - 1, max(0, i + rng.randint(-8, 8)))
+                cand = list(order)
+                cand[i], cand[j] = cand[j], cand[i]
+                cand = tuple(cand)
+                got = self.fill(inst, cand, record, (order, current.offsets))
+                assert got.offsets == self.fill(inst, cand).offsets, (inst.name, i, j)
+                if got.value >= current.value:
+                    order, current = cand, got
+        # 56 and 112 at plain coordinates, 45 and 92 scaled and shifted
+        assert held[True] > 30 and held[False] > 60, held
+
+    def test_covered_hit_calls_find_offset(self, monkeypatch):
+        # the 3-square's certificate has the 6-square as its one blocker and
+        # its hit at (6, 0); in the second fill the 6-square is in place but
+        # the 2-square covers that hit, so the certificate must not hold
+        inst = box_instance(10, [square_item(6), square_item(3), square_item(2)])
+        record = solver_module.Record(inst)
+        first = self.fill(inst, (0, 1), record)
+        assert first.offsets == {0: (0, 0), 1: (6, 0)}
+        assert [c[1] for c in record.certs[1]] == [(0,)]
+        calls = self.counting(monkeypatch)
+        second = self.fill(inst, (0, 2, 1), record)
+        assert calls == [2, 1]
+        assert second.offsets == {0: (0, 0), 2: (6, 0), 1: (6, 2)}
+        assert verify(inst, second.to_solution()).valid
+
+    def test_known_outcomes_cost_no_call(self, monkeypatch):
+        # the 6-square leaves an L of width 4, where the 5-square fails with
+        # the 6-square as its one blocker; with the 2-square added too, the
+        # failure is reused without a call
+        inst = box_instance(10, [square_item(6), square_item(5), square_item(2)])
+        record = solver_module.Record(inst)
+        first = self.fill(inst, (0, 1), record)
+        assert first.offsets == {0: (0, 0)}
+        assert [c[:2] for c in record.certs[1]] == [(None, (0,))]
+        calls = self.counting(monkeypatch)
+        second = self.fill(inst, (0, 2, 1), record)
+        assert calls == [2]
+        assert second.offsets == {0: (0, 0), 2: (6, 0)}
+        # a second identical fill on the same record makes no call at all
+        for base in reference_instances():
+            record = solver_module.Record(base)
+            order = tuple(priority_order(base, Ordering.VALUE_DENSITY))
+            calls.clear()
+            first = self.fill(base, order, record)
+            assert len(calls) > 5
+            calls.clear()
+            assert self.fill(base, order, record).offsets == first.offsets
+            assert calls == []
+
+    def test_area_failure_is_not_recorded(self):
+        # after the 8-square the 7-square fails the free-area test, which
+        # depends on no blocker: on an empty container it must still fit
+        inst = box_instance(10, [square_item(8), square_item(7)])
+        record = solver_module.Record(inst)
+        assert self.fill(inst, (0, 1), record).offsets == {0: (0, 0)}
+        assert record.certs[1] == []
+        assert self.fill(inst, (1, 0), record).offsets == {1: (0, 0)}
+
+    def test_solve_shares_one_record(self, monkeypatch):
+        # solve hands one record to every fill; with an empty record per
+        # call instead, as solve_greedy and improve_local start on their
+        # own, the output is the same and find_offset is called more often
+        inst = gen_jigsaw(GenConfig(seed=9, jigsaw_line_count=5, jigsaw_copies=3))
+        assert inst.n_items <= 25  # the multi-start runs
+        cfg = SolverConfig(time_budget=60.0, seed=1)
+        calls = self.counting(monkeypatch)
+        real = {name: getattr(solver_module, name)
+                for name in ("solve_greedy", "improve_local")}
+        records = []
+
+        def run(keep):
+            for name, fn in real.items():
+                def call(*args, fn=fn, record, **kwargs):
+                    records.append(record)
+                    return fn(*args, record=record if keep else None, **kwargs)
+                monkeypatch.setattr(solver_module, name, call)
+            calls.clear()
+            out = write_solution(solve(inst, cfg))
+            return out, len(calls)
+
+        shared, shared_calls = run(keep=True)
+        assert len(records) == 6 and all(r is records[0] for r in records)
+        apart, apart_calls = run(keep=False)
+        assert apart == shared and shared_calls < apart_calls
 
 
 class TestJigsawBaseline:
