@@ -117,11 +117,13 @@ def _polygon_from_obj(obj, what: str) -> Polygon:
 
 
 def _loads(data) -> dict:
-    if isinstance(data, (bytes, bytearray)):
-        data = data.decode("utf-8")
+    # ValueError covers bad UTF-8, bad JSON and integers past the digit
+    # limit; RecursionError, arrays or objects nested too deep
     try:
+        if isinstance(data, (bytes, bytearray)):
+            data = data.decode("utf-8")
         obj = json.loads(data)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"malformed JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError("top-level JSON value must be an object")

@@ -29,30 +29,24 @@ items, also in area order and three shuffles of the density order; then
 local search starts from the first best of these fills and its
 order.  Local search is an order search: each of a fixed `SEARCH_STEPS`
 steps swaps two positions at most 8 apart in the current order and refills
-it from position 0, with the current fill as reference.  A fill is
-deterministic and tries each item once, at its position, and `find_offset`
-depends only on the item and the placed set; a failure stands as items are
-added.  So while the refill has placed exactly what the current fill had
-placed by the same position, the current fill's item there keeps its
-outcome, and an item the current fill failed earlier fails, with no
-`find_offset` call: that covers the unchanged prefix, and the rest of the
-order too wherever the swap left the placed set as it was.
+it.  A fill is deterministic and tries each item once, at its position, so
+the refill places the unchanged prefix, before the first swapped position,
+where the current fill placed it, and fills only the rest.
 
-Every `find_offset` outcome also carries a certificate: its blockers (the
+Every `find_offset` outcome carries a certificate: its blockers (the
 placed items whose overlap exit moved a scan on) and its hits (the coarse
 hit and each refinement hit that replaced the best cell).  Placing an item
 only blocks cells, so the outcome holds on any placed set that keeps every
 blocker at its offset and meets the item at no hit.  `solve` keeps one
-`Record` of these certificates per item, shared by all its fills; at a
-position the reference fill does not decide, a fill reuses any outcome
-whose certificate holds there, and only where none does is `find_offset`
-called.  So an item that failed, or found a cell, in an
-earlier fill or under a smaller placed set is not scanned again.  An order
-already filled is not filled again.  A refill becomes the current order if
-its value is not lower and the best if it is higher, so the packed value
-never decreases.  The step count, not the clock, ends the search, so
-its output depends only on the seed while the budget lasts.  A start
-solution is accepted only if `verifier.verify` finds it valid.
+`Record` of these certificates per item, shared by all its fills; at each
+position a fill reuses any outcome whose certificate holds there, and only
+where none does is `find_offset` called.  So an item that failed, or found
+a cell, in an earlier fill or under a smaller placed set is not scanned
+again.  An order already filled is not filled again.  A refill becomes the
+current order if its value is not lower and the best if it is higher, so
+the packed value never decreases.  The step count, not the clock, ends the
+search, so its output depends only on the seed while the budget lasts.  A
+start solution is accepted only if `verifier.verify` finds it valid.
 
 `shelf_pack` is a separate algorithm for rectangular containers: next-fit
 decreasing-height shelves, used for the Moon-Moser square-packing check.
@@ -124,13 +118,14 @@ class PlacementState:
         self.value = 0
         self.free_area2 = instance.container.area2
 
-    def overlaps(self, idx: int, off) -> bool:
-        """Whether item idx at `off` meets a placed item's interior: one box
-        query, then an exact test per returned item."""
+    def overlaps(self, idx: int, off, clear=()) -> bool:
+        """Whether item idx at `off` meets the interior of a placed item not
+        in `clear`: one box query, then an exact test per returned item."""
         poly = self.polys[idx]
         return any(
             interiors_overlap(poly, off, self.polys[j], self.offsets[j])
-            for j in self.tree.query(placement_box(self.instance, idx, off)))
+            for j in self.tree.query(placement_box(self.instance, idx, off))
+            if j not in clear)
 
     def can_place(self, idx: int, off) -> bool:
         row = containment_range(self.fits[idx], off[1])
@@ -148,9 +143,6 @@ class PlacementState:
         self.tree.remove(idx, placement_box(self.instance, idx, off))
         self.value -= self.values[idx]
         self.free_area2 += self.polys[idx].area2
-
-    def unpacked(self) -> list[int]:
-        return [i for i in range(len(self.polys)) if i not in self.offsets]
 
     def to_solution(self) -> Solution:
         placements = tuple(Placement(i, self.offsets[i])
@@ -275,7 +267,8 @@ def find_offset(state: PlacementState, idx: int, coarse_cells: int,
 def _certified(state: PlacementState, idx: int, certs: list):
     """The first of item idx's certificates (see `find_offset`) that holds
     on the state's placed set, or None: every blocker is placed at its
-    recorded offset, and no placed item meets the item at any hit."""
+    recorded offset, and no placed item meets the item at any hit.  The
+    blockers need no hit test: each hit was free with them where they are."""
     offsets = state.offsets
     for cert in certs:
         _, blocked, hits, recorded = cert
@@ -284,7 +277,7 @@ def _certified(state: PlacementState, idx: int, certs: list):
                 break
         else:
             for hit in hits:
-                if state.overlaps(idx, hit):
+                if state.overlaps(idx, hit, blocked):
                     break
             else:
                 return cert
@@ -330,49 +323,26 @@ def shelf_pack(instance: Instance, deadline: Optional[float] = None) -> Solution
     return state.to_solution()
 
 
-def _fill(state, order, deadline, ref=None, certs=None) -> None:
+def _fill(state, order, deadline, certs=None) -> None:
     """Place each item of `order` at `find_offset`'s cell on the coarse grid
-    until `deadline` passes; the clock is read before each `find_offset`
-    call.
-
-    `ref`, if given, is a reference fill `(ref_order, ref_offsets)`: an order
-    and the offsets its fill placed.  A fill is deterministic, trying each
-    item once, and `find_offset` depends only on the item and the placed set,
-    so while this fill's placed (item, offset) pairs equal the reference's
-    at the same position, two outcomes are known without a call: the
-    reference's item at this position gets the reference's outcome, and an
-    item the reference failed at an earlier position fails, because a
-    failure stands as items are added.
+    until `deadline` passes.
 
     `certs` is the solve's `Record.certs`: per item, the certificates of its
-    `find_offset` outcomes so far (default: none).  At a position the
-    reference does not decide, an outcome whose certificate holds on the
-    placed set (`_certified`) is reused; only where none does is
-    `find_offset` called, and it adds its outcome's certificate."""
+    `find_offset` outcomes so far (default: none).  At each position an
+    outcome whose certificate holds on the placed set (`_certified`) is
+    reused; only where none does is the clock read and `find_offset`
+    called, and it adds its outcome's certificate."""
     if certs is None:
         certs = [[] for _ in state.polys]
-    ref_order, ref_offsets = ref or ((), {})
-    diff = set()  # pairs placed by one fill but not the other, so far
-    ref_failed = set()  # items the reference failed at earlier positions
-    for pos, idx in enumerate(order):
-        r = ref_order[pos] if pos < len(ref_order) else None
-        if not diff and idx == r:
-            off = ref_offsets.get(idx)
-        elif not diff and idx in ref_failed:
-            off = None
-        elif (cert := _certified(state, idx, certs[idx])) is not None:
+    for idx in order:
+        if (cert := _certified(state, idx, certs[idx])) is not None:
             off = cert[0]
+        elif time.monotonic() > deadline:
+            break
         else:
-            if time.monotonic() > deadline:
-                break
             off = find_offset(state, idx, COARSE_CELLS, certs[idx])
         if off is not None:
             state.place(idx, off)
-            diff ^= {(idx, off)}
-        if r in ref_offsets:
-            diff ^= {(r, ref_offsets[r])}
-        elif r is not None:
-            ref_failed.add(r)
 
 
 class Record:
@@ -407,7 +377,7 @@ def solve_greedy(instance: Instance, cfg: SolverConfig,
     if order is None:
         order = priority_order(instance, Ordering.VALUE_DENSITY)
     _check_order(instance, order)
-    _fill(state, order, deadline, certs=record.certs)
+    _fill(state, order, deadline, record.certs)
     return state.to_solution()
 
 
@@ -432,14 +402,12 @@ def improve_local(instance: Instance, start: Solution, cfg: SolverConfig,
     and then the rest, each in value-density order, which refills a
     density-order greedy start exactly.  Each of `SEARCH_STEPS` steps swaps
     two positions at most 8 apart in the current order.  An order already
-    filled is skipped; any other is filled from position 0 with the current
-    order and its offsets as `_fill`'s reference fill: while the two fills'
-    placed sets agree, the reference's item at a position keeps the
-    reference's outcome and an item the reference failed earlier fails,
-    without a `find_offset` call.  That is exact only because a fill is
-    deterministic and a failure stands as items are added.  Elsewhere a
-    refill reuses any outcome of `record` (the solve's `Record`; a call on
-    its own starts an empty one) whose certificate holds.  The candidate
+    filled is skipped.  Any other is refilled: the items of the unchanged
+    prefix, before the first swapped position, go where the current fill
+    placed them, and `_fill` places the rest, reusing any outcome of
+    `record` (the solve's `Record`; a call on its own starts an empty one)
+    whose certificate holds.  The prefix replay is exact when the start is
+    the fill of `order`, because a fill is deterministic.  The candidate
     becomes the current order if its value is not lower, and the best if its
     value is higher.  An `order` that is not distinct item indices, or that
     leaves out an item the start places, raises ValueError."""
@@ -471,8 +439,12 @@ def improve_local(instance: Instance, start: Solution, cfg: SolverConfig,
         if cand in filled:
             continue
         filled.add(cand)
+        k = min(i, j)
         state = PlacementState(instance, record.fits)
-        _fill(state, cand, deadline, (current, current_offsets), record.certs)
+        for idx in cand[:k]:
+            if idx in current_offsets:
+                state.place(idx, current_offsets[idx])
+        _fill(state, cand[k:], deadline, record.certs)
         if state.value >= current_value:
             current, current_offsets, current_value = cand, state.offsets, state.value
         if state.value > best_value:

@@ -12,6 +12,8 @@ from polypack.model import save_instance, save_solution, write_solution, Solutio
 from polypack.render import RenderOfInvalidSolution, RenderSpec, render
 from polypack.valuation import ValueKind
 
+from test_model import UNDECODABLE
+
 
 @pytest.fixture()
 def workdir(tmp_path, capsys):
@@ -79,6 +81,19 @@ def test_verify_rejects_duplicate_file(workdir, capsys):
     code = run(["verify", str(inst_path), str(bad_path)])
     captured = capsys.readouterr()
     assert code == 1
+    assert json.loads(captured.out)["violation"]["kind"] == "InvalidFile"
+
+
+@pytest.mark.parametrize("data", UNDECODABLE.values(), ids=UNDECODABLE.keys())
+def test_verify_reports_undecodable_file_as_invalid(workdir, capsys, data):
+    inst_path = workdir / "i.json"
+    run_ok(capsys, "generate", "atris", "--seed", "2", "--n", "10",
+           "-o", str(inst_path))
+    bad_path = workdir / "bad.json"
+    bad_path.write_bytes(data)
+    code = run(["verify", str(inst_path), str(bad_path)])
+    captured = capsys.readouterr()
+    assert code == 1, captured.err
     assert json.loads(captured.out)["violation"]["kind"] == "InvalidFile"
 
 

@@ -94,6 +94,21 @@ def test_malformed_json():
         read_instance(json.dumps({"type": "something_else"}))
 
 
+# JSON that fails to decode other than by a syntax error
+UNDECODABLE = {
+    "nested": b"[" * 100_000,
+    "huge-integer": b'{"type": "cgshop2024_solution", "item_indices": [' + b"9" * 5000 + b"]}",
+    "not-utf-8": b'{"type": "\xff"}',
+}
+
+
+@pytest.mark.parametrize("data", UNDECODABLE.values(), ids=UNDECODABLE.keys())
+@pytest.mark.parametrize("reader", [read_instance, read_solution])
+def test_undecodable_json_is_a_parse_error(reader, data):
+    with pytest.raises(ParseError, match="malformed JSON"):
+        reader(data)
+
+
 def test_instance_round_trip_and_canonical_bytes():
     obj = minimal_instance_obj()
     obj["meta"] = {"generator": "test", "seed": 3}

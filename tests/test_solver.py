@@ -312,7 +312,8 @@ class TestFindOffsetReference:
                 offsets = [state.offsets[i] for i in removed]
                 for i in removed:
                     state.remove(i)
-                others = [i for i in state.unpacked() if i not in removed]
+                others = [i for i in range(inst.n_items)
+                          if i not in state.offsets and i not in removed]
                 for idx in removed + rng.sample(others, min(2, len(others))):
                     for cells in (24, 48):
                         got = find_offset(state, idx, cells)
@@ -437,11 +438,8 @@ class TestKnownOutcomes:
     found no offset keeps failing as items are added, so the default order
     refills a density-order greedy start exactly; a fill replayed from the
     current fill's placements of an unchanged prefix equals the fill from
-    scratch; a fill with the current fill as reference, which copies the
-    reference's outcome at a position and fails an item the reference
-    failed earlier while the two placed sets agree, equals the fill from
-    scratch (exact only because a fill is deterministic and failures
-    stand); and an order already filled is not filled again."""
+    scratch, so a refill replays its prefix without a lookup or a call; and
+    an order already filled is not filled again."""
 
     def test_failed_item_keeps_failing_as_items_are_added(self):
         # placing an item only blocks cells, so a find_offset failure stands
@@ -458,7 +456,7 @@ class TestKnownOutcomes:
             order = list(range(inst.n_items))
             rng.shuffle(order)
             for idx in order:
-                for other in state.unpacked():
+                for other in [i for i in range(inst.n_items) if i not in state.offsets]:
                     for cells in (24, 48):
                         got = find_offset(state, other, cells)
                         if (other, cells) in failed:
@@ -509,69 +507,43 @@ class TestKnownOutcomes:
                 order, offsets = cand, got
         assert replayed > 50
 
-    @pytest.mark.parametrize("scale, shift", [(1, 0), (2 ** 30, -(2 ** 45) - 3)])
-    def test_reference_fill_equals_fill_from_scratch(self, scale, shift, monkeypatch):
-        calls = []
-        real_find_offset = solver_module.find_offset
+    def test_refill_replays_the_prefix_without_lookups(self, monkeypatch):
+        # each refill hands _fill a state that already holds the prefix it
+        # replays, and only the items after the prefix are looked up in the
+        # record, each once, or passed to find_offset
+        fills = []  # per refill: items placed on entry, order, lookups, calls
+        real = {name: getattr(solver_module, name)
+                for name in ("_fill", "_certified", "find_offset")}
+
+        def recording_fill(state, order, deadline, certs):
+            fills.append((dict(state.offsets), tuple(order), [], []))
+            real["_fill"](state, order, deadline, certs)
+
+        def recording_certified(state, idx, certs):
+            fills[-1][2].append(idx)
+            return real["_certified"](state, idx, certs)
 
         def recording_find_offset(state, idx, cells, certs=None):
-            calls.append(idx)
-            return real_find_offset(state, idx, cells, certs)
+            fills[-1][3].append(idx)
+            return real["find_offset"](state, idx, cells, certs)
 
-        monkeypatch.setattr(solver_module, "find_offset", recording_find_offset)
-
-        def fill(order, ref=None):
-            state = PlacementState(inst)
-            solver_module._fill(state, order, math.inf, ref)
-            return state
-
-        rng = random.Random(scale + shift + 9)
-        copied_after = 0
-        for base in reference_instances():
-            inst = transformed(base, scale, shift)
-            order = tuple(priority_order(inst, Ordering.VALUE_DENSITY))
-            current = fill(order)
-            n = len(order)
-            for _ in range(12):
-                # a chain of swaps, each accepted as the search accepts it
-                i = rng.randrange(n)
-                j = min(n - 1, max(0, i + rng.randint(-8, 8)))
-                cand = list(order)
-                cand[i], cand[j] = cand[j], cand[i]
-                cand = tuple(cand)
-                calls.clear()
-                got = fill(cand, (order, current.offsets))
-                called = set(calls)
-                copied_after += sum(idx not in called for idx in cand[max(i, j) + 1:])
-                assert got.offsets == fill(cand).offsets, (inst.name, i, j)
-                if got.value >= current.value:
-                    order, current = cand, got
-        # 71 and 100 positions past max(i, j) are copied at the two scales
-        assert copied_after > 40
-
-    def test_swap_of_two_failing_items_costs_one_call(self, monkeypatch):
-        # the 6-square leaves an L of width 4, where no 5-square fits: the
-        # first swapped item calls find_offset and fails, the second failed
-        # earlier in the reference, and the 2-square keeps its outcome
-        inst = box_instance(10, [square_item(6), square_item(5),
-                                 square_item(5), square_item(2)])
-        order = (0, 1, 2, 3)
-        current = PlacementState(inst)
-        solver_module._fill(current, order, math.inf)
-        assert set(current.offsets) == {0, 3}
-        calls = 0
-        real_find_offset = solver_module.find_offset
-
-        def counting_find_offset(*args):
-            nonlocal calls
-            calls += 1
-            return real_find_offset(*args)
-
-        monkeypatch.setattr(solver_module, "find_offset", counting_find_offset)
-        state = PlacementState(inst)
-        solver_module._fill(state, (0, 2, 1, 3), math.inf, (order, current.offsets))
-        assert calls == 1
-        assert state.offsets == current.offsets
+        replayed = 0
+        for inst in reference_instances():
+            start = solve_greedy(inst, FAST)
+            start_offsets = {p.item_index: p.offset for p in start.placements}
+            for name, fn in [("_fill", recording_fill),
+                             ("_certified", recording_certified),
+                             ("find_offset", recording_find_offset)]:
+                monkeypatch.setattr(solver_module, name, fn)
+            fills.clear()
+            improve_local(inst, start, FAST)
+            monkeypatch.undo()
+            assert fills and fills[0][0].items() <= start_offsets.items()
+            for placed, order, lookups, calls in fills:
+                assert lookups == list(order), inst.name
+                assert set(calls) <= set(order) and not placed.keys() & set(order)
+                replayed += inst.n_items - len(order)
+        assert replayed > 50
 
     def test_order_already_filled_is_not_filled_again(self, monkeypatch):
         # two items have two orders: the start's, and the one every swap
@@ -613,11 +585,11 @@ class TestCertificates:
         return calls
 
     @staticmethod
-    def fill(inst, order, record=None, ref=None):
+    def fill(inst, order, record=None):
         if record is None:
             record = solver_module.Record(inst)
         state = PlacementState(inst, record.fits)
-        solver_module._fill(state, order, math.inf, ref, record.certs)
+        solver_module._fill(state, order, math.inf, record.certs)
         return state
 
     @pytest.mark.parametrize("scale, shift", [(1, 0), (2 ** 30, -(2 ** 45) - 3)])
@@ -648,7 +620,7 @@ class TestCertificates:
             fills = [self.fill(inst, tuple(o), record) for o in starts]
             for o, got in zip(starts, fills):
                 assert got.offsets == self.fill(inst, o).offsets, inst.name
-            # then a chain of swaps, refilled against the current fill
+            # then a chain of swaps, each refilled on the shared record
             order, current = tuple(density), fills[0]
             n = len(order)
             for _ in range(12):
@@ -657,11 +629,11 @@ class TestCertificates:
                 cand = list(order)
                 cand[i], cand[j] = cand[j], cand[i]
                 cand = tuple(cand)
-                got = self.fill(inst, cand, record, (order, current.offsets))
+                got = self.fill(inst, cand, record)
                 assert got.offsets == self.fill(inst, cand).offsets, (inst.name, i, j)
                 if got.value >= current.value:
                     order, current = cand, got
-        # 56 and 112 at plain coordinates, 45 and 92 scaled and shifted
+        # 233 and 285 at plain coordinates, 238 and 304 scaled and shifted
         assert held[True] > 30 and held[False] > 60, held
 
     def test_covered_hit_calls_find_offset(self, monkeypatch):
@@ -702,6 +674,20 @@ class TestCertificates:
             calls.clear()
             assert self.fill(base, order, record).offsets == first.offsets
             assert calls == []
+
+    def test_swap_of_two_failing_items_costs_no_call(self, monkeypatch):
+        # the 6-square leaves an L of width 4, where both 5-squares fail with
+        # the 6-square as their one blocker; after the fill of (0, 1, 2, 3),
+        # every outcome of the swapped order is certified on the record
+        inst = box_instance(10, [square_item(6), square_item(5),
+                                 square_item(5), square_item(2)])
+        record = solver_module.Record(inst)
+        first = self.fill(inst, (0, 1, 2, 3), record)
+        assert set(first.offsets) == {0, 3}
+        calls = self.counting(monkeypatch)
+        second = self.fill(inst, (0, 2, 1, 3), record)
+        assert calls == []
+        assert second.offsets == first.offsets
 
     def test_area_failure_is_not_recorded(self):
         # after the 8-square the 7-square fails the free-area test, which
