@@ -37,16 +37,19 @@ Every `find_offset` outcome carries a certificate: its blockers (the
 placed items whose overlap exit moved a scan on) and its hits (the coarse
 hit and each refinement hit that replaced the best cell).  Placing an item
 only blocks cells, so the outcome holds on any placed set that keeps every
-blocker at its offset and meets the item at no hit.  `solve` keeps one
-`Record` of these certificates per item, shared by all its fills; at each
-position a fill reuses any outcome whose certificate holds there, and only
-where none does is `find_offset` called.  So an item that failed, or found
-a cell, in an earlier fill or under a smaller placed set is not scanned
-again.  An order already filled is not filled again.  A refill becomes the
-current order if its value is not lower and the best if it is higher, so
-the packed value never decreases.  The step count, not the clock, ends the
-search, so its output depends only on the seed while the budget lasts.  A
-start solution is accepted only if `verifier.verify` finds it valid.
+blocker at its offset and meets the item at no hit.  Every `PlacementState`
+carries its solve's `Record`: each item's inner fit and the certificates
+of its outcomes so far.  `solve` makes one record, and every start fill
+and refill is a state on it; at each position a fill reuses any outcome
+whose certificate holds there, and only where none does is `find_offset`
+called.  So an item that failed, or found a cell, in an earlier fill or
+under a smaller placed set is not scanned again.  An order already filled
+is not filled again.  A refill becomes the current order if its value is
+not lower and the best if it is higher, so the packed value never
+decreases.  The step count, not the clock, ends the search, so its output
+depends only on the seed while the budget lasts.  `solve` hands its best
+start fill to the search as it is; `improve_local` accepts a caller's start
+solution only if `verifier.verify` finds it valid.
 
 `shelf_pack` is a separate algorithm for rectangular containers: next-fit
 decreasing-height shelves, used for the Moon-Moser square-packing check.
@@ -73,7 +76,7 @@ class Ordering(enum.Enum):
     AREA_DESC = "area"
 
 
-COARSE_CELLS = 24  # coarse-grid resolution across the longer span
+COARSE_CELLS = 24  # coarse-grid cells across the longer span, fixed while a record lives
 SEARCH_STEPS = 8  # order-search steps after the start fill
 
 
@@ -95,24 +98,29 @@ def _is_axis_rect(poly) -> bool:
     return set(poly.coords) == corners
 
 
-def _inner_fits(instance: Instance) -> list:
-    """Each item's `geom.inner_fit` in the instance's container."""
-    return [inner_fit(instance.container, it.polygon) for it in instance.items]
+class Record:
+    """What one solve keeps across its fills: each item's `geom.inner_fit`,
+    built once, and `certs`, each item's `find_offset` certificates."""
+
+    def __init__(self, instance: Instance):
+        self.fits = [inner_fit(instance.container, it.polygon) for it in instance.items]
+        self.certs: list[list] = [[] for _ in instance.items]
 
 
 class PlacementState:
     """Current placements plus the occupancy index; mutations keep the state
-    feasible, so a snapshot is always a valid solution.  `fits`, if given,
-    is the instance's `_inner_fits`, so that the states of one solve share
-    them."""
+    feasible, so a snapshot is always a valid solution.  A state carries
+    `record`, the `Record` of its solve (default: a fresh one), and reads
+    `fits` from it.  A certificate keeps the live offsets dict of the state
+    it was found on, so a state whose record a later fill reads only grows."""
 
-    def __init__(self, instance: Instance, fits: Optional[list] = None):
+    def __init__(self, instance: Instance, record: Optional[Record] = None):
         self.instance = instance
+        self.record = Record(instance) if record is None else record
         self.polys = [it.polygon for it in instance.items]
         self.values = [it.value for it in instance.items]
         self.bboxes = [p.bbox for p in self.polys]
-        self.cbox = instance.container.bbox
-        self.fits = _inner_fits(instance) if fits is None else fits
+        self.fits = self.record.fits
         self.tree = BoxIndex()
         self.offsets: dict[int, tuple[int, int]] = {}
         self.value = 0
@@ -215,9 +223,9 @@ def _scan_bottom_left(state, idx, lox, hix, loy, hiy, step, memo, blocked):
     return None
 
 
-def find_offset(state: PlacementState, idx: int, coarse_cells: int,
-                certs: Optional[list] = None) -> Optional[tuple[int, int]]:
-    """Bottom-left feasible offset on a coarse grid, refined around the hit.
+def find_offset(state: PlacementState, idx: int) -> Optional[tuple[int, int]]:
+    """Bottom-left feasible offset on a grid of `COARSE_CELLS` cells across
+    the longer span, refined around the hit.
 
     Each refinement halves the step and rescans the old step's window around
     the best hit so far, down to step 1.  No clock is read here, so a solve
@@ -225,17 +233,18 @@ def find_offset(state: PlacementState, idx: int, coarse_cells: int,
     no-fit half-planes; it lives only as long as this call, so its tables
     are dropped with it.
 
-    If `certs` is given, the outcome's certificate is appended to it:
-    `(outcome, blockers, hits, offsets)`.  The blockers are the placed items
-    whose overlap exit moved any of the call's scans on, the hits are the
-    coarse hit and each refinement hit that replaced the best cell, and
-    `offsets` is the state's own offsets dict, where each blocker's offset
-    is read.  Every cell a scan passed over lies outside the inner fit or
-    inside a blocker, and each hit was free, so the call returns the same
-    outcome on any placed set that holds every blocker at its offset and
-    meets no hit (`_certified`): a placed item only blocks cells.  That is
-    why `offsets` may be a fill's live dict, which only grows.  A failure
-    of the area test is not certified, as it depends on no blocker."""
+    The outcome's certificate, `(outcome, blockers, hits, offsets)`, is
+    appended to the item's list in the state's record.  The blockers are
+    the placed items whose overlap exit moved any of the call's scans on,
+    the hits are the coarse hit and each refinement hit that replaced the
+    best cell, and `offsets` is the state's own offsets dict, where each
+    blocker's offset is read.  Every cell a scan passed over lies outside
+    the inner fit or inside a blocker, and each hit was free, so the call
+    returns the same outcome on any placed set that holds every blocker at
+    its offset and meets no hit (`_certified`): a placed item only blocks
+    cells.  That is why `offsets` may be a fill's live dict, which only
+    grows.  A failure of the area test is not certified, as it depends on
+    no blocker."""
     if state.polys[idx].area2 > state.free_area2:
         return None
     lox, hix, loy, hiy, _ = state.fits[idx]
@@ -243,7 +252,7 @@ def find_offset(state: PlacementState, idx: int, coarse_cells: int,
     hits = []
     if lox <= hix and loy <= hiy:
         span = max(hix - lox, hiy - loy)
-        step = max(1, -(-span // coarse_cells))  # ceil division
+        step = max(1, -(-span // COARSE_CELLS))  # ceil division
         memo: dict = {}
         best = _scan_bottom_left(state, idx, lox, hix, loy, hiy, step, memo, blocked)
         if best is not None:
@@ -259,18 +268,18 @@ def find_offset(state: PlacementState, idx: int, coarse_cells: int,
                     best = cand
                     hits.append(best)
     outcome = hits[-1] if hits else None
-    if certs is not None:
-        certs.append((outcome, tuple(blocked), tuple(hits), state.offsets))
+    state.record.certs[idx].append((outcome, tuple(blocked), tuple(hits), state.offsets))
     return outcome
 
 
-def _certified(state: PlacementState, idx: int, certs: list):
-    """The first of item idx's certificates (see `find_offset`) that holds
-    on the state's placed set, or None: every blocker is placed at its
-    recorded offset, and no placed item meets the item at any hit.  The
-    blockers need no hit test: each hit was free with them where they are."""
+def _certified(state: PlacementState, idx: int):
+    """The first of item idx's certificates in the state's record (see
+    `find_offset`) that holds on the state's placed set, or None: every
+    blocker is placed at its recorded offset, and no placed item meets the
+    item at any hit.  The blockers need no hit test: each hit was free with
+    them where they are."""
     offsets = state.offsets
-    for cert in certs:
+    for cert in state.record.certs[idx]:
         _, blocked, hits, recorded = cert
         for j in blocked:
             if offsets.get(j) != recorded[j]:
@@ -292,7 +301,7 @@ def shelf_pack(instance: Instance, deadline: Optional[float] = None) -> Solution
     if not _is_axis_rect(instance.container):
         raise ValueError("shelf placement requires an axis-aligned rectangular container")
     state = PlacementState(instance)
-    cb = state.cbox
+    cb = instance.container.bbox
     width = cb[2] - cb[0]
     height = cb[3] - cb[1]
     order = sorted(range(len(state.polys)),
@@ -306,6 +315,8 @@ def shelf_pack(instance: Instance, deadline: Optional[float] = None) -> Solution
             break
         b = state.bboxes[idx]
         w, h = b[2] - b[0], b[3] - b[1]
+        if w > width or h > height:
+            continue  # fits on no shelf: it must not size or open one
         if shelf_h == 0:
             shelf_h = h
         if cursor + w > width:
@@ -314,8 +325,6 @@ def shelf_pack(instance: Instance, deadline: Optional[float] = None) -> Solution
             shelf_y += shelf_h
             shelf_h = h
             cursor = 0
-        if shelf_y + h > height or cursor + w > width:
-            continue
         off = (cb[0] + cursor - b[0], cb[1] + shelf_y - b[1])
         if state.can_place(idx, off):
             state.place(idx, off)
@@ -323,36 +332,23 @@ def shelf_pack(instance: Instance, deadline: Optional[float] = None) -> Solution
     return state.to_solution()
 
 
-def _fill(state, order, deadline, certs=None) -> None:
-    """Place each item of `order` at `find_offset`'s cell on the coarse grid
-    until `deadline` passes.
+def _fill(state, order, deadline) -> None:
+    """Place each item of `order` at `find_offset`'s cell until `deadline`
+    passes.
 
-    `certs` is the solve's `Record.certs`: per item, the certificates of its
-    `find_offset` outcomes so far (default: none).  At each position an
-    outcome whose certificate holds on the placed set (`_certified`) is
-    reused; only where none does is the clock read and `find_offset`
-    called, and it adds its outcome's certificate."""
-    if certs is None:
-        certs = [[] for _ in state.polys]
+    At each position an outcome whose certificate in the state's record
+    holds on the placed set (`_certified`) is reused; only where none does
+    is the clock read and `find_offset` called, and it adds its outcome's
+    certificate to the record."""
     for idx in order:
-        if (cert := _certified(state, idx, certs[idx])) is not None:
+        if (cert := _certified(state, idx)) is not None:
             off = cert[0]
         elif time.monotonic() > deadline:
             break
         else:
-            off = find_offset(state, idx, COARSE_CELLS, certs[idx])
+            off = find_offset(state, idx)
         if off is not None:
             state.place(idx, off)
-
-
-class Record:
-    """What one solve keeps across its fills: each item's inner fit, built
-    once, and `certs`, the certificates of each item's `find_offset`
-    outcomes (`_fill`'s record)."""
-
-    def __init__(self, instance: Instance):
-        self.fits = _inner_fits(instance)
-        self.certs: list[list] = [[] for _ in instance.items]
 
 
 def _check_order(instance: Instance, order) -> None:
@@ -363,39 +359,57 @@ def _check_order(instance: Instance, order) -> None:
 
 def solve_greedy(instance: Instance, cfg: SolverConfig,
                  deadline: Optional[float] = None,
-                 order: Optional[list[int]] = None, *,
-                 record: Optional[Record] = None) -> Solution:
+                 order: Optional[list[int]] = None) -> Solution:
     """Greedy sequential fill in `order` (default: value density), which must
-    be distinct item indices (ValueError otherwise); output always verifies.
-    `record` is the solve's `Record`; a call on its own starts an empty
-    one."""
-    if record is None:
-        record = Record(instance)
-    state = PlacementState(instance, record.fits)
+    be distinct item indices (ValueError otherwise), on a fresh record;
+    output always verifies."""
+    state = PlacementState(instance)
     if deadline is None:
         deadline = time.monotonic() + cfg.time_budget
     if order is None:
         order = priority_order(instance, Ordering.VALUE_DENSITY)
     _check_order(instance, order)
-    _fill(state, order, deadline, record.certs)
+    _fill(state, order, deadline)
     return state.to_solution()
 
 
-def _state_from_solution(instance: Instance, solution: Solution,
-                         fits: list) -> PlacementState:
-    if not verify(instance, solution).valid:
-        raise ValueError("starting solution does not verify")
-    state = PlacementState(instance, fits)
-    for pl in solution.placements:
-        state.place(pl.item_index, pl.offset)
-    return state
+def _search(state, order, seed, deadline, progress) -> Solution:
+    """`improve_local`'s search from `state`, the fill of `order`, on its record."""
+    rng = Rng(seed, stream=0x15EA9C4)
+    best = current = state
+    current_order = tuple(order)
+    filled = {current_order}
+    n = len(current_order)
+    for step in range(1, SEARCH_STEPS + 1):
+        if n < 2 or time.monotonic() > deadline:
+            break
+        i = rng.below(n)
+        j = min(n - 1, max(0, i + rng.in_range(-8, 8)))
+        cand = list(current_order)
+        cand[i], cand[j] = cand[j], cand[i]
+        cand = tuple(cand)
+        if cand in filled:
+            continue
+        filled.add(cand)
+        k = min(i, j)
+        state = PlacementState(current.instance, current.record)
+        for idx in cand[:k]:
+            if idx in current.offsets:
+                state.place(idx, current.offsets[idx])
+        _fill(state, cand[k:], deadline)
+        if state.value >= current.value:
+            current, current_order = state, cand
+        if state.value > best.value:
+            best = state
+            if progress is not None:
+                progress(step, best.value)
+    return best.to_solution()
 
 
 def improve_local(instance: Instance, start: Solution, cfg: SolverConfig,
                   deadline: Optional[float] = None,
                   progress: Optional[Callable] = None,
-                  order: Optional[list[int]] = None, *,
-                  record: Optional[Record] = None) -> Solution:
+                  order: Optional[list[int]] = None) -> Solution:
     """Order search from a feasible start; packed value never decreases.
 
     `order` is the order whose fill is `start`; by default, the start's items
@@ -404,16 +418,18 @@ def improve_local(instance: Instance, start: Solution, cfg: SolverConfig,
     two positions at most 8 apart in the current order.  An order already
     filled is skipped.  Any other is refilled: the items of the unchanged
     prefix, before the first swapped position, go where the current fill
-    placed them, and `_fill` places the rest, reusing any outcome of
-    `record` (the solve's `Record`; a call on its own starts an empty one)
-    whose certificate holds.  The prefix replay is exact when the start is
-    the fill of `order`, because a fill is deterministic.  The candidate
-    becomes the current order if its value is not lower, and the best if its
-    value is higher.  An `order` that is not distinct item indices, or that
-    leaves out an item the start places, raises ValueError."""
-    if record is None:
-        record = Record(instance)
-    state = _state_from_solution(instance, start, record.fits)
+    placed them, and `_fill` places the rest, reusing any outcome whose
+    certificate in the start's fresh record holds.  The prefix replay is
+    exact when the start is the fill of `order`, because a fill is
+    deterministic.  The candidate becomes the current order if its value is
+    not lower, and the best if its value is higher.  A start that does not
+    verify, or an `order` that is not distinct item indices or that leaves
+    out an item the start places, raises ValueError."""
+    if not verify(instance, start).valid:
+        raise ValueError("starting solution does not verify")
+    state = PlacementState(instance)
+    for pl in start.placements:
+        state.place(pl.item_index, pl.offset)
     if deadline is None:
         deadline = time.monotonic() + cfg.time_budget
     if order is None:
@@ -423,45 +439,13 @@ def improve_local(instance: Instance, start: Solution, cfg: SolverConfig,
     _check_order(instance, order)
     if not state.offsets.keys() <= set(order):
         raise ValueError("order must hold every item the start places")
-    rng = Rng(cfg.seed, stream=0x15EA9C4)
-    best, best_value = state.to_solution(), state.value
-    current, current_offsets, current_value = tuple(order), state.offsets, state.value
-    filled = {current}
-    n = len(current)
-    for step in range(1, SEARCH_STEPS + 1):
-        if n < 2 or time.monotonic() > deadline:
-            break
-        i = rng.below(n)
-        j = min(n - 1, max(0, i + rng.in_range(-8, 8)))
-        cand = list(current)
-        cand[i], cand[j] = cand[j], cand[i]
-        cand = tuple(cand)
-        if cand in filled:
-            continue
-        filled.add(cand)
-        k = min(i, j)
-        state = PlacementState(instance, record.fits)
-        for idx in cand[:k]:
-            if idx in current_offsets:
-                state.place(idx, current_offsets[idx])
-        _fill(state, cand[k:], deadline, record.certs)
-        if state.value >= current_value:
-            current, current_offsets, current_value = cand, state.offsets, state.value
-        if state.value > best_value:
-            best, best_value = state.to_solution(), state.value
-            if progress is not None:
-                progress(step, best_value)
-    return best
-
-
-def solution_value(instance: Instance, solution: Solution) -> int:
-    return sum(instance.items[p.item_index].value for p in solution.placements)
+    return _search(state, order, cfg.seed, deadline, progress)
 
 
 def solve(instance: Instance, cfg: SolverConfig,
           progress: Optional[Callable] = None) -> Solution:
-    """Greedy under each start order, then local search from the first best
-    fill and its order, all sharing one `Record`; always returns a
+    """Greedy under each start order, then the order search from the first
+    best fill and its order, all states on one `Record`; always returns a
     verifying solution."""
     deadline = time.monotonic() + cfg.time_budget
     record = Record(instance)
@@ -475,11 +459,12 @@ def solve(instance: Instance, cfg: SolverConfig,
             order = list(base)
             shuffle_rng.shuffle(order)
             orders.append(order)
-    fills = [solve_greedy(instance, cfg, deadline, order=o, record=record)
-             for o in orders]
-    values = [solution_value(instance, s) for s in fills]
-    k = values.index(max(values))
+    starts = []
+    for order in orders:
+        state = PlacementState(instance, record)
+        _fill(state, order, deadline)
+        starts.append((state, order))
+    state, order = max(starts, key=lambda s: s[0].value)  # the first best
     if progress is not None:
-        progress(0, values[k])
-    return improve_local(instance, fills[k], cfg, deadline, progress,
-                         order=orders[k], record=record)
+        progress(0, state.value)
+    return _search(state, order, cfg.seed, deadline, progress)

@@ -16,8 +16,8 @@ from polypack.generators import GenConfig, gen_atris, gen_jigsaw, gen_random, ge
 from polypack.model import MAX_TOTAL_VALUE, Placement, Solution
 from polypack.scoring import SubmissionRecord, build_leaderboard, instance_score
 from polypack.selection import SelectionConfig, compute_metrics, select_from_features
-from polypack.solver import (SolverConfig, improve_local, shelf_pack,
-                             solution_value, solve, solve_greedy)
+from polypack.solver import (SolverConfig, improve_local, shelf_pack, solve,
+                             solve_greedy)
 from polypack.verifier import verify
 
 from test_generators import identity_solution
@@ -151,11 +151,11 @@ def test_c6_solver_feasibility_and_monotonicity():
             cfg = SolverConfig(time_budget=12.0, seed=seed)
             greedy = solve_greedy(inst, cfg)
             assert verify(inst, greedy).valid
-            g_val = solution_value(inst, greedy)
+            g_val = verify(inst, greedy).packed_value
             trace = []
             out = improve_local(inst, greedy, cfg,
                                 progress=lambda it, v: trace.append(v))
-            o_val = solution_value(inst, out)
+            o_val = verify(inst, out).packed_value
             assert verify(inst, out).valid
             assert o_val >= g_val
             assert trace == sorted(trace)  # value never decreases

@@ -10,10 +10,10 @@ from polypack.generators import GenConfig, gen_atris, gen_jigsaw, gen_random, ge
 import polypack.solver as solver_module
 from polypack.geom import Polygon, containment_range, inner_fit
 from polypack.model import Instance, Item, Solution, write_solution
+from polypack.rng import Rng
 from polypack.solver import (Ordering, PlacementState,
                              SolverConfig, find_offset, improve_local,
-                             priority_order, shelf_pack, solution_value,
-                             solve, solve_greedy)
+                             priority_order, shelf_pack, solve, solve_greedy)
 from polypack.verifier import BoxIndex, verify
 
 import oracles
@@ -127,6 +127,16 @@ class TestShelfMode:
         with pytest.raises(ValueError, match="rectangular"):
             shelf_pack(inst)
 
+    @pytest.mark.parametrize("w, h", [(2, 11), (11, 4)])
+    def test_item_larger_than_box_opens_no_shelf(self, w, h):
+        # an item that sits on no shelf must not size or open one, or the
+        # nine 3-squares no longer all find room
+        big = Item(Polygon([(0, 0), (w, 0), (w, h), (0, h)]), 1)
+        inst = box_instance(10, [square_item(3)] * 9 + [big])
+        sol = shelf_pack(inst)
+        assert {p.item_index for p in sol.placements} == set(range(9))
+        assert verify(inst, sol).valid
+
     def test_past_deadline_places_nothing(self):
         inst = box_instance(10, [square_item(3), square_item(2)])
         assert shelf_pack(inst, deadline=time.monotonic() - 1).n_placed == 0
@@ -213,7 +223,7 @@ def cell_by_cell_find_offset(state, idx, coarse_cells):
     afresh, against which find_offset's memoised scan is compared."""
     if state.polys[idx].area2 > state.free_area2:
         return None
-    cb, b = state.cbox, state.bboxes[idx]
+    cb, b = state.instance.container.bbox, state.bboxes[idx]
     lox, hix, loy, hiy = cb[0] - b[0], cb[2] - b[2], cb[1] - b[1], cb[3] - b[3]
     if lox > hix or loy > hiy:
         return None
@@ -258,7 +268,7 @@ def reference_instances():
 
 def grow(state, idx, hit, rng):
     """Place item idx at a random feasible offset, else at `hit` if any."""
-    cb, b = state.cbox, state.bboxes[idx]
+    cb, b = state.instance.container.bbox, state.bboxes[idx]
     xs, ys = (cb[0] - b[0], cb[2] - b[2]), (cb[1] - b[1], cb[3] - b[3])
     off = hit
     if xs[0] <= xs[1] and ys[0] <= ys[1]:
@@ -276,7 +286,7 @@ class TestFindOffsetReference:
     the cell the cell-by-cell scan returns, on any state."""
 
     @SCALE_SHIFTS
-    def test_matches_cell_by_cell_scan(self, scale, shift):
+    def test_matches_cell_by_cell_scan(self, scale, shift, monkeypatch):
         rng = random.Random(scale + shift)
         compared = found = 0
         for base in reference_instances():
@@ -286,7 +296,8 @@ class TestFindOffsetReference:
             rng.shuffle(order)
             for idx in order:
                 for cells in (7, 24, 48):
-                    got = find_offset(state, idx, cells)
+                    monkeypatch.setattr(solver_module, "COARSE_CELLS", cells)
+                    got = find_offset(state, idx)
                     assert got == cell_by_cell_find_offset(state, idx, cells), \
                         (inst.name, idx, cells)
                     compared += 1
@@ -295,7 +306,7 @@ class TestFindOffsetReference:
         assert compared > 150 and 0 < found < compared
 
     @SCALE_SHIFTS
-    def test_matches_after_removals(self, scale, shift):
+    def test_matches_after_removals(self, scale, shift, monkeypatch):
         # swap-shaped states: items removed from a grown state leave holes
         # among the remaining blockers, as a swap move does
         rng = random.Random(scale + shift + 1)
@@ -306,7 +317,7 @@ class TestFindOffsetReference:
             order = list(range(inst.n_items))
             rng.shuffle(order)
             for idx in order:
-                grow(state, idx, find_offset(state, idx, 24), rng)
+                grow(state, idx, find_offset(state, idx), rng)
             for _ in range(2):
                 removed = rng.sample(sorted(state.offsets), rng.randint(1, 2))
                 offsets = [state.offsets[i] for i in removed]
@@ -316,11 +327,13 @@ class TestFindOffsetReference:
                           if i not in state.offsets and i not in removed]
                 for idx in removed + rng.sample(others, min(2, len(others))):
                     for cells in (24, 48):
-                        got = find_offset(state, idx, cells)
+                        monkeypatch.setattr(solver_module, "COARSE_CELLS", cells)
+                        got = find_offset(state, idx)
                         assert got == cell_by_cell_find_offset(state, idx, cells), \
                             (inst.name, removed, idx, cells)
                         compared += 1
                         found += got is not None
+                monkeypatch.undo()
                 for i, off in zip(removed, offsets):
                     state.place(i, off)
         assert compared >= 40 and found > 0
@@ -350,7 +363,7 @@ class TestFindOffsetReference:
             # the coarse scan, then one per halving of its step down to 1
             lox, hix, loy, hiy, _ = state.fits[idx]
             scans = max(1, -(-max(hix - lox, hiy - loy) // 24)).bit_length()
-            off = find_offset(state, idx, 24)
+            off = find_offset(state, idx)
             assert len(queries) <= scans, (idx, len(queries), scans)
             most_probes = max(most_probes, len(probes))
             most_scans = max(most_scans, scans)
@@ -375,7 +388,7 @@ class TestFindOffsetReference:
         state.place(0, (0, 0))
         lox, hix, loy, hiy, _ = state.fits[1]
         assert -(-max(hix - lox, hiy - loy) // 24) >= 128
-        got = find_offset(state, 1, 24)
+        got = find_offset(state, 1)
         assert got == (blocker, 0)
         assert got == cell_by_cell_find_offset(state, 1, 24)
 
@@ -441,7 +454,7 @@ class TestKnownOutcomes:
     scratch, so a refill replays its prefix without a lookup or a call; and
     an order already filled is not filled again."""
 
-    def test_failed_item_keeps_failing_as_items_are_added(self):
+    def test_failed_item_keeps_failing_as_items_are_added(self, monkeypatch):
         # placing an item only blocks cells, so a find_offset failure stands
         rng = random.Random(11)
         instances = [gen_random(GenConfig(seed=1, n_target=16)),
@@ -451,14 +464,15 @@ class TestKnownOutcomes:
         rechecked = 0
         for inst in instances:
             state = PlacementState(inst)
-            cb = state.cbox
+            cb = inst.container.bbox
             failed = set()
             order = list(range(inst.n_items))
             rng.shuffle(order)
             for idx in order:
                 for other in [i for i in range(inst.n_items) if i not in state.offsets]:
                     for cells in (24, 48):
-                        got = find_offset(state, other, cells)
+                        monkeypatch.setattr(solver_module, "COARSE_CELLS", cells)
+                        got = find_offset(state, other)
                         if (other, cells) in failed:
                             assert got is None, (inst.name, other, cells)
                             rechecked += 1
@@ -515,17 +529,17 @@ class TestKnownOutcomes:
         real = {name: getattr(solver_module, name)
                 for name in ("_fill", "_certified", "find_offset")}
 
-        def recording_fill(state, order, deadline, certs):
+        def recording_fill(state, order, deadline):
             fills.append((dict(state.offsets), tuple(order), [], []))
-            real["_fill"](state, order, deadline, certs)
+            real["_fill"](state, order, deadline)
 
-        def recording_certified(state, idx, certs):
+        def recording_certified(state, idx):
             fills[-1][2].append(idx)
-            return real["_certified"](state, idx, certs)
+            return real["_certified"](state, idx)
 
-        def recording_find_offset(state, idx, cells, certs=None):
+        def recording_find_offset(state, idx):
             fills[-1][3].append(idx)
-            return real["find_offset"](state, idx, cells, certs)
+            return real["find_offset"](state, idx)
 
         replayed = 0
         for inst in reference_instances():
@@ -577,19 +591,17 @@ class TestCertificates:
         calls = []
         real_find_offset = solver_module.find_offset
 
-        def counting_find_offset(state, idx, cells, certs=None):
+        def counting_find_offset(state, idx):
             calls.append(idx)
-            return real_find_offset(state, idx, cells, certs)
+            return real_find_offset(state, idx)
 
         monkeypatch.setattr(solver_module, "find_offset", counting_find_offset)
         return calls
 
     @staticmethod
     def fill(inst, order, record=None):
-        if record is None:
-            record = solver_module.Record(inst)
-        state = PlacementState(inst, record.fits)
-        solver_module._fill(state, order, math.inf, record.certs)
+        state = PlacementState(inst, record)
+        solver_module._fill(state, order, math.inf)
         return state
 
     @pytest.mark.parametrize("scale, shift", [(1, 0), (2 ** 30, -(2 ** 45) - 3)])
@@ -598,20 +610,30 @@ class TestCertificates:
         # outcome a from-scratch find_offset gives on the same placed set
         held = {True: 0, False: 0}  # by whether the outcome is a cell
         real_certified = solver_module._certified
+        own = None  # the current instance's record, which no fill reads
 
-        def checking_certified(state, idx, certs):
-            fresh = find_offset(state, idx, solver_module.COARSE_CELLS)
-            for cert in certs:
-                if real_certified(state, idx, [cert]) is not None:
+        def checking_certified(state, idx):
+            # the fresh call runs on a copy of the placed set with its own
+            # record, so the shared record gains no certificate from it
+            probe = PlacementState(state.instance, own)
+            for j, off in state.offsets.items():
+                probe.place(j, off)
+            fresh = find_offset(probe, idx)
+            certs = state.record.certs
+            every = certs[idx]
+            for cert in every:
+                certs[idx] = [cert]
+                if real_certified(state, idx) is not None:
                     assert cert[0] == fresh, (state.instance.name, idx)
                     held[fresh is not None] += 1
-            return real_certified(state, idx, certs)
+            certs[idx] = every
+            return real_certified(state, idx)
 
         monkeypatch.setattr(solver_module, "_certified", checking_certified)
         rng = random.Random(scale + shift + 13)
         for base in reference_instances():
             inst = transformed(base, scale, shift)
-            record = solver_module.Record(inst)
+            record, own = solver_module.Record(inst), solver_module.Record(inst)
             density = priority_order(inst, Ordering.VALUE_DENSITY)
             # the multi-start orders, each filled on the shared record
             starts = [density, priority_order(inst, Ordering.AREA_DESC)]
@@ -698,32 +720,44 @@ class TestCertificates:
         assert record.certs[1] == []
         assert self.fill(inst, (1, 0), record).offsets == {1: (0, 0)}
 
-    def test_solve_shares_one_record(self, monkeypatch):
-        # solve hands one record to every fill; with an empty record per
-        # call instead, as solve_greedy and improve_local start on their
-        # own, the output is the same and find_offset is called more often
+    def test_solve_builds_one_record_and_verifies_nothing(self, monkeypatch):
+        # solve fills every start and refill on one record and hands its own
+        # fill to the search unverified; solve_greedy on each start order and
+        # improve_local from the first best, each on a record of its own,
+        # give the same output with more find_offset calls
         inst = gen_jigsaw(GenConfig(seed=9, jigsaw_line_count=5, jigsaw_copies=3))
         assert inst.n_items <= 25  # the multi-start runs
         cfg = SolverConfig(time_budget=60.0, seed=1)
         calls = self.counting(monkeypatch)
-        real = {name: getattr(solver_module, name)
-                for name in ("solve_greedy", "improve_local")}
-        records = []
+        records, verified = [], []
+        real_record, real_verify = solver_module.Record, solver_module.verify
 
-        def run(keep):
-            for name, fn in real.items():
-                def call(*args, fn=fn, record, **kwargs):
-                    records.append(record)
-                    return fn(*args, record=record if keep else None, **kwargs)
-                monkeypatch.setattr(solver_module, name, call)
-            calls.clear()
-            out = write_solution(solve(inst, cfg))
-            return out, len(calls)
+        def counting_record(instance):
+            records.append(instance)
+            return real_record(instance)
 
-        shared, shared_calls = run(keep=True)
-        assert len(records) == 6 and all(r is records[0] for r in records)
-        apart, apart_calls = run(keep=False)
-        assert apart == shared and shared_calls < apart_calls
+        def counting_verify(*args):
+            verified.append(args)
+            return real_verify(*args)
+
+        monkeypatch.setattr(solver_module, "Record", counting_record)
+        monkeypatch.setattr(solver_module, "verify", counting_verify)
+        shared = write_solution(solve(inst, cfg))
+        assert len(records) == 1 and verified == []
+        shared_calls = len(calls)
+        base = priority_order(inst, Ordering.VALUE_DENSITY)
+        orders = [base, priority_order(inst, Ordering.AREA_DESC)]
+        shuffle_rng = Rng(cfg.seed, stream=0x5132)
+        for _ in range(3):
+            orders.append(list(base))
+            shuffle_rng.shuffle(orders[-1])
+        calls.clear()
+        starts = [solve_greedy(inst, cfg, order=o) for o in orders]
+        values = [verify(inst, s).packed_value for s in starts]
+        k = values.index(max(values))
+        apart = write_solution(improve_local(inst, starts[k], cfg, order=orders[k]))
+        assert apart == shared and shared_calls < len(calls)
+        assert len(records) == 1 + len(orders) + 1 and len(verified) == 1
 
 
 class TestJigsawBaseline:
@@ -744,7 +778,7 @@ class TestLocalSearch:
         inst = gen_random(GenConfig(seed=5, n_target=15))
         out = improve_local(inst, Solution(inst.name), FAST)
         assert verify(inst, out).valid
-        assert solution_value(inst, out) >= 0
+        assert verify(inst, out).packed_value >= 0
 
     def test_forced_insert(self):
         inst = box_instance(10, [square_item(4), square_item(3)])
@@ -775,7 +809,7 @@ class TestLocalSearch:
         unplaced = next(i for i in density if i not in placed)
         out = improve_local(inst, start, FAST, order=[i for i in density if i != unplaced])
         assert verify(inst, out).valid
-        assert solution_value(inst, out) >= solution_value(inst, start)
+        assert verify(inst, out).packed_value >= verify(inst, start).packed_value
 
     def test_invalid_start_rejected(self):
         from polypack.model import Placement
@@ -812,7 +846,7 @@ class TestSolveDispatch:
         inst = box_instance(9, items)
         sol = solve(inst, SolverConfig(time_budget=10.0, seed=3))
         assert verify(inst, sol).valid
-        assert solution_value(inst, sol) >= 75  # 40 + 35 at least
+        assert verify(inst, sol).packed_value >= 75  # 40 + 35 at least
 
     def test_solutions_verify_across_families(self):
         for seed, family in enumerate((gen_random, gen_jigsaw, gen_atris)):
