@@ -23,8 +23,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ..geom import (Polygon, _bbox, _hull, _min_rect, cross, is_simple,
-                    round_nearest, signed_area2)
+from ..geom import (Polygon, _bbox, _hull, _rect_extents, cross, is_simple,
+                    round_ratio, signed_area2)
 from ..model import Instance, Item
 from ..rng import Rng
 from ..valuation import ValueSpec, assign_values
@@ -95,7 +95,7 @@ def _split_face(pts, p1: Coord, p2: Coord):
             w = pts[(i + 1) % n]
             dx, dy = w[0] - v[0], w[1] - v[1]
             g = math.gcd(abs(dx), abs(dy))
-            k = min(max(round_nearest(Fraction(ci, ci - cj) * g), 0), g)
+            k = min(max(round_ratio(ci * g, ci - cj), 0), g)
             q = (v[0] + k * (dx // g), v[1] + k * (dy // g))
             if q == v or q == w:
                 contacts.append(q)
@@ -211,8 +211,8 @@ def _merge_phase(faces, cfg: GenConfig, rng: Rng, container_area2: int):
             a2 = signed_area2(merged)
             if not min_area2 <= a2 <= max_area2:
                 continue
-            _, aspect = _min_rect(_hull(merged))
-            if aspect > MAX_PIECE_ASPECT:
+            du, dw, _ = _rect_extents(_hull(merged))
+            if max(du, dw) > MAX_PIECE_ASPECT * min(du, dw):
                 continue
             used[idx] = used[jdx] = True
             merged_out.append(merged)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ..geom import GeometryError, Polygon, ensure_ccw, is_simple, round_nearest
+from ..geom import GeometryError, Polygon, ensure_ccw, is_simple, round_ratio
 from ..model import Instance, Item
 from ..rng import Rng
 from .config import (MAX_RECT_CONTAINER_AREA, SHEAR_M_RANGE,
@@ -184,10 +184,9 @@ def _normalize(pts):
 
 
 def _shear_points(pts, m: Fraction):
-    # round_nearest(x + m*y) in integers: with m = num/den,
-    # x + m*y = (x*den + num*y) / den
+    # x + m*y rounded: with m = num/den, x + m*y = (x*den + num*y) / den
     num, den = m.numerator, m.denominator
-    return [((2 * (x * den + num * y) + den) // (2 * den), y) for x, y in pts]
+    return [(round_ratio(x * den + num * y, den), y) for x, y in pts]
 
 
 def shear_polygon(poly: Polygon, m: Fraction) -> Polygon:
@@ -239,7 +238,7 @@ def _gen_tetro(cfg: GenConfig, family: str) -> Instance:
     val_lo, val_hi = VALUE_SCALE_RANGE
 
     items: list[Item] = []
-    total_area2 = Fraction(0)
+    total_area2 = 0
     index = 0
     while total_area2 <= target_area2:
         rng = Rng(cfg.seed, stream=index)
@@ -264,11 +263,16 @@ def _gen_tetro(cfg: GenConfig, family: str) -> Instance:
         pts = _normalize(_flip_rotate(pts, rng))
         poly = Polygon(pts)
         u = rng.fraction(val_lo, val_hi)
-        v = poly.area * u * CATEGORY_VALUE[category]
+        c = CATEGORY_VALUE[category]
+        # area2 / 2 * u * c [* shear factor] as one integer ratio
+        num = poly.area2 * u.numerator * c.numerator
+        den = 2 * u.denominator * c.denominator
         if sheared_m is not None:
-            v *= shear_value_factor(sheared_m)
-        items.append(Item(poly, max(1, round_nearest(v))))
-        total_area2 += Fraction(poly.area2)
+            f = shear_value_factor(sheared_m)
+            num *= f.numerator
+            den *= f.denominator
+        items.append(Item(poly, max(1, round_ratio(num, den))))
+        total_area2 += poly.area2
         index += 1
 
     name = f"{family}_s{cfg.seed}_n{len(items)}"

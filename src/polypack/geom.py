@@ -55,8 +55,20 @@ def _bbox(pts: Sequence[Coord]) -> Box:
 
 
 def round_nearest(q: Fraction) -> int:
-    """Round to the nearest integer, ties toward +infinity."""
-    return (2 * q.numerator + q.denominator) // (2 * q.denominator)
+    """Round to the nearest integer, ties toward +infinity.  Code that holds
+    a value as an integer ratio rounds it with `round_ratio` instead."""
+    return round_ratio(q.numerator, q.denominator)
+
+
+def round_ratio(num: int, den: int) -> int:
+    """`round_nearest(Fraction(num, den))` without building the Fraction.
+
+    num / den need not be in lowest terms, and den may be negative (the
+    sign is moved to num first); den must not be 0.
+    """
+    if den < 0:
+        num, den = -num, -den
+    return (2 * num + den) // (2 * den)
 
 
 def _coords(poly) -> tuple[Coord, ...]:
@@ -273,31 +285,66 @@ def convex_hull(points: Iterable) -> Polygon:
     return Polygon(_hull(points))
 
 
-def _min_rect(hull: Sequence[Coord]) -> tuple[Fraction, Fraction]:
-    """(area, aspect>=1) of the minimum-area enclosing rectangle of a hull
-    as `_hull` returns it.
+def _rect_extents(hull: Sequence[Coord]) -> tuple[int, int, int]:
+    """(du, dw, den) of the minimum-area enclosing rectangle of a hull as
+    `_hull` returns it: along the hull edge e it lies on, its sides are
+    du / |e| and dw / |e| and its area is du * dw / den, with den = |e|^2.
 
-    One candidate orientation per hull edge (rotating calipers, Toussaint
-    1983).  Along edge e the extents are du*|e| and dw*|e| for integer
-    projections du, dw, so the area is du*dw / |e|^2: candidates are
-    compared by integer cross-multiplication, the first least-area edge in
-    hull order wins ties, and the two Fractions are built once at the end.
+    Rotating calipers (Toussaint 1983): one candidate orientation per hull
+    edge.  For edge i with direction (dx, dy), u = dx*x + dy*y projects a
+    vertex along it and w = dx*y - dy*x across it; du is max u - min u and
+    dw is max w minus w at the edge.  Three pointers (max u, min u, max w)
+    follow the edges counterclockwise and only move forward, so the walk
+    is O(h).  Candidates are compared by integer cross-multiplication, and
+    the first least-area edge in hull order wins ties.
     """
     h = len(hull)
+    xs = [p[0] for p in hull]
+    ys = [p[1] for p in hull]
+    hi = lo = top = 1
     best_num = best_den = best_du = best_dw = None
     for i in range(h):
-        ax, ay = hull[i]
-        bx, by = hull[(i + 1) % h]
-        dx, dy = bx - ax, by - ay
-        us = [dx * (x - ax) + dy * (y - ay) for x, y in hull]
-        ws = [dx * (y - ay) - dy * (x - ax) for x, y in hull]
-        du = max(us) - min(us)
-        dw = max(ws) - min(ws)
+        ax, ay = xs[i], ys[i]
+        dx, dy = xs[(i + 1) % h] - ax, ys[(i + 1) % h] - ay
+        # a strict convex hull has unimodal projections: each maximum or
+        # minimum is reached by walking forward while the value improves
+        u_hi = dx * xs[hi] + dy * ys[hi]
+        while True:
+            j = (hi + 1) % h
+            u = dx * xs[j] + dy * ys[j]
+            if u <= u_hi:
+                break
+            hi, u_hi = j, u
+        if i == 0:
+            lo = hi  # the minimum follows the maximum
+        u_lo = dx * xs[lo] + dy * ys[lo]
+        while True:
+            # <= steps off a tie at the maximum, where the walk may start
+            j = (lo + 1) % h
+            u = dx * xs[j] + dy * ys[j]
+            if u > u_lo:
+                break
+            lo, u_lo = j, u
+        w_top = dx * ys[top] - dy * xs[top]
+        while True:
+            j = (top + 1) % h
+            w = dx * ys[j] - dy * xs[j]
+            if w <= w_top:
+                break
+            top, w_top = j, w
+        du = u_hi - u_lo
+        dw = w_top - (dx * ay - dy * ax)
         num, den = du * dw, dx * dx + dy * dy
         if best_num is None or num * best_den < best_num * den:
             best_num, best_den, best_du, best_dw = num, den, du, dw
-    return (Fraction(best_num, best_den),
-            Fraction(max(best_du, best_dw), min(best_du, best_dw)))
+    return best_du, best_dw, best_den
+
+
+def _min_rect(hull: Sequence[Coord]) -> tuple[Fraction, Fraction]:
+    """(area, aspect>=1) of the minimum-area enclosing rectangle of a hull
+    as `_hull` returns it, as `_rect_extents` finds it."""
+    du, dw, den = _rect_extents(hull)
+    return Fraction(du * dw, den), Fraction(max(du, dw), min(du, dw))
 
 
 def min_area_bounding_rect(poly) -> Fraction:

@@ -62,12 +62,25 @@ class Rng:
         return Fraction(self.below(denominator + 1), denominator)
 
     def fraction(self, lo: Fraction, hi: Fraction, denominator: int = 1 << 32) -> Fraction:
-        return lo + (hi - lo) * self.fraction01(denominator)
+        """lo + (hi - lo) * k / denominator for the `fraction01` draw k.
+
+        lo and hi may be ints or Fractions.  The sum is formed over the
+        common denominator lo.den * hi.den * denominator and becomes one
+        Fraction, equal to the one the formula gives.
+        """
+        k = self.below(denominator + 1)
+        ln, ld = lo.numerator, lo.denominator
+        hn, hd = hi.numerator, hi.denominator
+        return Fraction(ln * hd * denominator + (hn * ld - ln * hd) * k,
+                        ld * hd * denominator)
 
     def chance(self, p: Fraction) -> bool:
-        """True with probability p; the draw is uniform on [0, 1)."""
-        denom = 1 << 32
-        return Fraction(self.below(denom), denom) < p
+        """True with probability p; the draw is uniform on [0, 1).
+
+        The draw k / 2**32 is compared with p (an int or a Fraction) by
+        cross-multiplying, so no Fraction is built.
+        """
+        return self.below(1 << 32) * p.denominator < p.numerator << 32
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates."""

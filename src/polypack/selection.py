@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .geom import _hull, _min_rect, signed_area2
+from .geom import _hull, _rect_extents, signed_area2
 from .model import Instance
 from .rng import Rng
 
@@ -63,23 +62,48 @@ class SelectionConfig:
             raise ValueError(f"kmeans_restarts must be at least 1, got {self.kmeans_restarts}")
 
 
+def _mean_ratio(pairs, n: int) -> float:
+    """float of the mean of the ratios num/den (den > 0) over n of them.
+
+    The sum is kept as one integer pair whose denominator is the lcm of
+    the terms' reduced denominators, so it grows no faster than a Fraction
+    sum, and it is divided once; int / int is correctly rounded, so the
+    result equals float(sum of Fractions / n).
+    """
+    total, common = 0, 1
+    for num, den in pairs:
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+        lcm = common // math.gcd(common, den) * den
+        total = total * (lcm // common) + num * (lcm // den)
+        common = lcm
+    return total / (common * n)
+
+
 def compute_metrics(instance: Instance) -> FeatureVector:
     """The eleven METRIC_NAMES values of one instance, in that order.
 
     Each item's hull is built once (`_hull`) and serves both its hull area
-    and its minimum rectangle; every ratio is exact until the final float.
+    and its minimum rectangle (`_rect_extents`).  Every ratio is exact
+    until its one final division: areas stay doubled integers, the
+    hull-slack and rectangle-ratio means are summed as integer pairs
+    (`_mean_ratio`) and each int / int division is correctly rounded, so
+    the floats equal those of the same formulas over Fractions, and no
+    Fraction is built per item.
     """
     items = instance.items
     n = len(items)
-    areas = [it.polygon.area for it in items]
+    area2s = [it.polygon.area2 for it in items]
     hulls = [_hull(it.polygon) for it in items]
-    rects = [_min_rect(h) for h in hulls]
-    c_area, c_aspect = _min_rect(_hull(instance.container))
+    rects = [_rect_extents(h) for h in hulls]
+    c_du, c_dw, c_den = _rect_extents(_hull(instance.container))
+    c_area2 = instance.container.area2
 
-    slack = [Fraction(h2 - it.polygon.area2, h2)
-             for it, h2 in zip(items, map(signed_area2, hulls))]
-    rect_ratio = [a / r[0] for a, r in zip(areas, rects)]
-    total_area = sum(areas, Fraction(0))
+    # (hull area - area) / hull area and area / (du * dw / den), per item
+    slack = _mean_ratio(((h2 - a2, h2) for a2, h2
+                         in zip(area2s, map(signed_area2, hulls))), n)
+    rect_ratio = _mean_ratio(((a2 * den, 2 * du * dw)
+                              for a2, (du, dw, den) in zip(area2s, rects)), n)
 
     axis_edges = 0
     edges = 0
@@ -92,25 +116,25 @@ def compute_metrics(instance: Instance) -> FeatureVector:
             axis_edges += dx == 0 or dy == 0
             edges += 1
 
-    area_floats = [float(a) for a in areas]
+    area_floats = [a2 / 2 for a2 in area2s]
     mean_area = sum(area_floats) / n
     var_area = sum((a - mean_area) ** 2 for a in area_floats) / n
-    densities = [it.value / float(a) for it, a in zip(items, areas)]
+    densities = [it.value / a for it, a in zip(items, area_floats)]
     mean_density = sum(densities) / n
     var_density = sum((d - mean_density) ** 2 for d in densities) / n
 
     values = (
         math.log(n),
-        float(sum(slack, Fraction(0)) / n),
-        float(instance.container.area / c_area),
-        float(sum(rect_ratio, Fraction(0)) / n),
-        float(total_area / instance.container.area),
+        slack,
+        c_area2 * c_den / (2 * c_du * c_dw),
+        rect_ratio,
+        sum(area2s) / c_area2,
         axis_edges / edges,
         sum(len(it.polygon.coords) for it in items) / n,
         var_area / (mean_area * mean_area) if mean_area else 0.0,
         math.sqrt(var_density) / mean_density if mean_density else 0.0,
         float(len(instance.container.coords)),
-        sum(float(r[1]) for r in rects) / n,
+        sum(max(du, dw) / min(du, dw) for du, dw, _ in rects) / n,
     )
     return FeatureVector(values)
 

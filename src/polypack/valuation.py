@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geom import _hull, min_area_bounding_rect, round_nearest, signed_area
+from .geom import _hull, min_area_bounding_rect, round_ratio, signed_area
 from .model import MAX_TOTAL_VALUE, Instance, Item
 from .rng import Rng
 
@@ -59,19 +59,28 @@ def base_value(item_polygon, kind: ValueKind) -> Fraction:
 def assign_values(instance: Instance, spec: ValueSpec, record: bool = True) -> Instance:
     """New instance with values round(scale * base * noise_i), clamped to 1.
 
+    The product is held as one integer ratio and rounded by `round_ratio`;
+    noise_i is `Rng.fraction(1 - eps, 1 + eps)`.
+
     With noise_amplitude 0 the result depends on geometry alone (the seed is
     never consulted).  Raises ValueOverflow instead of emitting an instance
     whose value sum would reach 2^40.
     """
     eps = spec.noise_amplitude
+    noise_lo, noise_hi = 1 - eps, 1 + eps
+    scale = spec.global_scale
     rng = Rng(spec.seed, stream=0xA11)
     items = []
     total = 0
     for it in instance.items:
-        v = spec.global_scale * base_value(it.polygon, spec.kind)
+        b = base_value(it.polygon, spec.kind)
+        num = scale.numerator * b.numerator
+        den = scale.denominator * b.denominator
         if eps:
-            v *= Fraction(1) - eps + 2 * eps * rng.fraction01()
-        value = max(1, round_nearest(v))
+            noise = rng.fraction(noise_lo, noise_hi)
+            num *= noise.numerator
+            den *= noise.denominator
+        value = max(1, round_ratio(num, den))
         total += value
         items.append(Item(it.polygon, value))
     if total >= MAX_TOTAL_VALUE:

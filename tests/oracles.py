@@ -237,6 +237,64 @@ def min_rect_angle_sweep(pts, samples=10_000) -> float:
     return best
 
 
+def hull_by_wrapping(points) -> list:
+    """Strict counterclockwise hull by gift wrapping (Jarvis march): from
+    the lexicographically least point, take each time the point with no
+    other to its right, the farthest one among collinear candidates."""
+    pts = sorted(set(points))
+    hull = [pts[0]]
+    while True:
+        p = hull[-1]
+        q = None
+        for r in pts:
+            if r == p:
+                continue
+            if q is None:
+                q = r
+                continue
+            c = _cross(p, q, r)
+            farther = (r[0] - p[0]) ** 2 + (r[1] - p[1]) ** 2 > \
+                (q[0] - p[0]) ** 2 + (q[1] - p[1]) ** 2
+            if c < 0 or (c == 0 and farther):
+                q = r
+        if q == hull[0]:
+            return hull
+        if len(hull) == len(pts):
+            raise ValueError("no hull: the points are collinear")
+        hull.append(q)
+
+
+def min_rect_area_fraction(hull) -> Fraction:
+    """Least enclosing-rectangle area over the hull's edge orientations,
+    every edge's extents projected as Fractions of unit length squared."""
+    best = None
+    n = len(hull)
+    for i in range(n):
+        (ax, ay), (bx, by) = hull[i], hull[(i + 1) % n]
+        dx, dy = bx - ax, by - ay
+        along = [Fraction(dx * x + dy * y) for x, y in hull]
+        across = [Fraction(dx * y - dy * x) for x, y in hull]
+        area = (max(along) - min(along)) * (max(across) - min(across)) / (dx * dx + dy * dy)
+        if best is None or area < best:
+            best = area
+    return best
+
+
+def metric_means(polygons) -> tuple[Fraction, Fraction]:
+    """(mean hull slack, mean rectangle ratio) over item outlines, as the
+    Fraction formulas define them: (hull area - area) / hull area and
+    area / minimum enclosing-rectangle area."""
+    slack = Fraction(0)
+    rect_ratio = Fraction(0)
+    for pts in polygons:
+        area = Fraction(shoelace_area2(pts), 2)
+        hull = hull_by_wrapping(pts)
+        hull_area = Fraction(shoelace_area2(hull), 2)
+        slack += (hull_area - area) / hull_area
+        rect_ratio += area / min_rect_area_fraction(hull)
+    return slack / len(polygons), rect_ratio / len(polygons)
+
+
 def max_ccw_subset_area2(points) -> int:
     """Max doubled area over all subsets that form a convex CCW polygon.
     Exponential; for small point sets only."""

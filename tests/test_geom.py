@@ -259,6 +259,38 @@ class TestMinAreaBoundingRect:
                 continue
             assert geom._min_rect(hull) == self._reference(hull)
 
+    @staticmethod
+    def _circle_hull(rng, m, radius, scale=1):
+        # m points on a circle, rounded to ints: a hull of up to m vertices
+        # around which all three pointers of the walk travel a full turn
+        cloud = []
+        for _ in range(m):
+            a = rng.uniform(0, 2 * math.pi)
+            cloud.append((round(radius * math.cos(a)) * scale,
+                          round(radius * math.sin(a)) * scale))
+        return geom._hull(cloud)
+
+    def test_large_hulls_match_fraction_reference(self):
+        rng = random.Random(21)
+        sizes = []
+        for trial in range(60):
+            scale = 1 << 30 if trial % 3 == 0 else 1
+            hull = self._circle_hull(rng, rng.randint(24, 70), 10**6, scale)
+            sizes.append(len(hull))
+            assert geom._min_rect(hull) == self._reference(hull)
+        assert min(sizes) >= 20 and max(sizes) >= 60
+
+    def test_symmetric_hulls_with_tied_edges_match(self):
+        # regular polygons tie many edges' areas and put two vertices at
+        # each extreme, where a pointer's walk must step over the tie
+        for m in (4, 6, 8, 12, 20, 36, 60):
+            for radius, scale in ((10**4, 1), (10**4, 1 << 30), (97, 1)):
+                cloud = [(round(radius * math.cos(2 * math.pi * k / m)) * scale,
+                          round(radius * math.sin(2 * math.pi * k / m)) * scale)
+                         for k in range(m)]
+                hull = geom._hull(cloud)
+                assert geom._min_rect(hull) == self._reference(hull)
+
 
 class TestTriangulate:
     def test_covers_exact_area(self):
@@ -560,3 +592,15 @@ class TestPolygonClass:
         assert geom.round_nearest(Fraction(7, 10)) == 1
         assert geom.round_nearest(Fraction(3, 10)) == 0
         assert geom.round_nearest(Fraction(-7, 10)) == -1
+
+    def test_round_ratio_equals_round_nearest(self):
+        rng = random.Random(12)
+        cases = [(n, d) for n in range(-13, 14) for d in range(-6, 7) if d]
+        # exact ties m + 1/2, also unreduced and with a negative denominator
+        cases += [(s * (2 * m + 1) * c, 2 * c * t) for m in range(-5, 6)
+                  for c in (1, 3, 1 << 40) for s, t in ((1, 1), (-1, -1), (1, -1))]
+        cases += [(rng.randint(-1 << 80, 1 << 80), rng.choice((-1, 1)) * rng.randint(1, 1 << 60))
+                  for _ in range(2000)]
+        for n, d in cases:
+            expected = math.floor(Fraction(n, d) + Fraction(1, 2))
+            assert geom.round_ratio(n, d) == geom.round_nearest(Fraction(n, d)) == expected, (n, d)

@@ -60,3 +60,63 @@ def test_shuffle_deterministic_permutation():
     assert a == b
     assert sorted(a) == list(range(20))
     assert a != list(range(20))
+
+
+class _FixedDraw(Rng):
+    """An Rng whose `below` returns a chosen k, to reach k = 0 and the top
+    of the grid, which a 2**32 grid almost never draws."""
+
+    __slots__ = ("k",)
+
+    def __init__(self, k):
+        super().__init__(0)
+        self.k = k
+
+    def below(self, n):
+        assert 0 <= self.k < n
+        return self.k
+
+
+FRACTION_RANGES = [
+    (Fraction(4, 5), Fraction(6, 5)),
+    (Fraction(1, 10), Fraction(2)),
+    (Fraction(-7, 3), Fraction(5, 9)),
+    (Fraction(3, 4), Fraction(-1, 6)),  # hi < lo
+    (0, 1),
+    (-2, Fraction(1, 3)),
+]
+
+
+def test_fraction_equals_its_definition():
+    # the draw k comes from a twin stream, so the test shares only `below`
+    draws = 0
+    for seed, (lo, hi) in enumerate(FRACTION_RANGES):
+        for den in (1, 2, 3, 10, 1 << 32):
+            r, twin = Rng(seed, stream=den), Rng(seed, stream=den)
+            for _ in range(400):
+                k = twin.below(den + 1)
+                f = r.fraction(lo, hi, den)
+                assert isinstance(f, Fraction)
+                assert f == lo + (hi - lo) * Fraction(k, den)
+                draws += 1
+            for k in (0, den):
+                f = _FixedDraw(k).fraction(lo, hi, den)
+                assert f == lo + (hi - lo) * Fraction(k, den)
+    assert draws >= 10_000
+
+
+def test_chance_equals_its_definition():
+    picker = Rng(9)
+    ps = [Fraction(0), Fraction(1), 0, 1, 2, -1, Fraction(1, 2), Fraction(-1, 3),
+          Fraction(4, 3), Fraction(1, 1 << 33), Fraction((1 << 32) - 1, 1 << 32)]
+    ps += [Fraction(picker.below(1000), picker.in_range(1, 1000)) for _ in range(14)]
+    draws = 0
+    for i, p in enumerate(ps):
+        r, twin = Rng(i, stream=1), Rng(i, stream=1)
+        for _ in range(400):
+            k = twin.below(1 << 32)
+            assert r.chance(p) == (Fraction(k, 1 << 32) < p)
+            draws += 1
+        for k in (0, 1, (1 << 31), (1 << 32) - 1):
+            assert _FixedDraw(k).chance(p) == (Fraction(k, 1 << 32) < p)
+    assert draws >= 10_000

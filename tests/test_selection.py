@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from polypack.selection import (METRIC_NAMES, DegenerateFeatures,
                                 SelectionConfig, compute_metrics,
                                 features_csv, select_from_features,
                                 _pca_project)
+
+import oracles
 
 BOX = Polygon([(0, 0), (50, 0), (50, 50), (0, 50)])
 
@@ -156,6 +159,45 @@ class TestEndToEndSelection:
         assert lines[0].startswith("name,log_item_count")
         assert len(lines) == 4
         assert len(lines[1].split(",")) == 12
+
+
+class TestMetricsReference:
+    """compute_metrics' integer sums equal the Fraction formulas of
+    `oracles.metric_means`, float for float."""
+
+    @staticmethod
+    def check(inst):
+        values = compute_metrics(inst).values
+        slack, rect_ratio = oracles.metric_means([it.polygon.coords for it in inst.items])
+        assert values[1] == float(slack)
+        assert values[3] == float(rect_ratio)
+        container = inst.container.coords
+        c_rect = oracles.min_rect_area_fraction(oracles.hull_by_wrapping(container))
+        assert values[2] == float(Fraction(oracles.shoelace_area2(container), 2) / c_rect)
+
+    @pytest.mark.parametrize("gen, fields", [
+        (gen_random, dict(n_target=8)),
+        (gen_atris, dict(n_target=12)),
+        (gen_satris, dict(n_target=12)),
+        (gen_jigsaw, dict(jigsaw_line_count=6)),
+    ])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_small_instances(self, gen, fields, seed):
+        self.check(gen(GenConfig(seed=seed, **fields)))
+
+    def test_coordinates_near_2_to_50(self):
+        big = 1 << 50
+        box = Polygon([(big - 10**9, big - 10**9), (big, big - 10**9), (big, big),
+                       (big - 10**9, big)])
+        rng = random.Random(50)
+        polys = []
+        while len(polys) < 8:
+            pts = [(big - rng.randint(1, 10**8), big - rng.randint(1, 10**8))
+                   for _ in range(rng.randint(3, 9))]
+            ordered = oracles.sort_ccw(pts)
+            if ordered is not None and oracles.brute_force_simple(ordered):
+                polys.append(Polygon(ordered))
+        self.check(Instance("big", box, tuple(Item(p, 1) for p in polys)))
 
 
 class TestMetricsPinned:

@@ -859,10 +859,10 @@ class TestSolveDispatch:
 
     @pytest.mark.parametrize("family", [gen_random, gen_satris])
     def test_returns_within_budget(self, family):
-        # unbudgeted, solve takes 2.1 s (random, 300 items) and 2.3 s (satris,
-        # 180 items) on these instances on a 2-core VM, 8-9 times the budget,
+        # unbudgeted, solve takes 1.4 s (random, 300 items) and 1.7 s (satris,
+        # 271 items) on these instances on a 2-core VM, 5-7 times the budget,
         # so the clock, not convergence, ends the solve
-        n_target = {gen_random: 300, gen_satris: 200}[family]
+        n_target = {gen_random: 300, gen_satris: 300}[family]
         inst = family(GenConfig(seed=3, n_target=n_target))
         start = time.monotonic()
         sol = solve(inst, SolverConfig(time_budget=0.25, seed=1))
