@@ -331,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="leaderboard from verified submission records")
     p.add_argument("--instances", required=True, help="directory of instance JSON")
     p.add_argument("--records", required=True,
-                   help="CSV: team,instance,value,iso8601_timestamp")
+                   help="CSV: team,instance,value,timestamp (YYYY-MM-DDTHH:MM:SS[.fff[fff]][Z|+HH:MM])")
     _add_common(p, seed=False, out=False)
     p.set_defaults(func=cmd_score)
 

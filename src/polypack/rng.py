@@ -57,12 +57,10 @@ class Rng:
     def coin(self) -> bool:
         return bool(self.next_u64() & 1)
 
-    def fraction01(self, denominator: int = 1 << 32) -> Fraction:
-        """Uniform rational in [0, 1] on a fixed grid of `denominator` steps."""
-        return Fraction(self.below(denominator + 1), denominator)
-
     def fraction(self, lo: Fraction, hi: Fraction, denominator: int = 1 << 32) -> Fraction:
-        """lo + (hi - lo) * k / denominator for the `fraction01` draw k.
+        """lo + (hi - lo) * k / denominator for k drawn uniformly from
+        0..denominator, so the result lies on a grid of `denominator` steps
+        from lo to hi, both ends included.
 
         lo and hi may be ints or Fractions.  The sum is formed over the
         common denominator lo.den * hi.den * denominator and becomes one
@@ -87,6 +85,3 @@ class Rng:
         for i in range(len(items) - 1, 0, -1):
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
-
-    def choice(self, items):
-        return items[self.below(len(items))]

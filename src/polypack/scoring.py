@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from typing import Iterable
 
@@ -131,12 +132,35 @@ def _achieved_at(records, team, best, final_total: Fraction) -> datetime:
     return own[-1].timestamp
 
 
+_STAMP = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})[T ]([0-9]{2}):([0-9]{2}):([0-9]{2})"
+                    r"(?:\.([0-9]{6}|[0-9]{3}))?(Z|([+-])([0-9]{2}):([0-5][0-9]))?")
+
+
+def _parse_timestamp(stamp: str) -> datetime:
+    """`YYYY-MM-DD`, `T` or a space, `HH:MM:SS`, an optional fraction of 3
+    or 6 digits, and an optional `Z` (meaning +00:00) or `±HH:MM` offset.
+    Parsed here, not by `datetime.fromisoformat`, whose accepted forms
+    differ between Python versions; anything else raises ValueError."""
+    m = _STAMP.fullmatch(stamp)
+    if m is None:
+        raise ValueError(f"timestamp {stamp!r} is not YYYY-MM-DDTHH:MM:SS[.fff[fff]][Z|+HH:MM]")
+    *fields, frac, zone, sign, oh, om = m.groups()
+    tz = None
+    if zone == "Z":
+        tz = timezone.utc
+    elif zone is not None:
+        offset = timedelta(hours=int(oh), minutes=int(om))
+        tz = timezone(-offset if sign == "-" else offset)
+    micro = int(frac.ljust(6, "0")) if frac else 0
+    return datetime(*map(int, fields), micro, tzinfo=tz)
+
+
 def read_records_csv(data) -> list[SubmissionRecord]:
-    """CSV columns: team, instance, value, iso8601_timestamp.  The first row
-    is a header, and skipped, iff its value cell is not an integer; a team
-    may be named anything, "team" included.  Timestamps must all carry a UTC
-    offset or all lack one, since the two kinds cannot be ordered against
-    each other."""
+    """CSV columns: team, instance, value, timestamp (`_parse_timestamp`).
+    The first row is a header, and skipped, iff its value cell is not an
+    integer; a team may be named anything, "team" included.  Timestamps
+    must all carry a UTC offset or all lack one, since the two kinds cannot
+    be ordered against each other."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     out = []
@@ -151,7 +175,7 @@ def read_records_csv(data) -> list[SubmissionRecord]:
                 continue  # the header
             raise
         out.append(SubmissionRecord(team, instance, value,
-                                    datetime.fromisoformat(stamp)))
+                                    _parse_timestamp(stamp)))
     if len({r.timestamp.utcoffset() is None for r in out}) > 1:
         raise ValueError("timestamps mix values with and without a UTC offset")
     return out

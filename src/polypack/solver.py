@@ -29,9 +29,7 @@ items, also in area order and three shuffles of the density order; then
 local search starts from the first best of these fills and its
 order.  Local search is an order search: each of a fixed `SEARCH_STEPS`
 steps swaps two positions at most 8 apart in the current order and refills
-it.  A fill is deterministic and tries each item once, at its position, so
-the refill places the unchanged prefix, before the first swapped position,
-where the current fill placed it, and fills only the rest.
+it, from an empty state, exactly as a start order is filled.
 
 Every `find_offset` outcome carries a certificate: its blockers (the
 placed items whose overlap exit moved a scan on) and its hits (the coarse
@@ -43,13 +41,16 @@ of its outcomes so far.  `solve` makes one record, and every start fill
 and refill is a state on it; at each position a fill reuses any outcome
 whose certificate holds there, and only where none does is `find_offset`
 called.  So an item that failed, or found a cell, in an earlier fill or
-under a smaller placed set is not scanned again.  An order already filled
-is not filled again.  A refill becomes the current order if its value is
-not lower and the best if it is higher, so the packed value never
-decreases.  The step count, not the clock, ends the search, so its output
-depends only on the seed while the budget lasts.  `solve` hands its best
-start fill to the search as it is; `improve_local` accepts a caller's start
-solution only if `verifier.verify` finds it valid.
+under a smaller placed set is not scanned again; in particular a refill
+scans no item of its unchanged prefix, before the first swapped position,
+once the current order has been filled on the same record.  An order
+already filled is not filled again.  A refill becomes the current order if
+its value is not lower and the best if it is higher, so the packed value
+never decreases.  The step count, not the clock, ends the search, so its
+output depends only on the seed while the budget lasts.  `solve` hands its
+best start fill to the search as it is; `improve_local` accepts a caller's
+start solution only if `verifier.verify` finds it valid, and uses it only
+as the incumbent.
 
 `shelf_pack` is a separate algorithm for rectangular containers: next-fit
 decreasing-height shelves, used for the Moon-Moser square-packing check.
@@ -373,32 +374,28 @@ def solve_greedy(instance: Instance, cfg: SolverConfig,
     return state.to_solution()
 
 
-def _search(state, order, seed, deadline, progress) -> Solution:
-    """`improve_local`'s search from `state`, the fill of `order`, on its record."""
+def _search(best, order, seed, deadline, progress) -> Solution:
+    """`improve_local`'s search from the incumbent state `best`, with `order`
+    as the current order; every refill is a state on `best`'s record."""
     rng = Rng(seed, stream=0x15EA9C4)
-    best = current = state
-    current_order = tuple(order)
-    filled = {current_order}
-    n = len(current_order)
+    current, value = tuple(order), best.value
+    filled = {current}
+    n = len(current)
     for step in range(1, SEARCH_STEPS + 1):
         if n < 2 or time.monotonic() > deadline:
             break
         i = rng.below(n)
         j = min(n - 1, max(0, i + rng.in_range(-8, 8)))
-        cand = list(current_order)
+        cand = list(current)
         cand[i], cand[j] = cand[j], cand[i]
         cand = tuple(cand)
         if cand in filled:
             continue
         filled.add(cand)
-        k = min(i, j)
-        state = PlacementState(current.instance, current.record)
-        for idx in cand[:k]:
-            if idx in current.offsets:
-                state.place(idx, current.offsets[idx])
-        _fill(state, cand[k:], deadline)
-        if state.value >= current.value:
-            current, current_order = state, cand
+        state = PlacementState(best.instance, best.record)
+        _fill(state, cand, deadline)
+        if state.value >= value:
+            current, value = cand, state.value
         if state.value > best.value:
             best = state
             if progress is not None:
@@ -412,19 +409,17 @@ def improve_local(instance: Instance, start: Solution, cfg: SolverConfig,
                   order: Optional[list[int]] = None) -> Solution:
     """Order search from a feasible start; packed value never decreases.
 
-    `order` is the order whose fill is `start`; by default, the start's items
-    and then the rest, each in value-density order, which refills a
-    density-order greedy start exactly.  Each of `SEARCH_STEPS` steps swaps
-    two positions at most 8 apart in the current order.  An order already
-    filled is skipped.  Any other is refilled: the items of the unchanged
-    prefix, before the first swapped position, go where the current fill
-    placed them, and `_fill` places the rest, reusing any outcome whose
-    certificate in the start's fresh record holds.  The prefix replay is
-    exact when the start is the fill of `order`, because a fill is
-    deterministic.  The candidate becomes the current order if its value is
-    not lower, and the best if its value is higher.  A start that does not
-    verify, or an `order` that is not distinct item indices or that leaves
-    out an item the start places, raises ValueError."""
+    The start is the incumbent, and `order`, at the start's value, the
+    first current order; by default, the start's items and then the rest,
+    each in value-density order, whose fill is the start when the start is
+    a density-order greedy fill.  Each of `SEARCH_STEPS` steps swaps two
+    positions at most 8 apart in the current order.  An order already
+    filled is skipped.  Any other is filled by `_fill` from an empty state
+    on one fresh record, reusing any outcome whose certificate holds.  The
+    candidate becomes the current order if its value is not lower than the
+    current one, and the best if its value is higher.  A start that does
+    not verify, or an `order` that is not distinct item indices or that
+    leaves out an item the start places, raises ValueError."""
     if not verify(instance, start).valid:
         raise ValueError("starting solution does not verify")
     state = PlacementState(instance)

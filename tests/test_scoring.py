@@ -1,5 +1,5 @@
 import random
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 
 import pytest
@@ -188,3 +188,23 @@ def test_only_the_first_row_may_be_a_header():
     with pytest.raises(ValueError):
         read_records_csv("alpha,i0,5,2023-10-01T12:00:00\n"
                          "team,instance,value,timestamp\n")
+
+
+def test_timestamps_parse_one_form_on_every_python():
+    def stamp(text):
+        return read_records_csv(f"alpha,i0,5,{text}\n")[0].timestamp
+
+    assert stamp("2024-01-01T00:00:00Z") == stamp("2024-01-01T00:00:00+00:00")
+    assert stamp("2024-01-01T00:00:00Z") == datetime(2024, 1, 1, tzinfo=timezone.utc)
+    assert stamp("2024-01-01 10:11:12.123") == datetime(2024, 1, 1, 10, 11, 12, 123000)
+    assert stamp("2024-01-01T10:11:12.000123-05:30") == datetime(
+        2024, 1, 1, 10, 11, 12, 123, tzinfo=timezone(-timedelta(hours=5, minutes=30)))
+    for bad in ("20240101T000000", "2024-01-01", "2024-01-01T00:00", "2024-01-01T00:00:00.5",
+                "2024-01-01T00:00:00+0000", "2024-01-01T00:00:00+00:60", "2024-01-01T24:00:00",
+                "2024-02-30T00:00:00", "2024-01-01T00:00:00z", "٢٠٢٤-01-01T00:00:00"):
+        with pytest.raises(ValueError):
+            stamp(bad)
+    # Z counts as an offset, so it may not be mixed with naive timestamps
+    with pytest.raises(ValueError, match="UTC offset"):
+        read_records_csv("alpha,i0,5,2024-01-01T00:00:00Z\n"
+                         "beta,i0,4,2024-01-01T00:00:00\n")
