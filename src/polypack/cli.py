@@ -372,8 +372,10 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     # ParseError, ValidationError, ValueOverflow, UnknownInstance and
-    # InstanceMismatch are ValueErrors
-    except (ValueError, GenerationFailed, FileNotFoundError) as exc:
+    # InstanceMismatch are ValueErrors; a bad path is a usage error, but
+    # not every OSError is (a failed fork is not)
+    except (ValueError, GenerationFailed, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # pragma: no cover - defensive

@@ -81,7 +81,8 @@ def _mean_ratio(pairs, n: int) -> float:
 
 
 def compute_metrics(instance: Instance) -> FeatureVector:
-    """The eleven METRIC_NAMES values of one instance, in that order.
+    """The eleven METRIC_NAMES values of one instance, in that order;
+    ValueError if the instance has no items.
 
     Each item's hull is built once (`_hull`) and serves both its hull area
     and its minimum rectangle (`_rect_extents`).  Every ratio is exact
@@ -93,6 +94,8 @@ def compute_metrics(instance: Instance) -> FeatureVector:
     """
     items = instance.items
     n = len(items)
+    if n == 0:
+        raise ValueError(f"instance {instance.name!r} has no items")
     area2s = [it.polygon.area2 for it in items]
     hulls = [_hull(it.polygon) for it in items]
     rects = [_rect_extents(h) for h in hulls]

@@ -32,25 +32,26 @@ steps swaps two positions at most 8 apart in the current order and refills
 it, from an empty state, exactly as a start order is filled.
 
 Every `find_offset` outcome carries a certificate: its blockers (the
-placed items whose overlap exit moved a scan on) and its hits (the coarse
-hit and each refinement hit that replaced the best cell).  Placing an item
-only blocks cells, so the outcome holds on any placed set that keeps every
-blocker at its offset and meets the item at no hit.  Every `PlacementState`
-carries its solve's `Record`: each item's inner fit and the certificates
-of its outcomes so far.  `solve` makes one record, and every start fill
-and refill is a state on it; at each position a fill reuses any outcome
-whose certificate holds there, and only where none does is `find_offset`
-called.  So an item that failed, or found a cell, in an earlier fill or
-under a smaller placed set is not scanned again; in particular a refill
-scans no item of its unchanged prefix, before the first swapped position,
-once the current order has been filled on the same record.  An order
-already filled is not filled again.  A refill becomes the current order if
-its value is not lower and the best if it is higher, so the packed value
-never decreases.  The step count, not the clock, ends the search, so its
-output depends only on the seed while the budget lasts.  `solve` hands its
-best start fill to the search as it is; `improve_local` accepts a caller's
-start solution only if `verifier.verify` finds it valid, and uses it only
-as the incumbent.
+placed items whose overlap exit moved a scan on), their offsets, and its
+hits (the coarse hit and each refinement hit that replaced the best cell).
+Placing an item only blocks cells, so the outcome holds on any placed set
+that keeps every blocker at its offset and meets the item at no hit.  A
+certificate refers to no state, so `remove` and `place` keep it exact.
+Every `PlacementState` carries its solve's `Record`: each item's inner fit
+and the certificates of its outcomes so far.  `solve` makes one record,
+and every start fill and refill is a state on it; at each position a fill
+reuses any outcome whose certificate holds there, and only where none
+does is `find_offset` called.  So an item that failed, or found a cell, in
+an earlier fill or under a smaller placed set is not scanned again; in
+particular a refill scans no item of its unchanged prefix, before the
+first swapped position, once the current order has been filled on the
+same record.  An order already filled is not filled again.  A refill
+becomes the current order if its value is not lower and the best if it is
+higher, so the packed value never decreases.  The step count, not the
+clock, ends the search, so its output depends only on the seed while the
+budget lasts.  `solve` hands its best start fill to the search as it is;
+`improve_local` accepts a caller's start solution only if
+`verifier.verify` finds it valid, and uses it only as the incumbent.
 
 `shelf_pack` is a separate algorithm for rectangular containers: next-fit
 decreasing-height shelves, used for the Moon-Moser square-packing check.
@@ -112,8 +113,7 @@ class PlacementState:
     """Current placements plus the occupancy index; mutations keep the state
     feasible, so a snapshot is always a valid solution.  A state carries
     `record`, the `Record` of its solve (default: a fresh one), and reads
-    `fits` from it.  A certificate keeps the live offsets dict of the state
-    it was found on, so a state whose record a later fill reads only grows."""
+    `fits` from it; `remove` and `place` leave every certificate exact."""
 
     def __init__(self, instance: Instance, record: Optional[Record] = None):
         self.instance = instance
@@ -234,18 +234,16 @@ def find_offset(state: PlacementState, idx: int) -> Optional[tuple[int, int]]:
     no-fit half-planes; it lives only as long as this call, so its tables
     are dropped with it.
 
-    The outcome's certificate, `(outcome, blockers, hits, offsets)`, is
+    The outcome's certificate, `(outcome, blockers, places, hits)`, is
     appended to the item's list in the state's record.  The blockers are
     the placed items whose overlap exit moved any of the call's scans on,
-    the hits are the coarse hit and each refinement hit that replaced the
-    best cell, and `offsets` is the state's own offsets dict, where each
-    blocker's offset is read.  Every cell a scan passed over lies outside
-    the inner fit or inside a blocker, and each hit was free, so the call
-    returns the same outcome on any placed set that holds every blocker at
-    its offset and meets no hit (`_certified`): a placed item only blocks
-    cells.  That is why `offsets` may be a fill's live dict, which only
-    grows.  A failure of the area test is not certified, as it depends on
-    no blocker."""
+    `places` their offsets during the call, and the hits the coarse hit and
+    each refinement hit that replaced the best cell.  Every cell a scan
+    passed over lies outside the inner fit or inside a blocker, and each
+    hit was free, so the call returns the same outcome on any placed set
+    that holds every blocker at its place and meets no hit (`_certified`):
+    a placed item only blocks cells.  A failure of the area test is not
+    certified, as it depends on no blocker."""
     if state.polys[idx].area2 > state.free_area2:
         return None
     lox, hix, loy, hiy, _ = state.fits[idx]
@@ -269,21 +267,23 @@ def find_offset(state: PlacementState, idx: int) -> Optional[tuple[int, int]]:
                     best = cand
                     hits.append(best)
     outcome = hits[-1] if hits else None
-    state.record.certs[idx].append((outcome, tuple(blocked), tuple(hits), state.offsets))
+    blocked = tuple(blocked)
+    places = tuple(map(state.offsets.__getitem__, blocked))
+    state.record.certs[idx].append((outcome, blocked, places, tuple(hits)))
     return outcome
 
 
 def _certified(state: PlacementState, idx: int):
     """The first of item idx's certificates in the state's record (see
     `find_offset`) that holds on the state's placed set, or None: every
-    blocker is placed at its recorded offset, and no placed item meets the
-    item at any hit.  The blockers need no hit test: each hit was free with
-    them where they are."""
+    blocker is placed at its place in the certificate, and no placed item
+    meets the item at any hit.  The blockers need no hit test: each hit
+    was free with them where they are."""
     offsets = state.offsets
     for cert in state.record.certs[idx]:
-        _, blocked, hits, recorded = cert
-        for j in blocked:
-            if offsets.get(j) != recorded[j]:
+        _, blocked, places, hits = cert
+        for j, place in zip(blocked, places):
+            if offsets.get(j) != place:
                 break
         else:
             for hit in hits:

@@ -14,7 +14,8 @@ exact-tests the later placements it returns, so pairs are tested in
 (pos_a, pos_b) order and the first overlap ends the check; memory stays
 O(n) whatever the input.  The solver keeps its own index of placed items:
 its grid scan queries it once per scan, with the box the item sweeps over
-the scan's window, and `can_place` once per call.  The index keeps boxes
+the scan's window, `can_place` once per call, and a certificate's hit
+check once per hit.  The index keeps boxes
 in width classes (widths below 2**k), and a query scans each class only as
 far left as that class's widths reach, so one wide box costs its own
 class's scans, not everyone's.

@@ -335,6 +335,23 @@ def test_select_rejects_unusable_counts(workdir, capsys, flag, value, named):
     assert "internal error" not in err
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_select_names_an_instance_without_items(workdir, capsys, jobs):
+    # the parser accepts "items": [], but no metric is defined without items
+    cand = workdir / "cands"
+    cand.mkdir()
+    for seed in range(2):
+        run_ok(capsys, "generate", "random", "--seed", str(seed), "--n", "5",
+               "-o", str(cand / f"c{seed}.json"))
+    bare = json.loads((cand / "c0.json").read_text())
+    bare.update(name="bare", items=[])
+    (cand / "c2.json").write_text(json.dumps(bare))
+    assert run(["select", "--candidates", str(cand), "--k", "1", "--jobs", jobs]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "'bare' has no items" in err
+    assert "internal error" not in err
+
+
 def test_select_starts_no_more_workers_than_files(workdir, capsys, monkeypatch):
     import concurrent.futures
     started = []
@@ -379,9 +396,19 @@ def test_generate_config_file(workdir, capsys):
     (["generate", "random"], "seed = 1\nbogus = 3\n", "bogus"),
     (["generate", "random"], "value_noise = 1/0\n", "1/0"),
     (["generate", "jigsaw"], "jigsaw_merge_fraction = 3/2\n", "jigsaw_merge_fraction"),
+    # {dir} is the test's directory, where the config file is gen.cfg
+    (["generate", "random", "--n", "5", "--config", "{dir}"], None, "Is a directory"),
+    (["generate", "random", "--n", "5", "-o", "{dir}"], None, "Is a directory"),
+    (["verify", "{dir}", "{dir}"], None, "Is a directory"),
+    (["generate", "random", "-o", "{dir}/gen.cfg/i.json"], "seed = 1\n",
+     "Not a directory"),
 ], ids=["zero-denominator-flag", "zero-denominator-value-flag",
-        "unknown-config-key", "zero-denominator-config", "merge-fraction-above-1"])
+        "unknown-config-key", "zero-denominator-config", "merge-fraction-above-1",
+        "config-is-directory", "output-is-directory", "verify-directories",
+        "output-under-file"])
 def test_bad_input_exits_2(workdir, capsys, argv, config, named):
+    # PermissionError is caught with these but not tested: root reads anything
+    argv = [a.format(dir=workdir) for a in argv]
     if config is not None:
         path = workdir / "gen.cfg"
         path.write_text(config)

@@ -46,6 +46,11 @@ class TestMetrics:
             fv = compute_metrics(inst)
             assert fv[5] == 1.0
 
+    def test_empty_instance_named_in_value_error(self):
+        # every metric is a mean over the items, so none exists without them
+        with pytest.raises(ValueError, match="'bare' has no items"):
+            compute_metrics(inst_of([], name="bare"))
+
     def test_vector_length_and_names(self):
         fv = compute_metrics(inst_of([Polygon([(0, 0), (1, 0), (1, 1)])]))
         assert len(fv.values) == len(METRIC_NAMES) == 11

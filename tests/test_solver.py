@@ -538,6 +538,7 @@ class TestCertificates:
         # every certificate that holds, not only the first, must give the
         # outcome a from-scratch find_offset gives on the same placed set
         held = {True: 0, False: 0}  # by whether the outcome is a cell
+        moved = 0  # rounds that put a removed item back elsewhere
         real_certified = solver_module._certified
         own = None  # the current instance's record, which no fill reads
 
@@ -584,8 +585,42 @@ class TestCertificates:
                 assert got.offsets == self.fill(inst, cand).offsets, (inst.name, i, j)
                 if got.value >= current.value:
                     order, current = cand, got
-        # 233 and 285 at plain coordinates, 238 and 304 scaled and shifted
+            # then rounds on the current state itself, whose certificates are
+            # on the record: remove one or two items, try one at a random
+            # feasible offset, and refill the rest; a blocker gone or moved
+            # must fail its check
+            for _ in range(5):
+                gone = rng.sample(sorted(current.offsets), min(2, len(current.offsets)))
+                old = {k: current.offsets[k] for k in gone}
+                for k in gone:
+                    current.remove(k)
+                grow(current, gone[0], None, rng)
+                moved += current.offsets.get(gone[0], old[gone[0]]) != old[gone[0]]
+                rest = [k for k in order if k not in current.offsets]
+                apart = PlacementState(inst)
+                for k, off in current.offsets.items():
+                    apart.place(k, off)
+                solver_module._fill(current, rest, math.inf)
+                solver_module._fill(apart, rest, math.inf)
+                assert current.offsets == apart.offsets, inst.name
+                assert verify(inst, current.to_solution()).valid, inst.name
+        # 239 and 374 at plain coordinates, 252 and 371 scaled and shifted
         assert held[True] > 30 and held[False] > 60, held
+        assert moved >= 4, moved  # 7 of 20 rounds, and 8 scaled and shifted
+
+    def test_moved_blocker_fails_its_check(self):
+        # the 3-square's certificate has the 6-square at (0, 0) as its one
+        # blocker; once the 6-square moves to (4, 0) on the same state, the
+        # certificate must not hold, or the 3-square would overlap it
+        inst = box_instance(10, [square_item(6), square_item(3)])
+        state = self.fill(inst, (0, 1), solver_module.Record(inst))
+        assert state.offsets == {0: (0, 0), 1: (6, 0)}
+        state.remove(0)
+        state.remove(1)
+        state.place(0, (4, 0))
+        solver_module._fill(state, (1,), math.inf)
+        assert state.offsets == {0: (4, 0), 1: (0, 0)}
+        assert verify(inst, state.to_solution()).valid
 
     def test_covered_hit_calls_find_offset(self, monkeypatch):
         # the 3-square's certificate has the 6-square as its one blocker and
