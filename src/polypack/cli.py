@@ -176,13 +176,17 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    instance = load_instance(args.instance)
+    # a file that fails to parse or validate, the instance included, is an
+    # invalid file (exit 1); the report names no instance if it is the one
+    instance = None
     try:
+        instance = load_instance(args.instance)
         solution = load_solution(args.solution)
         report = verify(instance, solution)
     except (ParseError, ValidationError, InstanceMismatch) as exc:
         print(json.dumps({
-            "type": "cgshop2024_verification", "instance_name": instance.name,
+            "type": "cgshop2024_verification",
+            "instance_name": None if instance is None else instance.name,
             "valid": False, "packed_value": 0,
             "violation": {"kind": "InvalidFile", "detail": str(exc)},
         }))

@@ -145,8 +145,7 @@ def cells_to_outline(cells: set[tuple[int, int]]) -> list[tuple[int, int]]:
 
 
 def _pixel_scaled(cells, outline, rng: Rng, lo: int, hi: int):
-    """Map grid vertices through per-column/per-row random pixel sizes.
-    Returns (points, exact doubled area of the scaled polyomino)."""
+    """Map grid vertices through per-column/per-row random pixel sizes."""
     cols = sorted({x for x, _ in cells})
     rows = sorted({y for _, y in cells})
     widths = {c: rng.in_range(lo, hi) for c in cols}
@@ -162,9 +161,7 @@ def _pixel_scaled(cells, outline, rng: Rng, lo: int, hi: int):
     for r in range(rows[0], rows[-1] + 2):
         ys_at[r] = acc
         acc += heights.get(r, 0)
-    pts = [(xs_at[x], ys_at[y]) for x, y in outline]
-    area2 = 2 * sum(widths[x] * heights[y] for x, y in cells)
-    return pts, area2
+    return [(xs_at[x], ys_at[y]) for x, y in outline]
 
 
 def _flip_rotate(pts, rng: Rng):
@@ -245,7 +242,7 @@ def _gen_tetro(cfg: GenConfig, family: str) -> Instance:
         category = CATEGORIES[rng.below(len(CATEGORIES))]
         cells = polyomino_cells(rng, category)
         outline = cells_to_outline(cells)
-        pts, _ = _pixel_scaled(cells, outline, rng, *cfg.pixel_size_range)
+        pts = _pixel_scaled(cells, outline, rng, *cfg.pixel_size_range)
 
         sheared_m = None
         if family == "satris" and cfg.shear_probability > 0 \

@@ -72,14 +72,19 @@ def round_ratio(num: int, den: int) -> int:
 
 
 def _coords(poly) -> tuple[Coord, ...]:
-    """Accept a Polygon or any sequence of (x, y) pairs.
+    """Accept a Polygon or any iterable of (x, y) pairs.
 
-    Coordinates must be integral; operator.index raises on floats rather
-    than silently truncating.
+    Coordinates must be integral: operator.index raises TypeError on floats
+    rather than silently truncating.  A point with other than two values
+    raises GeometryError rather than being cut to its first two.
     """
     if isinstance(poly, Polygon):
         return poly.coords
-    return tuple((operator.index(p[0]), operator.index(p[1])) for p in poly)
+    index = operator.index
+    try:
+        return tuple([(index(x), index(y)) for x, y in poly])
+    except ValueError:  # unpacking a point of the wrong length
+        raise GeometryError("every point must be an (x, y) pair") from None
 
 
 def cross(o: Coord, a: Coord, b: Coord) -> int:
@@ -133,31 +138,72 @@ def is_simple(poly) -> bool:
     """No repeated vertices, no zero-length edges, and non-adjacent edges
     never meet; adjacent edges meet only at their shared endpoint.
 
-    One pass builds every edge's closed bounding box and rejects spikes (an
-    edge folding back over the one before it).  The boxes are then swept in
-    order of min x (the broad phase of Shamos & Hoey's segment-intersection
-    sweep): each box is compared with the later ones until one starts right
-    of its max x, and only non-adjacent edges whose closed boxes meet reach
-    `segments_intersect`.  Polygons whose edges are short against their
-    extent cost O(n log n); edges that all share one x-range (a comb of long
-    horizontal teeth) still cost n(n-1)/2 box comparisons, which only the
-    full Shamos-Hoey line sweep would bound by O(n log n).
+    `_walk` builds every edge's closed bounding box and finds spikes (an
+    edge folding back over the one before it) in the same pass that
+    `Polygon` reads its area and bounding box from.  `_edges_cross` then
+    sweeps the boxes in order of min x (the broad phase of Shamos & Hoey's
+    segment-intersection sweep): each box is compared with the later ones
+    until one starts right of its max x, and only non-adjacent edges whose
+    closed boxes meet reach `segments_intersect`.  Polygons whose edges are
+    short against their extent cost O(n log n); edges that all share one
+    x-range (a comb of long horizontal teeth) still cost n(n-1)/2 box
+    comparisons, which only the full Shamos-Hoey line sweep would bound by
+    O(n log n).
     """
     pts = _coords(poly)
     n = len(pts)
     if n < 3 or len(set(pts)) != n:
         return False
-    boxes = []  # (minx, maxx, miny, maxy, i) of edge i = pts[i] -> pts[i + 1]
+    boxes = _walk(pts)[2]
+    return boxes is not None and not _edges_cross(pts, boxes)
+
+
+def _walk(pts: Sequence[Coord]) -> tuple[int, Box, Optional[list]]:
+    """One pass over the vertices of a closed chain of at least 2 points:
+    (twice its signed area, its bounding box, its edge boxes), the edge
+    boxes None if an edge folds back over the one before it (a spike).
+
+    Each edge box is (minx, maxx, miny, maxy, i) of edge i, pts[i] ->
+    pts[i + 1], with i running from -1 (the closing edge) to n - 2.
+    """
     (ax, ay), (bx, by) = pts[-2], pts[-1]
+    ex, ey = bx - ax, by - ay
+    area2 = 0
+    left = right = bx
+    bottom = top = by
+    spike = False
+    boxes = []
     for i, (cx, cy) in enumerate(pts, -1):
-        # edges a->b and b->c: a spike if c lies on the line back towards a
-        if (bx - ax) * (cy - ay) == (by - ay) * (cx - ax) and \
-                (ax - bx) * (cx - bx) + (ay - by) * (cy - by) > 0:
-            return False
-        x0, x1 = (bx, cx) if bx <= cx else (cx, bx)
-        y0, y1 = (by, cy) if by <= cy else (cy, by)
+        fx, fy = cx - bx, cy - by
+        area2 += bx * cy - cx * by
+        # edges e = a->b and f = b->c: a spike if f runs back along e
+        if ex * fy == ey * fx and ex * fx + ey * fy < 0:
+            spike = True
+        if bx <= cx:
+            x0, x1 = bx, cx
+        else:
+            x0, x1 = cx, bx
+        if by <= cy:
+            y0, y1 = by, cy
+        else:
+            y0, y1 = cy, by
+        if x0 < left:
+            left = x0
+        if x1 > right:
+            right = x1
+        if y0 < bottom:
+            bottom = y0
+        if y1 > top:
+            top = y1
         boxes.append((x0, x1, y0, y1, i))
-        ax, ay, bx, by = bx, by, cx, cy
+        ex, ey, bx, by = fx, fy, cx, cy
+    return area2, (left, bottom, right, top), None if spike else boxes
+
+
+def _edges_cross(pts: Sequence[Coord], boxes: list) -> bool:
+    """True iff two non-adjacent edges meet, given every edge's box as
+    `_walk` builds them; sorts `boxes` in place."""
+    n = len(pts)
     boxes.sort()
     for k in range(n):
         _, x1, y0, y1, i = boxes[k]
@@ -171,8 +217,8 @@ def is_simple(poly) -> bool:
             if d == 1 or d == -1 or d == n - 1 or d == 1 - n:
                 continue  # adjacent edges share their endpoint
             if segments_intersect(pts[i], pts[i + 1], pts[j], pts[j + 1]):
-                return False
-    return True
+                return True
+    return False
 
 
 def is_convex(poly) -> bool:
@@ -195,28 +241,31 @@ def ensure_ccw(points: Sequence) -> list[Coord]:
 class Polygon:
     """Immutable simple polygon, counterclockwise, integer vertices.
 
-    Construction validates the full invariant (simplicity, positive area), so
-    holding a Polygon is proof the shape is usable; predicates never
-    re-validate.  Derived data (bounding box, convexity, convex parts) is
-    cached.
+    Construction validates the full invariant (integer pairs, simplicity,
+    positive area), so holding a Polygon is proof the shape is usable;
+    predicates never re-validate.  After `_coords` converts the points, one
+    walk over them (`_walk`) gives the doubled area, the bounding box, the
+    spike test and the edge boxes that `is_simple`'s sweep reads.  The first
+    failing check names the error: fewer than 3 vertices, then area <= 0
+    (clockwise or degenerate), then not simple.  Derived data (convexity,
+    convex parts) is cached on first use.
     """
 
     __slots__ = ("coords", "_area2", "_bbox", "_convex", "_parts")
 
     def __init__(self, vertices: Iterable):
         pts = _coords(vertices)
-        if len(pts) < 3:
+        n = len(pts)
+        if n < 3:
             raise GeometryError("polygon needs at least 3 vertices")
-        # set first: _coords passes a Polygon's coords through, so the checks
-        # below do not convert every point again
-        self.coords = pts
-        a2 = signed_area2(self)
-        if a2 <= 0:
+        area2, bbox, boxes = _walk(pts)
+        if area2 <= 0:
             raise GeometryError("polygon must be counterclockwise with positive area")
-        if not is_simple(self):
+        if len(set(pts)) != n or boxes is None or _edges_cross(pts, boxes):
             raise GeometryError("polygon is not simple")
-        self._area2 = a2
-        self._bbox = _bbox(pts)
+        self.coords = pts
+        self._area2 = area2
+        self._bbox = bbox
         self._convex = None
         self._parts = None
 

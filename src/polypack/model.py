@@ -2,6 +2,9 @@
 
 Validation happens once, at ingestion: any Instance or Solution obtained from
 `read_*` satisfies every type invariant, so downstream code never re-checks.
+Each coordinate list is checked in one pass (integer, |c| <= 2^50) and each
+polygon in one walk over its points (`Polygon`); an error message is built
+only when a check fails, and names the first bad entry.
 Writers emit a fixed key order and compact separators, making serialization
 canonical (write . read . write is byte-identical).
 
@@ -91,29 +94,45 @@ def _int_field(v, what: str) -> int:
     return v
 
 
-def _coord_list(obj, what: str) -> list[int]:
+def _label(what: str, k: Optional[int]) -> str:
+    # labels are formatted only for an error, never per item
+    return what if k is None else f"{what}[{k}]"
+
+
+def _coord_list(obj, what: str, k: Optional[int], axis: str) -> list[int]:
+    """`obj` itself, checked in one pass to be a non-empty list of integers
+    within +-MAX_COORD; errors name the list `{what}[{k}].{axis}` (no `[k]`
+    when k is None).
+
+    An entry that fails the fast test falls through to `_int_field` and the
+    bound message, so the first bad entry is the one named.
+    """
     if not isinstance(obj, list) or not obj:
-        raise ValidationError(f"{what} must be a non-empty list")
-    out = []
+        raise ValidationError(f"{_label(what, k)}.{axis} must be a non-empty list")
     for v in obj:
-        iv = _int_field(v, f"{what} entry")
-        if abs(iv) > MAX_COORD:
-            raise ValidationError(f"{what} entry {iv} exceeds coordinate bound 2^50")
-        out.append(iv)
-    return out
+        # type(v) is int excludes bool; json.loads makes no other int type
+        if type(v) is not int or not -MAX_COORD <= v <= MAX_COORD:
+            name = f"{_label(what, k)}.{axis} entry"
+            _int_field(v, name)
+            raise ValidationError(f"{name} {v} exceeds coordinate bound 2^50")
+    return obj
 
 
-def _polygon_from_obj(obj, what: str) -> Polygon:
+def _polygon_from_obj(obj, what: str, k: Optional[int] = None) -> Polygon:
+    """The polygon of {"x": [...], "y": [...]}, labelled as `_label` does."""
     if not isinstance(obj, dict):
-        raise ValidationError(f"{what} must be an object with x/y arrays")
-    xs = _coord_list(obj.get("x"), f"{what}.x")
-    ys = _coord_list(obj.get("y"), f"{what}.y")
-    _require(len(xs) == len(ys), f"{what}.x and {what}.y lengths differ")
-    _require(len(xs) >= 3, f"{what} needs at least 3 vertices")
+        raise ValidationError(f"{_label(what, k)} must be an object with x/y arrays")
+    xs = _coord_list(obj.get("x"), what, k, "x")
+    ys = _coord_list(obj.get("y"), what, k, "y")
+    if len(xs) != len(ys):
+        name = _label(what, k)
+        raise ValidationError(f"{name}.x and {name}.y lengths differ")
+    if len(xs) < 3:
+        raise ValidationError(f"{_label(what, k)} needs at least 3 vertices")
     try:
-        return Polygon(list(zip(xs, ys)))
+        return Polygon(tuple(zip(xs, ys)))
     except ValueError as exc:
-        raise ValidationError(f"{what}: {exc}") from exc
+        raise ValidationError(f"{_label(what, k)}: {exc}") from exc
 
 
 def _loads(data) -> dict:
@@ -144,8 +163,10 @@ def read_instance(data) -> Instance:
     for k, it in enumerate(items_obj):
         if not isinstance(it, dict):
             raise ValidationError(f"items[{k}] must be an object")
-        poly = _polygon_from_obj(it, f"items[{k}]")
-        value = _int_field(it.get("value"), f"items[{k}].value")
+        poly = _polygon_from_obj(it, "items", k)
+        value = it.get("value")
+        if type(value) is not int:
+            _int_field(value, f"items[{k}].value")
         items.append(Item(poly, value))
     meta = obj.get("meta")
     if meta is not None and not isinstance(meta, dict):
@@ -200,15 +221,18 @@ def read_solution(data) -> Solution:
              "item_indices / x_translations / y_translations lengths differ")
     placements = []
     seen = set()
-    for k, (i, tx, ty) in enumerate(zip(idx, txs, tys)):
-        i = _int_field(i, f"item_indices[{k}]")
-        tx = _int_field(tx, f"x_translations[{k}]")
-        ty = _int_field(ty, f"y_translations[{k}]")
-        _require(i >= 0, f"item_indices[{k}] is negative")
+    for i, tx, ty in zip(idx, txs, tys):
+        if type(i) is not int or type(tx) is not int or type(ty) is not int:
+            k = len(placements)  # each earlier placement was appended
+            _int_field(i, f"item_indices[{k}]")
+            _int_field(tx, f"x_translations[{k}]")
+            _int_field(ty, f"y_translations[{k}]")
+        if i < 0:
+            raise ValidationError(f"item_indices[{len(placements)}] is negative")
         if i in seen:
             raise ValidationError(f"duplicate item index {i} in placements")
         seen.add(i)
-        if abs(tx) > MAX_COORD or abs(ty) > MAX_COORD:
+        if not (-MAX_COORD <= tx <= MAX_COORD and -MAX_COORD <= ty <= MAX_COORD):
             raise ValidationError(f"translation for item {i} exceeds coordinate bound 2^50")
         placements.append(Placement(i, (tx, ty)))
     submitted_at = obj.get("submitted_at")

@@ -97,6 +97,35 @@ def test_verify_reports_undecodable_file_as_invalid(workdir, capsys, data):
     assert json.loads(captured.out)["violation"]["kind"] == "InvalidFile"
 
 
+@pytest.mark.parametrize("bad_file, field, value, detail", [
+    ("instance", "x", 0.5, "items[0].x entry must be an integer, got 0.5"),
+    ("instance", "x", 2**50 + 1,
+     "items[0].x entry 1125899906842625 exceeds coordinate bound 2^50"),
+    ("solution", "x_translations", True, "x_translations[0] must be an integer, got True"),
+], ids=["float-coordinate", "coordinate-past-bound", "bool-translation"])
+def test_verify_reports_invalid_value_as_invalid_file(workdir, capsys, bad_file,
+                                                      field, value, detail):
+    inst_path = workdir / "i.json"
+    run_ok(capsys, "generate", "atris", "--seed", "2", "--n", "10",
+           "-o", str(inst_path))
+    inst = json.loads(inst_path.read_text())
+    sol = {"type": "cgshop2024_solution", "instance_name": inst["name"],
+           "item_indices": [0], "x_translations": [0], "y_translations": [0]}
+    if bad_file == "instance":
+        inst["items"][0][field][0] = value
+    else:
+        sol[field][0] = value
+    inst_path.write_text(json.dumps(inst))
+    sol_path = workdir / "s.json"
+    sol_path.write_text(json.dumps(sol))
+    code = run(["verify", str(inst_path), str(sol_path)])
+    captured = capsys.readouterr()
+    assert code == 1, captured.err
+    report = json.loads(captured.out)
+    assert report["violation"] == {"kind": "InvalidFile", "detail": detail}
+    assert report["instance_name"] == (None if bad_file == "instance" else inst["name"])
+
+
 def test_usage_errors(workdir, capsys):
     assert run(["generate", "nosuchfamily"]) == 2
     capsys.readouterr()

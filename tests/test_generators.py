@@ -278,10 +278,9 @@ class TestAtrisFamily:
             rng = Rng(seed, stream=79)
             cat = generators.CATEGORIES[rng.below(len(generators.CATEGORIES))]
             cells = polyomino_cells(rng, cat)
-            pts, area2 = _pixel_scaled(cells, cells_to_outline(cells), rng, 2, 9)
-            assert oracles.shoelace_area2(pts) == area2
+            pts = _pixel_scaled(cells, cells_to_outline(cells), rng, 2, 9)
             out = _flip_rotate(pts, rng)
-            assert oracles.shoelace_area2(out) == area2
+            assert oracles.shoelace_area2(out) == oracles.shoelace_area2(pts) > 0
 
 
 class TestSatrisFamily:

@@ -586,6 +586,77 @@ class TestPolygonClass:
         with pytest.raises(geom.GeometryError):
             Polygon([(0, 0), (1, 0), (2, 0)])
 
+    def test_one_walk_matches_oracles(self):
+        # Polygon reads area, bounding box and simplicity from one walk;
+        # each answer and the first error are checked against the oracles
+        # on random point lists and on variants that hit each early exit:
+        # spikes, repeated vertices, collinear runs and clockwise order.
+        rng = random.Random(4242)
+        cases = []
+        for _ in range(300):
+            cases.append([(rng.randint(0, 6), rng.randint(0, 6))
+                          for _ in range(rng.randint(3, 14))])
+            star = random_star_polygon(rng, rng.randint(3, 14))
+            cases.append(star)
+            cases.append(star[::-1])
+            n = len(star)
+            j = rng.randrange(n)
+            (ax, ay), (bx, by) = star[j - 1], star[j]
+            doubled = [(2 * x, 2 * y) for x, y in star]
+            # a collinear run: the midpoint of edge j-1 -> j inserted
+            cases.append(doubled[:j] + [(ax + bx, ay + by)] + doubled[j:])
+            # a spike: back along edge j-1 -> j to its midpoint, then on
+            cases.append(doubled[:j + 1] + [(ax + bx, ay + by)] + doubled[j + 1:])
+            # a repeated vertex, next to its twin or apart from it
+            cases.append(star[:j] + [star[j]] + star[j:])
+            cases.append(star + [star[rng.randrange(n - 1)]])
+        accepted = 0
+        for pts in cases:
+            area2 = oracles.shoelace_area2(pts)
+            if area2 <= 0:
+                expected = "positive area"
+            elif not oracles.brute_force_simple(pts):
+                expected = "not simple"
+            else:
+                expected = None
+            if expected is not None:
+                with pytest.raises(geom.GeometryError, match=expected):
+                    Polygon(pts)
+                continue
+            poly = Polygon(pts)
+            accepted += 1
+            xs, ys = [x for x, _ in pts], [y for _, y in pts]
+            assert poly.area2 == area2
+            assert poly.bbox == (min(xs), min(ys), max(xs), max(ys))
+            assert poly.coords == tuple(pts)
+        assert 0.2 < accepted / len(cases) < 0.8
+
+    def test_error_order(self):
+        # fewer than 3 vertices, then area <= 0, then not simple
+        with pytest.raises(geom.GeometryError, match="at least 3 vertices"):
+            Polygon([(0, 0), (5, 5)])
+        clockwise_bowtie = [(0, 0), (4, 4), (4, 0), (0, 1)]
+        assert oracles.shoelace_area2(clockwise_bowtie) < 0
+        assert not oracles.brute_force_simple(clockwise_bowtie)
+        with pytest.raises(geom.GeometryError,
+                           match="counterclockwise with positive area"):
+            Polygon(clockwise_bowtie)
+        with pytest.raises(geom.GeometryError, match="not simple"):
+            Polygon(clockwise_bowtie[::-1])
+
+    def test_points_must_be_pairs(self):
+        # a third value is not dropped, a missing one not invented
+        for pts in ([(0, 0, 9), (4, 0, 9), (0, 3, 9)],
+                    [(0, 0), (4, 0, 1), (0, 3)],
+                    [(0, 0), (4,), (0, 3)]):
+            with pytest.raises(geom.GeometryError, match=r"\(x, y\) pair"):
+                Polygon(pts)
+            with pytest.raises(geom.GeometryError):
+                is_simple(pts)
+        with pytest.raises(TypeError):
+            Polygon([(0, 0), (4.0, 0), (0, 3)])
+        assert Polygon([[0, 0], [4, 0], [0, 3]]).coords == ((0, 0), (4, 0), (0, 3))
+
     def test_round_nearest(self):
         assert geom.round_nearest(Fraction(1, 2)) == 1
         assert geom.round_nearest(Fraction(-1, 2)) == 0

@@ -80,6 +80,78 @@ def test_coordinate_overflow_rejected():
         read_instance(json.dumps(obj))
 
 
+# A bad coordinate list and the message it gives, in the container's x list
+# or in items[1].y.  Each list has one entry that fails; where two fail, the
+# first is named.
+BAD_COORDS = [
+    ([0, 4, True], "entry must be an integer, got True"),
+    ([0, 4.0, 0], "entry must be an integer, got 4.0"),
+    ([0, 2**50 + 1, 0], "entry 1125899906842625 exceeds coordinate bound 2^50"),
+    ([0, -2**50 - 1, 0], "entry -1125899906842625 exceeds coordinate bound 2^50"),
+    ([2**51, 1.5, 0], "entry 2251799813685248 exceeds coordinate bound 2^50"),
+    ([1.5, 2**51, 0], "entry must be an integer, got 1.5"),
+]
+
+
+@pytest.mark.parametrize("coords, message", BAD_COORDS)
+def test_bad_coordinate_message(coords, message):
+    obj = minimal_instance_obj()
+    obj["container"]["x"] = coords + [0]
+    with pytest.raises(ValidationError) as exc:
+        read_instance(json.dumps(obj))
+    assert str(exc.value) == "container.x " + message
+    obj = minimal_instance_obj()
+    obj["items"].append(dict(TRI, value=1))
+    obj["items"][1]["y"] = coords
+    with pytest.raises(ValidationError) as exc:
+        read_instance(json.dumps(obj))
+    assert str(exc.value) == "items[1].y " + message
+
+
+def test_coordinates_at_the_bound_accepted():
+    b = 2**50
+    obj = minimal_instance_obj()
+    obj["container"] = {"x": [-b, b, b, -b], "y": [-b, -b, b, b]}
+    assert read_instance(json.dumps(obj)).container.bbox == (-b, -b, b, b)
+
+
+@pytest.mark.parametrize("item, message", [
+    (dict(TRI, x=[]), "items[1].x must be a non-empty list"),
+    (dict(TRI, y="abc"), "items[1].y must be a non-empty list"),
+    (dict(TRI, x=[0, 8, 0, 1]), "items[1].x and items[1].y lengths differ"),
+    ({"x": [0, 8], "y": [0, 0]}, "items[1] needs at least 3 vertices"),
+    (dict(TRI, value=True), "items[1].value must be an integer, got True"),
+    (5, "items[1] must be an object"),
+])
+def test_bad_item_message(item, message):
+    obj = minimal_instance_obj()
+    obj["items"].append(item)
+    with pytest.raises(ValidationError) as exc:
+        read_instance(json.dumps(obj))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("idx, xs, ys, message", [
+    ([0, True], [0, 0], [0, 0], "item_indices[1] must be an integer, got True"),
+    ([0, 1], [0, 1.0], [0, 0], "x_translations[1] must be an integer, got 1.0"),
+    ([0, 1], [0, 0], [0, True], "y_translations[1] must be an integer, got True"),
+    ([0, -1], [0, 0], [0, 0], "item_indices[1] is negative"),
+    ([0, 1], [0, 0], [0, 2**50 + 1],
+     "translation for item 1 exceeds coordinate bound 2^50"),
+    ([0, 1], [0, -2**50 - 1], [0, 0],
+     "translation for item 1 exceeds coordinate bound 2^50"),
+    # the index is checked before the translations, x before y
+    ([0, 1.0], [0, True], [0, 0.5], "item_indices[1] must be an integer, got 1.0"),
+    ([0, 1], [0, True], [0, 0.5], "x_translations[1] must be an integer, got True"),
+])
+def test_bad_placement_message(idx, xs, ys, message):
+    with pytest.raises(ValidationError) as exc:
+        read_solution(json.dumps({
+            "type": "cgshop2024_solution", "instance_name": "tiny",
+            "item_indices": idx, "x_translations": xs, "y_translations": ys}))
+    assert str(exc.value) == message
+
+
 def test_value_sum_overflow_rejected():
     obj = minimal_instance_obj()
     obj["items"] = [dict(TRI, value=(1 << 39)), dict(TRI, value=(1 << 39))]
