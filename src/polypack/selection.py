@@ -2,18 +2,30 @@
 
 Eleven per-instance metrics are computed with exact geometry and converted to
 floats only at this module's boundary; this is the one module allowed to use
-floating point, since its output feeds no geometric decision.  Features are
-z-scored, projected onto enough principal components to keep 95% of the
-variance, clustered with k-means++ (best of several restarts), and one
-uniformly random member per cluster forms the benchmark.
+floating point, since its output feeds no geometric decision.  The rest runs
+on plain Python floats in a fixed order of operations, so the picks do not
+depend on a linear-algebra library:
+
+- z-scores: each metric's mean and population standard deviation come from
+  `math.fsum`; a metric whose deviation is 0 is dropped with a warning.
+- PCA: the ddof-1 covariance of the z-scores (again `math.fsum`) is
+  diagonalised by cyclic Jacobi rotations; the features are projected onto
+  the leading eigenvectors, as many as keep 95% of the variance.
+- k-means: k-means++ seeding (Arthur & Vassilvitskii 2007) draws from the
+  module's `Rng`, then at most 100 Lloyd rounds with `math.dist`; the best
+  of several restarts by inertia wins, and one uniformly random member per
+  cluster forms the benchmark.
 """
 from __future__ import annotations
 
+import bisect
+import csv
+import io
+import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
 
 from .geom import _hull, _rect_extents, signed_area2
 from .model import Instance
@@ -142,93 +154,168 @@ def compute_metrics(instance: Instance) -> FeatureVector:
     return FeatureVector(values)
 
 
-def _zscore(matrix: np.ndarray):
-    """Drop constant columns (with a warning), z-score the rest."""
-    std = matrix.std(axis=0)
-    keep = std > 0
-    if not keep.any():
+def _zscore(rows):
+    """Drop constant columns (with a warning), z-score the rest with the
+    population std."""
+    n = len(rows)
+    cols = list(zip(*rows))
+    means = [math.fsum(col) / n for col in cols]
+    stds = [math.sqrt(math.fsum((v - m) ** 2 for v in col) / n)
+            for col, m in zip(cols, means)]
+    keep = [j for j, sd in enumerate(stds) if sd > 0]
+    if not keep:
         raise DegenerateFeatures("every metric is constant across instances")
-    dropped = [METRIC_NAMES[i] if i < len(METRIC_NAMES) else f"col{i}"
-               for i in np.flatnonzero(~keep)]
+    dropped = [_metric_name(j) for j, sd in enumerate(stds) if sd == 0]
     if dropped:
         warnings.warn(f"dropping constant metrics: {', '.join(dropped)}",
                       stacklevel=3)
-    sub = matrix[:, keep]
-    return (sub - sub.mean(axis=0)) / sub.std(axis=0)
+    return [[(row[j] - means[j]) / stds[j] for j in keep] for row in rows]
 
 
-def _pca_project(z: np.ndarray, n_components: int) -> np.ndarray:
-    cov = np.cov(z, rowvar=False)
-    cov = np.atleast_2d(cov)
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    order = np.argsort(eigvals)[::-1]
-    eigvals = np.clip(eigvals[order], 0, None)
-    eigvecs = eigvecs[:, order]
+def _metric_name(j: int) -> str:
+    return METRIC_NAMES[j] if j < len(METRIC_NAMES) else f"col{j}"
+
+
+def _jacobi_eigen(a):
+    """Eigenvalues and unit eigenvectors (as rows) of the symmetric matrix
+    a, by cyclic Jacobi rotations (Golub & Van Loan, Matrix Computations,
+    section 8.5).  Each rotation zeroes one off-diagonal entry; sweeps stop
+    once the off-diagonal mass is below rounding of the whole matrix."""
+    d = len(a)
+    a = [list(row) for row in a]
+    vecs = [[float(i == j) for j in range(d)] for i in range(d)]
+    norm2 = math.fsum(x * x for row in a for x in row)
+    for _sweep in range(64):
+        off2 = math.fsum(a[p][q] ** 2 for p in range(d) for q in range(p + 1, d))
+        if off2 <= 1e-32 * norm2:
+            break
+        for p in range(d - 1):
+            for q in range(p + 1, d):
+                apq = a[p][q]
+                if apq == 0.0:
+                    continue
+                theta = (a[q][q] - a[p][p]) / (2 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
+                c = 1.0 / math.hypot(1.0, t)
+                s = t * c
+                new_p, new_q = _rotate(a[p], a[q], c, s)
+                new_p[p], new_q[q] = a[p][p] - t * apq, a[q][q] + t * apq
+                new_p[q] = new_q[p] = 0.0
+                a[p], a[q] = new_p, new_q
+                for r, row in enumerate(a):
+                    row[p], row[q] = new_p[r], new_q[r]
+                vecs[p], vecs[q] = _rotate(vecs[p], vecs[q], c, s)
+    return [a[i][i] for i in range(d)], vecs
+
+
+def _rotate(u, v, c: float, s: float):
+    """The rows u, v turned by the plane rotation (c, s)."""
+    return ([c * x - s * y for x, y in zip(u, v)],
+            [s * x + c * y for x, y in zip(u, v)])
+
+
+def _pca_project(z, n_components: int):
+    """Rows of z projected onto the leading principal components of its
+    ddof-1 covariance: n_components of them, or if 0 the fewest that keep
+    95% of the variance."""
+    n, d = len(z), len(z[0])
+    cols = [[v - math.fsum(col) / n for v in col] for col in zip(*z)]
+    cov = [[math.fsum(map(operator.mul, ci, cj)) / (n - 1) for cj in cols]
+           for ci in cols]
+    eigvals, eigvecs = _jacobi_eigen(cov)
+    order = sorted(range(d), key=eigvals.__getitem__, reverse=True)
+    eigvals = [max(eigvals[i], 0.0) for i in order]
     if n_components <= 0:
-        total = eigvals.sum()
+        total = math.fsum(eigvals)
         if total <= 0:
             n_components = 1
         else:
-            ratio = np.cumsum(eigvals) / total
-            n_components = int(np.searchsorted(ratio, 0.95) + 1)
-    n_components = min(n_components, z.shape[1])
-    return z @ eigvecs[:, :n_components]
+            shares = [cum / total for cum in itertools.accumulate(eigvals)]
+            n_components = bisect.bisect_left(shares, 0.95) + 1
+    axes = [eigvecs[i] for i in order[:min(n_components, d)]]
+    return [tuple(math.fsum(map(operator.mul, row, axis)) for axis in axes)
+            for row in z]
 
 
-def _kmeans_once(pts: np.ndarray, k: int, rng: Rng):
+def _kmeans_once(pts, k: int, rng: Rng):
+    """One k-means++ seeding and at most 100 Lloyd rounds; (assignment,
+    inertia)."""
     n = len(pts)
-    centers = np.empty((k, pts.shape[1]))
-    centers[0] = pts[rng.below(n)]
-    d2 = ((pts - centers[0]) ** 2).sum(axis=1)
-    for c in range(1, k):
-        total = d2.sum()
-        if total <= 0:
+    centers = [pts[rng.below(n)]]
+    d2 = [math.dist(p, centers[0]) ** 2 for p in pts]
+    for _ in range(1, k):
+        cum = list(itertools.accumulate(d2))
+        if cum[-1] <= 0:
             idx = rng.below(n)
         else:
             # weighted pick proportional to squared distance (k-means++)
-            r = (rng.next_u64() / 2**64) * total
-            idx = int(np.searchsorted(np.cumsum(d2), r))
-            idx = min(idx, n - 1)
-        centers[c] = pts[idx]
-        d2 = np.minimum(d2, ((pts - centers[c]) ** 2).sum(axis=1))
+            r = (rng.next_u64() / 2**64) * cum[-1]
+            idx = min(bisect.bisect_left(cum, r), n - 1)
+        center = pts[idx]
+        centers.append(center)
+        d2 = [min(old, math.dist(p, center) ** 2) for old, p in zip(d2, pts)]
 
-    assign = np.full(n, -1, dtype=int)
+    assign = None
     for _round in range(100):
-        dists = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_assign = dists.argmin(axis=1)
-        # re-seat empty clusters with a member of the largest cluster
+        new_assign = []
+        for p in pts:
+            row = [math.dist(p, c) for c in centers]
+            new_assign.append(row.index(min(row)))
+        # re-seat empty clusters with the farthest member of the largest
+        sizes = [0] * k
+        for c in new_assign:
+            sizes[c] += 1
         for c in range(k):
-            if not (new_assign == c).any():
-                sizes = np.bincount(new_assign, minlength=k)
-                big = int(sizes.argmax())
-                members = np.flatnonzero(new_assign == big)
-                steal = members[int(dists[members, big].argmax())]
+            if sizes[c] == 0:
+                big = sizes.index(max(sizes))
+                center = centers[big]
+                steal = max((i for i, a in enumerate(new_assign) if a == big),
+                            key=lambda i: math.dist(pts[i], center))
                 new_assign[steal] = c
+                sizes[big] -= 1
+                sizes[c] = 1
                 centers[c] = pts[steal]
-        if (new_assign == assign).all():
+        if new_assign == assign:
             break
         assign = new_assign
-        for c in range(k):
-            members = pts[assign == c]
-            if len(members):
-                centers[c] = members.mean(axis=0)
-    inertia = float(((pts - centers[assign]) ** 2).sum())
+        groups = [[] for _ in range(k)]
+        for p, c in zip(pts, assign):
+            groups[c].append(p)
+        centers = [tuple(math.fsum(col) / len(g) for col in zip(*g)) for g in groups]
+    inertia = math.fsum((x - y) ** 2 for p, c in zip(pts, assign)
+                        for x, y in zip(p, centers[c]))
     return assign, inertia
 
 
+def _check_features(pairs) -> None:
+    """ValueError unless every (name, floats) pair has finite values and
+    the pairs agree in length."""
+    width = len(pairs[0][1]) if pairs else 0
+    for name, row in pairs:
+        if len(row) != width:
+            raise ValueError(f"instance {name!r} has {len(row)} metrics, "
+                             f"expected {width}")
+        for j, v in enumerate(row):
+            if not math.isfinite(v):
+                raise ValueError(f"instance {name!r}: metric {_metric_name(j)} is {v}")
+
+
 def select_from_features(named_features, cfg: SelectionConfig) -> list[str]:
-    """Core pipeline over (name, feature sequence) pairs; order-insensitive."""
+    """Core pipeline over (name, feature sequence) pairs; order-insensitive.
+
+    ValueError for duplicate names, a k outside [1, n], or feature vectors
+    that differ in length or hold a NaN or infinity."""
     pairs = sorted((str(name), tuple(float(v) for v in feats))
                    for name, feats in named_features)
     names = [p[0] for p in pairs]
     if len(set(names)) != len(names):
         raise ValueError("duplicate instance names in candidate set")
+    _check_features(pairs)
     if not 1 <= cfg.k <= len(pairs):
         raise ValueError(f"k={cfg.k} must lie in [1, {len(pairs)}]")
     if cfg.k == len(pairs):
         return sorted(names)
-    matrix = np.asarray([p[1] for p in pairs], dtype=float)
-    z = _zscore(matrix)
+    z = _zscore([p[1] for p in pairs])
     proj = _pca_project(z, cfg.pca_components)
 
     best = None
@@ -241,14 +328,17 @@ def select_from_features(named_features, cfg: SelectionConfig) -> list[str]:
     pick_rng = Rng(cfg.seed, stream=1 << 20)
     chosen = []
     for c in range(cfg.k):
-        members = [names[i] for i in np.flatnonzero(assign == c)]
+        members = [name for name, a in zip(names, assign) if a == c]
         chosen.append(members[pick_rng.below(len(members))])
     return sorted(chosen)
 
 
 def features_csv(named_features) -> str:
-    """CSV of `(name, metric values)` pairs, one row per instance by name."""
-    lines = ["name," + ",".join(METRIC_NAMES)]
+    """CSV of `(name, metric values)` pairs, one row per instance by name;
+    a name holding a comma, quote or newline is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("name",) + METRIC_NAMES)
     for name, values in sorted(named_features):
-        lines.append(name + "," + ",".join(f"{v:.9g}" for v in values))
-    return "\n".join(lines) + "\n"
+        writer.writerow([name] + [f"{v:.9g}" for v in values])
+    return out.getvalue()

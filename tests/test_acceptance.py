@@ -6,6 +6,7 @@ reproducible by construction (they depended on unpublished instances and
 competing solvers), so the final criterion is an end-to-end drill checked
 against an independent exact recomputation instead.
 """
+import hashlib
 import random
 import sys
 import time
@@ -186,10 +187,15 @@ def test_c7_selection_pipeline():
                                                shear_probability=1)))
         assert len(corpus) == 500
         named = [(inst.name, compute_metrics(inst).values) for inst in corpus]
+        start = time.monotonic()
         chosen = select_from_features(named, SelectionConfig(k=180, seed=3))
+        assert time.monotonic() - start <= 2.0
         assert len(chosen) == len(set(chosen)) == 180
         families = {name.split("_")[0] for name in chosen}
         assert families == {"random", "jigsaw", "atris", "satris"}
+        # the picks recorded when a LAPACK eigensolver did the PCA
+        assert hashlib.sha256("\n".join(chosen).encode()).hexdigest() == \
+            "60e561b477be52d33acfb79d60730d2c97f0a407026b0d79e9129c6ec2f53590"
 
 
 def test_c8_end_to_end_drill():

@@ -1,11 +1,15 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
+import polypack
 from polypack.cli import build_parser, run
 from polypack.generators import GenConfig, gen_jigsaw
 from polypack.model import save_instance, save_solution, write_solution, Solution
@@ -217,6 +221,34 @@ def test_select_subcommand(workdir, capsys):
     sel = json.loads(out)
     assert len(sel["selected"]) == 3
     assert (workdir / "f.csv").read_text().startswith("name,")
+
+
+def run_python(script, *args):
+    src = Path(polypack.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_import_leaves_numpy_out():
+    done = run_python("import sys, polypack, polypack.cli; "
+                      "sys.exit('numpy' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+
+
+def test_select_runs_without_numpy(workdir, capsys):
+    cand = workdir / "cands"
+    cand.mkdir()
+    for seed in range(6):
+        fam = "random" if seed % 2 else "atris"
+        run_ok(capsys, "generate", fam, "--seed", str(seed), "--n", "6",
+               "-o", str(cand / f"c{seed}.json"))
+    # a None entry in sys.modules makes every `import numpy` fail
+    done = run_python("import sys; sys.modules['numpy'] = None; "
+                      "from polypack.cli import run; sys.exit(run(sys.argv[1:]))",
+                      "select", "--candidates", str(cand), "--k", "2", "--seed", "1")
+    assert done.returncode == 0, done.stderr
+    assert len(json.loads(done.stdout)["selected"]) == 2
 
 
 def test_solve_moves_flag(workdir, capsys):

@@ -1,8 +1,11 @@
+import csv
+import hashlib
+import io
 import math
 import random
+import statistics
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from polypack.generators import (GenConfig, gen_atris, gen_jigsaw, gen_random,
@@ -118,6 +121,23 @@ class TestSelection:
             out = select_from_features(feats, SelectionConfig(k=3, seed=4))
         assert len(out) == 3
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_feature_named(self, bad):
+        # such a metric used to be dropped as "constant"
+        rng = random.Random(76)
+        feats = [(f"x{i}", [rng.random() for _ in range(4)]) for i in range(8)]
+        feats[5][1][2] = bad
+        with pytest.raises(ValueError, match="'x5': metric container_rect_ratio"):
+            select_from_features(feats, SelectionConfig(k=3, seed=1))
+
+    @pytest.mark.parametrize("k", [3, 8])
+    def test_ragged_features_rejected(self, k):
+        rng = random.Random(77)
+        feats = [(f"x{i}", [rng.random() for _ in range(4)]) for i in range(8)]
+        feats[6][1].pop()
+        with pytest.raises(ValueError, match="'x6' has 3 metrics, expected 4"):
+            select_from_features(feats, SelectionConfig(k=k, seed=1))
+
     @pytest.mark.parametrize("fields, named", [
         (dict(kmeans_restarts=0), "kmeans_restarts"),
         (dict(kmeans_restarts=-2), "kmeans_restarts"),
@@ -130,31 +150,59 @@ class TestSelection:
         assert SelectionConfig(k=2, kmeans_restarts=1, pca_components=0)
 
     def test_pca_variance_retained(self):
-        rng = np.random.default_rng(42)
-        base = rng.normal(size=(200, 3))
-        mix = rng.normal(size=(3, 11))
-        data = base @ mix + 0.01 * rng.normal(size=(200, 11))
-        z = (data - data.mean(axis=0)) / data.std(axis=0)
+        rng = random.Random(42)
+        base = [[rng.gauss(0, 1) for _ in range(3)] for _ in range(200)]
+        mix = [[rng.gauss(0, 1) for _ in range(11)] for _ in range(3)]
+        data = [[sum(b * m for b, m in zip(row, col)) + 0.01 * rng.gauss(0, 1)
+                 for col in zip(*mix)] for row in base]
+        cols = [(statistics.fmean(col), statistics.pstdev(col)) for col in zip(*data)]
+        z = [[(v - mean) / std for v, (mean, std) in zip(row, cols)] for row in data]
         proj = _pca_project(z, 0)
         # auto-selected components keep >= 95% of the variance
-        assert proj.shape[1] <= 11
-        total_var = z.var(axis=0).sum()
-        kept_var = proj.var(axis=0).sum()
+        assert len(proj[0]) <= 11
+        total_var = sum(statistics.pvariance(col) for col in zip(*z))
+        kept_var = sum(statistics.pvariance(col) for col in zip(*proj))
         assert kept_var / total_var >= 0.95
 
 
+@pytest.fixture(scope="module")
+def mixed_features():
+    instances = []
+    for seed in range(12):
+        instances.append(gen_random(GenConfig(seed=seed, n_target=6)))
+        instances.append(gen_jigsaw(GenConfig(seed=seed, jigsaw_line_count=4)))
+        instances.append(gen_atris(GenConfig(seed=seed, n_target=8)))
+    return [(i.name, compute_metrics(i).values) for i in instances]
+
+
 class TestEndToEndSelection:
-    def test_mixed_corpus_coverage(self):
-        instances = []
-        for seed in range(12):
-            instances.append(gen_random(GenConfig(seed=seed, n_target=6)))
-            instances.append(gen_jigsaw(GenConfig(seed=seed, jigsaw_line_count=4)))
-            instances.append(gen_atris(GenConfig(seed=seed, n_target=8)))
-        named = [(i.name, compute_metrics(i).values) for i in instances]
-        out = select_from_features(named, SelectionConfig(k=9, seed=5))
+    def test_mixed_corpus_coverage(self, mixed_features):
+        out = select_from_features(mixed_features, SelectionConfig(k=9, seed=5))
         assert len(out) == len(set(out)) == 9
-        names = {i.name for i in instances}
-        assert set(out) <= names
+        assert set(out) <= {name for name, _ in mixed_features}
+
+    @pytest.mark.parametrize("k, seed, sha256", [
+        (3, 0, "e4bd61dedb3507917f4319c824107c77e91570cb0d2501150bd778281d9fdaa7"),
+        (3, 1, "86f184f82e4cd65228c631842219a290936c22b3c54108e086a2b2a1df3f4058"),
+        (3, 2, "a19f2e690859de8c679000eee78359e1a15b3fbda08a4eb5c8502a7a02454f80"),
+        (3, 3, "8ce2191b0fc277974e8e7f26a3ac44b392ede3f5da8723b9f19735520c31ec87"),
+        (3, 4, "298c58abb29821dd1af3bc9cba2f2c32a8a913e133442ee4cf2ec69480417e13"),
+        (9, 0, "3b5540f8a9acb0b398b91d744a365397b1375867989ef37a202225394a6f0a70"),
+        (9, 1, "1237e1c168192d4b518631f50db08b843a7f89df6a6ebbb4190e0565a1253c78"),
+        (9, 2, "6ce7923186e3bfd9bc291e9a1deb1e5a2b1afc14b14217bb6a0ea7c1911370fd"),
+        (9, 3, "54b33aaa3c6a09d9a2a06d148c3ca03e212d72c2a969f28115b330a469171ae4"),
+        (9, 4, "93c04357fd723b2b42b9c36a94d25119ed90de7918fa9edbba3201d969f6d006"),
+        (20, 0, "a0becca1e0b56000aa468520cfba7994ae7913b1834864b94f85d2c77cb0a660"),
+        (20, 1, "ad991f0ec04dd4619b8574830c4de5adca8127443feff7e16966c499c20944bb"),
+        (20, 2, "11666c8305769c3151245a3c654b421f33d118f30422d02d0d6b0e65a0ab9b6b"),
+        (20, 3, "be568663bf5074ef76d97764f9b8be2e45fd90533dcc4bf54f47efc43a669ef0"),
+        (20, 4, "d69e4ea790703b4f2ce7a05e04fafb82a3f282e1ac47c45efa68152e21eb850b"),
+    ])
+    def test_pinned_picks(self, mixed_features, k, seed, sha256):
+        # recorded when a LAPACK eigensolver did the PCA: the plain-float
+        # pipeline must pick the same names
+        picks = select_from_features(mixed_features, SelectionConfig(k=k, seed=seed))
+        assert hashlib.sha256("\n".join(picks).encode()).hexdigest() == sha256
 
     def test_features_csv_shape(self):
         instances = [gen_random(GenConfig(seed=s, n_target=5)) for s in range(3)]
@@ -164,6 +212,19 @@ class TestEndToEndSelection:
         assert lines[0].startswith("name,log_item_count")
         assert len(lines) == 4
         assert len(lines[1].split(",")) == 12
+
+
+    def test_features_csv_plain_bytes(self):
+        text = features_csv([("b", (1.0, 0.5)), ("a", (2 / 3, -1e-12))])
+        assert text == ("name," + ",".join(METRIC_NAMES) + "\n"
+                        "a,0.666666667,-1e-12\nb,1,0.5\n")
+
+    def test_features_csv_round_trip(self):
+        named = [("a,b", (1.0, 2.0)), ('say "hi"', (3.0, 4.0)),
+                 ("two\nlines", (5.0, 6.0)), ("plain", (7.0, 8.0))]
+        rows = list(csv.reader(io.StringIO(features_csv(named), newline="")))
+        assert rows[0] == ["name", *METRIC_NAMES]
+        assert rows[1:] == [[name, f"{x:g}", f"{y:g}"] for name, (x, y) in sorted(named)]
 
 
 class TestMetricsReference:
