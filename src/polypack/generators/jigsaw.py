@@ -15,16 +15,20 @@ container bit for bit.
 Two faces merge by cancelling their shared edges: each face's edges are
 split at the other face's vertices lying inside them, so the common
 boundary becomes the same edges traversed in opposite directions.  Those
-cancel, and the remaining directed edges must chain into a single cycle,
-which is the merged piece.  Nothing here assumes the faces are convex.
+cancel, and `geom.trace_boundary` chains the remaining directed edges into
+the merged piece, or rejects them if they are not a single cycle.  Nothing
+here assumes the faces are convex.  Each piece then loses its straight
+vertices (`geom.drop_straight`) and is moved to the origin
+(`geom.to_origin`), which gives its identity translation.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-from ..geom import (Polygon, _bbox, _hull, _rect_extents, cross, is_simple,
-                    round_ratio, signed_area2)
+from ..geom import (GeometryError, Polygon, _bbox, _hull, _rect_extents, cross,
+                    drop_straight, is_simple, round_ratio, signed_area2,
+                    to_origin, trace_boundary)
 from ..model import Instance, Item
 from ..rng import Rng
 from ..valuation import ValueSpec, assign_values
@@ -120,19 +124,6 @@ def _split_face(pts, p1: Coord, p2: Coord):
     return piece1, piece2
 
 
-def _drop_straight(pts):
-    out = list(pts)
-    changed = True
-    while changed and len(out) > 3:
-        changed = False
-        for i in range(len(out)):
-            if cross(out[i - 1], out[i], out[(i + 1) % len(out)]) == 0:
-                del out[i]
-                changed = True
-                break
-    return out
-
-
 def _with_contacts(pts, other):
     """pts with every vertex of other that lies inside one of its edges
     inserted into that edge, in order along it."""
@@ -156,26 +147,15 @@ def _merge_faces(f, g):
     edges = f_edges + list(zip(gc, gc[1:] + gc[:1]))
     present = set(edges)
     shared = {(a, b) for a, b in edges if (b, a) in present}
-    nxt = {}
-    for a, b in edges:
-        if (a, b) in shared:
-            continue
-        if a in nxt:
-            return None  # pinch: the union touches itself at a
-        nxt[a] = b
     # walk from where f's boundary leaves the shared part
     start = next((fc[i] for i in range(len(fc))
                   if f_edges[i - 1] in shared and f_edges[i] not in shared), None)
     if start is None:
         return None
-    cycle = [start]
-    while (v := nxt.get(cycle[-1])) != start:
-        if v is None or len(cycle) == len(nxt):
-            return None
-        cycle.append(v)
-    if len(cycle) != len(nxt):
-        return None
-    merged = _drop_straight(cycle)
+    try:
+        merged = trace_boundary([e for e in edges if e not in shared], start)
+    except GeometryError:
+        return None  # a pinch, a hole or a stray edge
     if len(merged) < 3 or signed_area2(merged) != signed_area2(f) + signed_area2(g):
         return None
     if not is_simple(merged):
@@ -266,12 +246,10 @@ def gen_jigsaw(cfg: GenConfig) -> Instance:
 
         rng_pert = Rng(cfg.seed, stream=STREAM_PERTURB + copy)
         for f in faces:
-            f = _drop_straight(f)
+            f = drop_straight(f)
             if cfg.jigsaw_perturb_amplitude > 0:
                 f = _perturb(f, rng_pert, cfg.jigsaw_perturb_amplitude)
-            minx = min(x for x, _ in f)
-            miny = min(y for _, y in f)
-            pieces.append(([(x - minx, y - miny) for x, y in f], (minx, miny), copy))
+            pieces.append((*to_origin(f), copy))
 
     name = f"jigsaw_s{cfg.seed}_l{cfg.jigsaw_line_count}_c{cfg.jigsaw_copies}"
     meta: dict = {"generator": "jigsaw", "seed": cfg.seed,

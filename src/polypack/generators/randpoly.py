@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 
-from ..geom import AllCollinear, Polygon, _hull, convex_hull, ensure_ccw
+from ..geom import (AllCollinear, Polygon, _hull, convex_hull, ensure_ccw,
+                    to_origin)
 from ..model import Instance, Item
 from ..rng import Rng
 from ..valuation import ValueSpec, assign_values
@@ -51,11 +52,8 @@ def _random_item(rng: Rng, cfg: GenConfig, index: int) -> Polygon:
                 continue
         else:
             pts = ensure_ccw(_concave_chain(cloud))
-        minx = min(x for x, _ in pts)
-        miny = min(y for _, y in pts)
-        shifted = [(x - minx, y - miny) for x, y in pts]
         try:
-            return Polygon(shifted)
+            return Polygon(to_origin(pts)[0])
         except ValueError:
             continue
     raise GenerationFailed(

@@ -4,8 +4,10 @@
 Items come from seven shape categories built on a small cell grid; each
 column and row of cells gets an independently random pixel width/height, and
 multi-arm shapes take bounded random arm parameters so the shape class and
-edge-connectivity are always preserved.  Items are optionally sheared
-(satris), then flipped and rotated by quarter turns.
+edge-connectivity are always preserved.  A cell set's outline is its
+boundary edges traced by `geom.trace_boundary`.  Items are optionally
+sheared (satris), then flipped and rotated by quarter turns and moved to
+the origin by `geom.to_origin`.
 
 Generation stops when total item area exceeds t * container area; values are
 area times a uniform [0.8, 1.2] factor times a per-category difficulty
@@ -16,7 +18,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ..geom import GeometryError, Polygon, ensure_ccw, is_simple, round_ratio
+from ..geom import (GeometryError, Polygon, ensure_ccw, is_simple, round_ratio,
+                    to_origin, trace_boundary)
 from ..model import Instance, Item
 from ..rng import Rng
 from .config import (MAX_RECT_CONTAINER_AREA, SHEAR_M_RANGE,
@@ -107,41 +110,23 @@ def cells_connected(cells: set[tuple[int, int]]) -> bool:
 def cells_to_outline(cells: set[tuple[int, int]]) -> list[tuple[int, int]]:
     """CCW outline of a cell set on the unit grid, collinear runs merged.
 
-    Boundary edges are oriented with the interior on the left and stitched
-    start-to-end; a vertex with two outgoing edges means two cells touch only
-    diagonally, which would make the outline non-simple, so it is rejected.
+    Boundary edges are oriented with the interior on the left and traced by
+    `trace_boundary` from the least vertex; a vertex with two outgoing edges
+    means two cells touch only diagonally, which would make the outline
+    non-simple, so it raises GeometryError.
     """
-    nxt: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def emit(a, b):
-        if a in nxt:
-            raise GeometryError("pinched cell outline")
-        nxt[a] = b
-
+    edges = []
+    add = edges.append
     for x, y in cells:
         if (x, y - 1) not in cells:
-            emit((x, y), (x + 1, y))
+            add(((x, y), (x + 1, y)))
         if (x + 1, y) not in cells:
-            emit((x + 1, y), (x + 1, y + 1))
+            add(((x + 1, y), (x + 1, y + 1)))
         if (x, y + 1) not in cells:
-            emit((x + 1, y + 1), (x, y + 1))
+            add(((x + 1, y + 1), (x, y + 1)))
         if (x - 1, y) not in cells:
-            emit((x, y + 1), (x, y))
-    start = min(nxt)
-    cycle = [start]
-    cur = nxt[start]
-    while cur != start:
-        cycle.append(cur)
-        cur = nxt[cur]
-    if len(cycle) != len(nxt):
-        raise GeometryError("cell outline is not a single cycle")
-    out = []
-    n = len(cycle)
-    for i in range(n):
-        a, b, c = cycle[i - 1], cycle[i], cycle[(i + 1) % n]
-        if (b[0] - a[0]) * (c[1] - a[1]) != (b[1] - a[1]) * (c[0] - a[0]):
-            out.append(b)
-    return out
+            add(((x, y + 1), (x, y)))
+    return trace_boundary(edges)
 
 
 def _pixel_scaled(cells, outline, rng: Rng, lo: int, hi: int):
@@ -172,12 +157,6 @@ def _flip_rotate(pts, rng: Rng):
     for _ in range(rng.below(4)):
         pts = [(-y, x) for x, y in pts]
     return ensure_ccw(pts)
-
-
-def _normalize(pts):
-    minx = min(x for x, _ in pts)
-    miny = min(y for _, y in pts)
-    return [(x - minx, y - miny) for x, y in pts]
 
 
 def _shear_points(pts, m: Fraction):
@@ -257,8 +236,7 @@ def _gen_tetro(cfg: GenConfig, family: str) -> Instance:
                 raise GenerationFailed(
                     f"item {index}: shear rounding never produced a simple polygon")
 
-        pts = _normalize(_flip_rotate(pts, rng))
-        poly = Polygon(pts)
+        poly = Polygon(to_origin(_flip_rotate(pts, rng))[0])
         u = rng.fraction(val_lo, val_hi)
         c = CATEGORY_VALUE[category]
         # area2 / 2 * u * c [* shear factor] as one integer ratio

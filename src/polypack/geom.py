@@ -24,7 +24,10 @@ offsets at which two convex parts overlap form their no-fit polygon, and
 A caller that probes many offsets of the same polygons (the solver's grid
 scan) may pass a memo that keeps each pair's half-planes between calls;
 `interiors_overlap`, and so the verifier, passes none, so verifying keeps no
-per-pair tables.
+per-pair tables.  `in_inner_fit`, the one inner-fit test, serves both
+`contained_in_convex` and the solver's `can_place`.  The generators trace
+outlines with `trace_boundary`, drop straight vertices with `drop_straight`
+and move shapes to the origin with `to_origin`.
 """
 from __future__ import annotations
 
@@ -236,6 +239,42 @@ def ensure_ccw(points: Sequence) -> list[Coord]:
     if signed_area2(pts) < 0:
         pts.reverse()
     return pts
+
+
+def drop_straight(pts: Sequence[Coord]) -> list[Coord]:
+    """The closed chain pts less every vertex collinear with its two
+    neighbours in pts, in one pass: on a chain without spikes, dropping a
+    straight vertex leaves the turns of the others as they were."""
+    return [b for (ax, ay), b, (cx, cy)
+            in zip(pts[-1:] + pts[:-1], pts, pts[1:] + pts[:1])
+            if (b[0] - ax) * (cy - ay) != (b[1] - ay) * (cx - ax)]
+
+
+def trace_boundary(edges: Sequence[tuple[Coord, Coord]],
+                   start: Optional[Coord] = None) -> list[Coord]:
+    """The cycle of a boundary's directed edges (a, b), shared edges already
+    removed, walked from `start` (default: the least vertex), straight
+    vertices dropped.  GeometryError if a vertex has two outgoing edges (a
+    pinch) or if the walk misses an edge (a second cycle or a stray edge)."""
+    nxt = dict(edges)
+    if len(nxt) != len(edges):
+        raise GeometryError("boundary pinches at a vertex")
+    v = start = min(nxt) if start is None else start
+    cycle = []
+    while (w := nxt.pop(v, None)) is not None:  # each step takes its edge out
+        cycle.append(v)
+        v = w
+    if v != start or nxt:
+        raise GeometryError("boundary is not a single cycle")
+    return drop_straight(cycle)
+
+
+def to_origin(pts: Sequence[Coord]) -> tuple[list[Coord], Coord]:
+    """pts moved so that their bounding box starts at (0, 0), and the
+    corner (minx, miny) they were moved from."""
+    xs, ys = zip(*pts)
+    ox, oy = min(xs), min(ys)
+    return [(x - ox, y - oy) for x, y in pts], (ox, oy)
 
 
 class Polygon:
@@ -557,9 +596,8 @@ def overlap_exit(a: Polygon, ta, b: Polygon, tb,
 def contained_in_convex(container: Polygon, item: Polygon, t) -> bool:
     """All translated item vertices inside-or-on the convex container (which
     suffices, as it is convex): t[0] lies in the `inner_fit` row at t[1]."""
-    tx, ty = operator.index(t[0]), operator.index(t[1])
-    row = containment_range(inner_fit(container, item), ty)
-    return row is not None and row[0] <= tx <= row[1]
+    return in_inner_fit(inner_fit(container, item),
+                        operator.index(t[0]), operator.index(t[1]))
 
 
 def inner_fit(container: Polygon, item: Polygon) -> tuple:
@@ -614,3 +652,9 @@ def containment_range(fit, ty: int) -> Optional[tuple[int, int]]:
             if bound > lo:
                 lo = bound
     return (lo, hi) if lo <= hi else None
+
+
+def in_inner_fit(fit, tx: int, ty: int) -> bool:
+    """True iff tx lies in the row of the inner-fit polygon `fit` at ty."""
+    row = containment_range(fit, ty)
+    return row is not None and row[0] <= tx <= row[1]

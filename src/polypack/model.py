@@ -40,7 +40,7 @@ class Item:
     value: int
 
     def __post_init__(self):
-        if not isinstance(self.value, int) or isinstance(self.value, bool) or self.value < 1:
+        if type(self.value) is not int or self.value < 1:
             raise ValidationError(f"item value must be a positive integer, got {self.value!r}")
 
 

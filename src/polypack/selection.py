@@ -19,8 +19,6 @@ depend on a linear-algebra library:
 from __future__ import annotations
 
 import bisect
-import csv
-import io
 import itertools
 import math
 import operator
@@ -334,11 +332,13 @@ def select_from_features(named_features, cfg: SelectionConfig) -> list[str]:
 
 
 def features_csv(named_features) -> str:
-    """CSV of `(name, metric values)` pairs, one row per instance by name;
-    a name holding a comma, quote or newline is quoted."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(("name",) + METRIC_NAMES)
+    """CSV of `(name, metric values)` pairs, one row per instance by name,
+    each row ended by a newline.  A name holding a comma, a quote, a
+    carriage return or a newline is quoted, its quotes doubled (RFC 4180);
+    `csv.writer` would leave a lone carriage return unquoted."""
+    rows = [",".join(("name",) + METRIC_NAMES)]
     for name, values in sorted(named_features):
-        writer.writerow([name] + [f"{v:.9g}" for v in values])
-    return out.getvalue()
+        if any(c in name for c in ',"\r\n'):
+            name = '"' + name.replace('"', '""') + '"'
+        rows.append(",".join([name] + [f"{v:.9g}" for v in values]))
+    return "\n".join(rows) + "\n"

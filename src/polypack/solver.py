@@ -21,8 +21,8 @@ passes to `geom.overlap_exit`, so a pair of convex parts has its no-fit
 half-planes derived once per call, not once per probe.  The dict is
 dropped when the call returns, so memory does not grow with the number of
 placed items.  `can_place`, used by `shelf_pack`, is the inner-fit row
-test plus `overlaps`: `geom.interiors_overlap` against one box query's
-items.
+test `geom.in_inner_fit`, which `geom.contained_in_convex` also makes,
+plus `overlaps`: `geom.interiors_overlap` against one box query's items.
 
 `solve` runs greedy in value-density order and, for instances of at most 25
 items, also in area order and three shuffles of the density order; then
@@ -67,7 +67,8 @@ import time
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .geom import containment_range, inner_fit, interiors_overlap, overlap_exit
+from .geom import (containment_range, in_inner_fit, inner_fit, interiors_overlap,
+                   overlap_exit)
 from .model import Instance, Placement, Solution
 from .rng import Rng
 from .verifier import BoxIndex, placement_box, verify
@@ -137,8 +138,7 @@ class PlacementState:
             if j not in clear)
 
     def can_place(self, idx: int, off) -> bool:
-        row = containment_range(self.fits[idx], off[1])
-        return (row is not None and row[0] <= off[0] <= row[1]
+        return (in_inner_fit(self.fits[idx], off[0], off[1])
                 and not self.overlaps(idx, off))
 
     def place(self, idx: int, off) -> None:

@@ -267,8 +267,9 @@ class TestAtrisFamily:
             from polypack.generators.tetro import cells_to_outline
             ours = cells_to_outline(cells)
             theirs = oracles.cells_outline(cells)
-            # same cyclic sequence; both CCW with collinear runs merged
-            assert sorted(ours) == sorted(theirs)
+            # the same sequence from the same start: CCW from the least
+            # vertex, collinear runs merged
+            assert ours == theirs
             assert oracles.shoelace_area2(ours) == 2 * len(cells)
 
     def test_flip_rotate_preserves_area(self):

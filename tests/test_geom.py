@@ -6,9 +6,10 @@ import pytest
 
 from polypack import geom
 from polypack.geom import (AllCollinear, Polygon, contained_in_convex,
-                           containment_range, convex_hull, inner_fit,
+                           containment_range, convex_hull, drop_straight, inner_fit,
                            interiors_overlap, is_convex, is_simple, min_area_bounding_rect,
-                           overlap_exit, signed_area, triangulate)
+                           overlap_exit, signed_area, to_origin, trace_boundary,
+                           triangulate)
 
 import oracles
 
@@ -290,6 +291,57 @@ class TestMinAreaBoundingRect:
                          for k in range(m)]
                 hull = geom._hull(cloud)
                 assert geom._min_rect(hull) == self._reference(hull)
+
+
+def square_edges(x, y, side=1):
+    """The directed CCW edges of an axis square with lower-left (x, y)."""
+    pts = [(x, y), (x + side, y), (x + side, y + side), (x, y + side)]
+    return list(zip(pts, pts[1:] + pts[:1]))
+
+
+class TestTraceBoundary:
+    def test_pinch_rejected(self):
+        # two squares meeting only at (1, 1): two edges leave that vertex
+        with pytest.raises(geom.GeometryError, match="pinch"):
+            trace_boundary(square_edges(0, 0) + square_edges(1, 1))
+
+    @pytest.mark.parametrize("edges", [
+        square_edges(0, 0) + square_edges(5, 5),  # two disjoint cycles
+        square_edges(0, 0) + [((7, 7), (8, 8))],  # a stray edge
+        square_edges(0, 0)[:3],  # an open chain: the walk stops short
+    ])
+    def test_not_one_cycle_rejected(self, edges):
+        with pytest.raises(geom.GeometryError, match="single cycle"):
+            trace_boundary(edges)
+
+    def test_start_honoured(self):
+        assert trace_boundary(square_edges(0, 0)) == [(0, 0), (1, 0), (1, 1), (0, 1)]
+        assert trace_boundary(square_edges(0, 0), start=(1, 1)) == [
+            (1, 1), (0, 1), (0, 0), (1, 0)]
+
+    def test_start_off_the_boundary_rejected(self):
+        with pytest.raises(geom.GeometryError):
+            trace_boundary(square_edges(0, 0), start=(3, 3))
+
+    def test_straight_vertices_dropped(self):
+        # the outline of two cells side by side, unit edges: (1, 0) and
+        # (1, 1) lie on straight runs, and so would a start among them
+        pts = [(0, 0), (1, 0), (2, 0), (2, 1), (1, 1), (0, 1)]
+        edges = list(zip(pts, pts[1:] + pts[:1]))
+        assert trace_boundary(edges) == [(0, 0), (2, 0), (2, 1), (0, 1)]
+        assert trace_boundary(edges, start=(1, 1)) == [(0, 1), (0, 0), (2, 0), (2, 1)]
+
+    def test_drop_straight_one_pass(self):
+        # a run of several straight vertices goes at once, and the order of
+        # the kept vertices is that of the input
+        pts = [(0, 0), (1, 0), (2, 0), (3, 0), (3, 2), (3, 4), (0, 4), (0, 2)]
+        assert drop_straight(pts) == [(0, 0), (3, 0), (3, 4), (0, 4)]
+        assert drop_straight(tuple(pts)) == [(0, 0), (3, 0), (3, 4), (0, 4)]
+        assert drop_straight(UNIT_SQUARE) == UNIT_SQUARE
+
+    def test_to_origin(self):
+        assert to_origin([(3, -2), (7, 5), (4, 9)]) == (
+            [(0, 0), (4, 7), (1, 11)], (3, -2))
 
 
 class TestTriangulate:

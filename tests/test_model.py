@@ -229,9 +229,13 @@ def test_solution_round_trip_random():
         assert write_solution(again) == data
 
 
+@pytest.mark.parametrize("value", [True, 1.0, 0, -3])
+def test_item_value_must_be_positive_int(value):
+    with pytest.raises(ValidationError, match="item value must be a positive integer"):
+        Item(Polygon([(0, 0), (1, 0), (1, 1)]), value=value)
+
+
 def test_programmatic_instance_validates():
-    with pytest.raises(ValidationError):
-        Item(Polygon([(0, 0), (1, 0), (1, 1)]), value=0)
     box = Polygon([(0, 0), (5, 0), (5, 5), (0, 5)])
     inst = Instance("x", box, (Item(Polygon([(0, 0), (1, 0), (1, 1)]), 3),))
     assert inst.n_items == 1

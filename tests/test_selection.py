@@ -221,7 +221,8 @@ class TestEndToEndSelection:
 
     def test_features_csv_round_trip(self):
         named = [("a,b", (1.0, 2.0)), ('say "hi"', (3.0, 4.0)),
-                 ("two\nlines", (5.0, 6.0)), ("plain", (7.0, 8.0))]
+                 ("two\nlines", (5.0, 6.0)), ("plain", (7.0, 8.0)),
+                 ("c\rr", (9.0, 10.0))]
         rows = list(csv.reader(io.StringIO(features_csv(named), newline="")))
         assert rows[0] == ["name", *METRIC_NAMES]
         assert rows[1:] == [[name, f"{x:g}", f"{y:g}"] for name, (x, y) in sorted(named)]
