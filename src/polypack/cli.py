@@ -96,7 +96,11 @@ def _gen_config_from(args) -> GenConfig:
             kwargs[name] = v
     if args.container is not None:
         # a zero side means the family default only as a config-file value
-        w, h = (int(p) for p in args.container.lower().split("x"))
+        try:
+            w, h = (int(p) for p in args.container.lower().split("x"))
+        except ValueError:  # not two sides, or a side that is not an int
+            raise ValueError(f"--container must be WxH with integer sides, "
+                             f"got {args.container!r}") from None
         if w < 1 or h < 1:
             raise ValueError(f"--container sides must be at least 1, got {args.container!r}")
         kwargs["container_width"] = w

@@ -9,10 +9,13 @@ Interior-overlap semantics: two placements conflict only if their *open*
 interiors intersect.  Touching boundaries (shared edges or vertices) is legal,
 which is what lets cut-up container pieces be reassembled exactly.
 
-Offsets, like coordinates, are integers: every predicate reads them through
-`operator.index`, so a float offset raises TypeError instead of being
-truncated.  The overlap predicates do not compare the placements' whole
-bounding boxes; that filter is the caller's broad phase (`BoxIndex.query`).
+Offsets, like coordinates, are integers: every public predicate
+(`interiors_overlap`, `overlap_exit`, `contained_in_convex`), and so the
+verifier, reads them through `operator.index`, so a float offset raises
+TypeError instead of being truncated.  The solver passes only its own ints
+and calls the unchecked kernel `no_fit_exit` on the polygons' parts.  The
+overlap predicates do not compare the placements' whole bounding boxes;
+that filter is the caller's broad phase (`BoxIndex.query`).
 Polygons are only translated, so each check is decided in one place, by
 the half-planes of a fixed convex polygon of offsets.  Containment: an item's
 translations inside the convex container form its inner-fit polygon
@@ -20,14 +23,15 @@ translations inside the convex container form its inner-fit polygon
 every horizontal and vertical container edge, cut by one half-plane per
 slanted edge; `containment_range` reads it a row at a time.  Overlap: the
 offsets at which two convex parts overlap form their no-fit polygon, and
-`overlap_exit` tests its half-planes k + u*dx + v*dy > 0, one per part edge.
-A caller that probes many offsets of the same polygons (the solver's grid
-scan) may pass a memo that keeps each pair's half-planes between calls;
-`interiors_overlap`, and so the verifier, passes none, so verifying keeps no
-per-pair tables.  `in_inner_fit`, the one inner-fit test, serves both
-`contained_in_convex` and the solver's `can_place`.  The generators trace
-outlines with `trace_boundary`, drop straight vertices with `drop_straight`
-and move shapes to the origin with `to_origin`.
+`no_fit_exit`, the one copy of the part-pair loop, tests its half-planes
+k + u*dx + v*dy > 0, one per part edge; `overlap_exit` checks the offsets
+and calls it.  A caller that probes many offsets of the same polygons (the
+solver's grid scan) may pass a memo that keeps each pair's half-planes
+between calls; `interiors_overlap`, and so the verifier, passes none, so
+verifying keeps no per-pair tables.  `in_inner_fit`, the one inner-fit
+test, serves both `contained_in_convex` and the solver's `can_place`.  The
+generators trace outlines with `trace_boundary`, drop straight vertices
+with `drop_straight` and move shapes to the origin with `to_origin`.
 """
 from __future__ import annotations
 
@@ -97,7 +101,11 @@ def cross(o: Coord, a: Coord, b: Coord) -> int:
 
 def signed_area2(poly) -> int:
     """Twice the signed shoelace area; positive iff counterclockwise."""
-    pts = _coords(poly)
+    return _area2(_coords(poly))
+
+
+def _area2(pts: Sequence[Coord]) -> int:
+    """`signed_area2` of points `_coords` has already converted."""
     total = 0
     x0, y0 = pts[-1]
     for x1, y1 in pts:
@@ -235,8 +243,10 @@ def is_convex(poly) -> bool:
 
 
 def ensure_ccw(points: Sequence) -> list[Coord]:
+    """The points as a list, reversed if clockwise; `_coords` converts them
+    once."""
     pts = list(_coords(points))
-    if signed_area2(pts) < 0:
+    if _area2(pts) < 0:
         pts.reverse()
     return pts
 
@@ -498,10 +508,12 @@ def _edges(pts: Sequence[Coord]) -> tuple[tuple[int, int, int], ...]:
 
 
 def _extend_no_fit(planes: list, pa: Sequence[Coord], ea, pb: Sequence[Coord],
-                   eb, dx: int, dy: int) -> bool:
+                   eb, dx: int, dy: int, least: Optional[int]) -> Optional[int]:
     """Derive the no-fit half-planes of parts pa and pb missing from
     `planes`, appending each, until one separates the parts at (dx, dy) or
-    the list is whole; True iff none separates.
+    the list is whole.  None if one separates; else the least ceil(m / u)
+    over the margins m of the planes with u > 0, the new ones and `least`,
+    that of the planes already known.
 
     `planes` holds the half-planes (u, v, k) of pa's edges, then of pb's, in
     edge order.  An edge of pa fails to separate iff some vertex of pb
@@ -525,9 +537,14 @@ def _extend_no_fit(planes: list, pa: Sequence[Coord], ea, pb: Sequence[Coord],
                 k = w
         k -= c
         planes.append((u, v, k))
-        if k + u * dx + v * dy <= 0:
-            return False
-    return True
+        m = k + u * dx + v * dy
+        if m <= 0:
+            return None
+        if u > 0:
+            m = -(-m // u)
+            if least is None or m < least:
+                least = m
+    return least
 
 
 def interiors_overlap(a: Polygon, ta, b: Polygon, tb) -> bool:
@@ -547,17 +564,34 @@ def overlap_exit(a: Polygon, ta, b: Polygon, tb,
     x > ta[0] such that a translated by (x', ta[1]) still meets b for every
     integer x' in [ta[0], x).
 
-    Each polygon is taken as its cached convex parts (itself, or its
-    triangles if nonconvex): interiors meet iff some pair of parts'
-    interiors meet.  Without rotation, the offsets (dx, dy) of b against a
-    at which two parts overlap form one fixed open convex polygon,
-    their no-fit polygon (Bennell & Oliveira 2008): the half-planes
-    k + u*dx + v*dy > 0, one per edge of either part.  The first pair of
-    parts, in part order, whose boxes meet and whose half-planes all hold
-    gives the exit: a moving right by one lowers dx by one, so a margin m
-    with u > 0 lasts ceil(m / u) steps, and the row ends at the least of
-    them.  The whole bounding boxes are not compared first; that filter is
-    the caller's broad phase.
+    The checked entry to `no_fit_exit`: the offsets are read through
+    `operator.index`, so a float raises TypeError, and the polygons are
+    taken as their cached convex parts.  `interiors_overlap`, and so
+    `verify`, calls it; the solver calls `no_fit_exit` on its own ints.
+    The whole bounding boxes are not compared first; that filter is the
+    caller's broad phase.  `memo` is `no_fit_exit`'s; results do not depend
+    on it.
+    """
+    tx = operator.index(ta[0])
+    return no_fit_exit(a.parts, b.parts, tx, operator.index(tb[0]) - tx,
+                       operator.index(tb[1]) - operator.index(ta[1]), memo)
+
+
+def no_fit_exit(aparts, bparts, tx: int, dx: int, dy: int,
+                memo: Optional[dict] = None) -> Optional[int]:
+    """`overlap_exit` of a polygon with convex parts `aparts` at (tx, ty)
+    and one with parts `bparts` at (tx + dx, ty + dy), on plain ints, which
+    it does not check.
+
+    Interiors meet iff some pair of parts' interiors meet.  Without
+    rotation, the offsets (dx, dy) of b against a at which two parts
+    overlap form one fixed open convex polygon, their no-fit polygon
+    (Bennell & Oliveira 2008): the half-planes k + u*dx + v*dy > 0, one per
+    edge of either part.  The first pair of parts, in part order, whose
+    boxes meet and whose half-planes all hold gives the exit: a moving right
+    by one lowers dx by one, so a margin m with u > 0 lasts ceil(m / u)
+    steps, and the row ends at tx plus the least of them, taken in the
+    pass that tests the half-planes.
 
     `memo`, if given, is a dict the caller keeps across calls on the same
     polygons, such as every probe of one grid scan.  It holds each part
@@ -565,11 +599,7 @@ def overlap_exit(a: Polygon, ta, b: Polygon, tb,
     as a probe needed, so it must not outlive the polygons.  Results do not
     depend on it.
     """
-    tx = operator.index(ta[0])
-    dx = operator.index(tb[0]) - tx  # work in a's frame
-    dy = operator.index(tb[1]) - operator.index(ta[1])
-    bparts = b.parts
-    for pa, (ax0, ay0, ax1, ay1), ea in a.parts:
+    for pa, (ax0, ay0, ax1, ay1), ea in aparts:
         for pb, (bx0, by0, bx1, by1), eb in bparts:
             # boxes_interior_overlap inlined: this loop is the solver's hot path
             if not (ax0 < bx1 + dx and bx0 + dx < ax1
@@ -582,14 +612,20 @@ def overlap_exit(a: Polygon, ta, b: Polygon, tb,
                 planes = memo.get(key)
                 if planes is None:
                     planes = memo[key] = []
+            least = None  # the least step count over the known planes
             for u, v, k in planes:
-                if k + u * dx + v * dy <= 0:
+                m = k + u * dx + v * dy
+                if m <= 0:
                     break
+                if u > 0:
+                    m = -(-m // u)
+                    if least is None or m < least:
+                        least = m
             else:
-                if len(planes) == len(ea) + len(eb) or \
-                        _extend_no_fit(planes, pa, ea, pb, eb, dx, dy):
-                    return tx + min([-(-(k + u * dx + v * dy) // u)
-                                     for u, v, k in planes if u > 0])
+                if len(planes) < len(ea) + len(eb):
+                    least = _extend_no_fit(planes, pa, ea, pb, eb, dx, dy, least)
+                if least is not None:
+                    return tx + least
     return None
 
 

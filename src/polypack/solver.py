@@ -11,18 +11,21 @@ within the scan's window (`geom.containment_range` on the item's
 `geom.inner_fit`, built once per item and solve: the offset box cut by the
 slanted container edges, so an axis rectangle's rows span the box), and a
 blocked cell jumps to the first cell past the blocker's overlap exit
-(`geom.overlap_exit`, one row of the no-fit polygon), both computed exactly
+(`geom.no_fit_exit`, one row of the no-fit polygon), both computed exactly
 in integers.  A scan queries the box index once, for the box the item
 sweeps over the scan's window, and keeps each returned item's offset
-intervals; a row tests only its band (the items whose ty interval holds the
-row), and a probe only the band items whose tx interval holds it.  Each
-`find_offset` call makes one plain dict that every probe of its scans
-passes to `geom.overlap_exit`, so a pair of convex parts has its no-fit
-half-planes derived once per call, not once per probe.  The dict is
-dropped when the call returns, so memory does not grow with the number of
-placed items.  `can_place`, used by `shelf_pack`, is the inner-fit row
-test `geom.in_inner_fit`, which `geom.contained_in_convex` also makes,
-plus `overlaps`: `geom.interiors_overlap` against one box query's items.
+intervals, parts and offset; a row tests only its band (the items whose ty
+interval holds the row), and a probe only the band items whose tx interval
+holds it.  The offsets are the solver's own ints, so probes and `overlaps`
+call the unchecked kernel `geom.no_fit_exit`; `verify` and the public
+predicates check theirs.  Each `find_offset` call makes one dict that every
+probe of its scans passes as the memo, so a pair of convex parts has its
+no-fit half-planes derived once per call, and drops it on return, so
+memory does not grow with the placed items.
+`can_place`, used by `shelf_pack`, is the inner-fit row test
+`geom.in_inner_fit`, which `geom.contained_in_convex` also makes, plus
+`overlaps`, also the certificates' hit check: the kernel, without a memo,
+against one box query's items.
 
 `solve` runs greedy in value-density order and, for instances of at most 25
 items, also in area order and three shuffles of the density order; then
@@ -67,8 +70,7 @@ import time
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .geom import (containment_range, in_inner_fit, inner_fit, interiors_overlap,
-                   overlap_exit)
+from .geom import containment_range, in_inner_fit, inner_fit, no_fit_exit
 from .model import Instance, Placement, Solution
 from .rng import Rng
 from .verifier import BoxIndex, placement_box, verify
@@ -131,11 +133,17 @@ class PlacementState:
     def overlaps(self, idx: int, off, clear=()) -> bool:
         """Whether item idx at `off` meets the interior of a placed item not
         in `clear`: one box query, then an exact test per returned item."""
-        poly = self.polys[idx]
-        return any(
-            interiors_overlap(poly, off, self.polys[j], self.offsets[j])
-            for j in self.tree.query(placement_box(self.instance, idx, off))
-            if j not in clear)
+        tx, ty = off
+        parts = None
+        for j in self.tree.query(placement_box(self.instance, idx, off)):
+            if j in clear:
+                continue
+            if parts is None:
+                parts = self.polys[idx].parts
+            ox, oy = self.offsets[j]
+            if no_fit_exit(parts, self.polys[j].parts, tx, ox - tx, oy - ty) is not None:
+                return True
+        return False
 
     def can_place(self, idx: int, off) -> bool:
         return (in_inner_fit(self.fits[idx], off[0], off[1])
@@ -184,22 +192,22 @@ def _scan_bottom_left(state, idx, lox, hix, loy, hiy, step, memo, blocked):
     The placed set does not change during a scan, so the box index is asked
     once, with the box the item sweeps over the window.  Each placed item it
     returns becomes a blocker: the open ty and tx intervals in which its box
-    meets the item's box.  A row keeps the blockers whose ty interval holds
-    it (its band), and a probe exact-tests the band entries whose tx
-    interval holds the probe's tx, which are exactly the items a box query
-    at that cell would return.  They are tried furthest-reaching box first,
+    meets the item's box, its convex parts and its offset.  A row keeps the
+    blockers whose ty interval holds it (its band), and a probe exact-tests
+    the band entries whose tx interval holds the probe's tx, which are
+    exactly the items a box query at that cell would return.  They are tried furthest-reaching box first,
     and the first exit found moves the scan on: which blocker supplies it
     does not change the result, as every exit skips only overlapping cells,
     but one that reaches further right tends to skip more."""
     fit = state.fits[idx]
-    poly = state.polys[idx]
     ix0, iy0, ix1, iy1 = state.bboxes[idx]
+    parts = None  # the item's, read at its first probe
     blockers = []
     for j in state.tree.query((lox + ix0, loy + iy0, hix + ix1, hiy + iy1)):
         ox, oy = state.offsets[j]
         bx0, by0, bx1, by1 = state.bboxes[j]
         blockers.append((by0 + oy - iy1, by1 + oy - iy0,
-                         (bx0 + ox - ix1, bx1 + ox - ix0, state.polys[j], (ox, oy), j)))
+                         (bx0 + ox - ix1, bx1 + ox - ix0, state.polys[j].parts, ox, oy, j)))
     blockers.sort(key=lambda b: -b[2][1])
     for ty in range(loy, hiy + 1, step):
         row = containment_range(fit, ty)
@@ -210,11 +218,13 @@ def _scan_bottom_left(state, idx, lox, hix, loy, hiy, step, memo, blocked):
         band = [e for y0, y1, e in blockers if y0 < ty < y1]
         while tx <= last:
             end = None
-            for x0, x1, p, o, j in band:
+            for x0, x1, q, ox, oy, j in band:
                 if x1 <= tx:
                     break  # sorted by x1 descending: no later entry holds tx
                 if x0 < tx:
-                    end = overlap_exit(poly, (tx, ty), p, o, memo)
+                    if parts is None:
+                        parts = state.polys[idx].parts
+                    end = no_fit_exit(parts, q, tx, ox - tx, oy - ty, memo)
                     if end is not None:
                         break
             if end is None:

@@ -496,6 +496,18 @@ def test_unusable_container_exits_2(workdir, capsys, family, container):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("container", ["10x20x30", "10x", "x20", "10", "tenx20", "10.5x20"])
+def test_malformed_container_names_the_flag(workdir, capsys, container):
+    out = workdir / "i.json"
+    assert run(["generate", "atris", "--seed", "1", "--n", "5",
+                "--container", container, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "--container" in err and "WxH" in err
+    assert "unpack" not in err and "int()" not in err
+    assert "internal error" not in err
+    assert not out.exists()
+
+
 def test_zero_container_config_keeps_family_default(workdir, capsys):
     cfg = workdir / "gen.cfg"
     cfg.write_text("container_width = 0\ncontainer_height = 0\n")

@@ -5,11 +5,14 @@ from fractions import Fraction
 import pytest
 
 from polypack import geom
+from polypack.generators import GenConfig, gen_atris, gen_jigsaw, gen_random, gen_satris
 from polypack.geom import (AllCollinear, Polygon, contained_in_convex,
                            containment_range, convex_hull, drop_straight, inner_fit,
                            interiors_overlap, is_convex, is_simple, min_area_bounding_rect,
-                           overlap_exit, signed_area, to_origin, trace_boundary,
-                           triangulate)
+                           no_fit_exit, overlap_exit, signed_area, to_origin,
+                           trace_boundary, triangulate)
+from polypack.model import Instance, Item, Placement, Solution
+from polypack.verifier import verify
 
 import oracles
 
@@ -563,6 +566,65 @@ class TestRowSkipping:
         sq = Polygon(UNIT_SQUARE)
         assert overlap_exit(sq, (0, 0), sq, (1, 0)) is None
         assert overlap_exit(sq, (0, 0), sq, (0, 0)) == 1
+
+    @pytest.mark.parametrize("scale, shift", [(1, 0), (2 ** 30, -(2 ** 45 + 3))])
+    def test_kernel_matches_checked_entry(self, scale, shift):
+        # item pairs from all four generators, probed the way a grid scan
+        # probes them: rows of ty, each crossing the columns of tx at which
+        # the boxes can meet, one memo per scanned polygon across its
+        # blockers; a unit nudge at 2**30 scale moves a probe off the grid
+        rng = random.Random(23)
+        cfg = dict(seed=5, n_target=12)
+        families = (gen_random(GenConfig(**cfg)), gen_atris(GenConfig(**cfg)),
+                    gen_satris(GenConfig(**cfg)),
+                    gen_jigsaw(GenConfig(seed=5, jigsaw_line_count=5)))
+        split = 0  # pairs with a triangulated polygon
+        for inst in families:
+            polys = [Polygon([(x * scale + shift, y * scale + shift)
+                              for x, y in it.polygon.coords]) for it in inst.items]
+            tris = {p: triangulate(p.coords) for p in polys}
+            hits = misses = 0
+            for a in rng.sample(polys, 2):
+                memo = {}
+                for b in rng.sample(polys, 3):
+                    split += len(a.parts) > 1 or len(b.parts) > 1
+                    ax0, ay0, ax1, ay1 = (c // scale for c in a.bbox)
+                    bx0, by0, bx1, by1 = (c // scale for c in b.bbox)
+                    cols = range(bx0 - ax1, bx1 - ax0 + 1, max(1, (bx1 - bx0) // 6))
+                    for row in range(by0 - ay1, by1 - ay0 + 1, max(1, (by1 - by0) // 6)):
+                        for col in cols:
+                            nudge = rng.randint(-1, 1) if scale > 1 else 0
+                            tx, ty = col * scale + nudge, row * scale - nudge
+                            ox, oy = rng.randint(-9, 9) * scale, rng.randint(-9, 9) * scale
+                            want = overlap_exit(a, (tx + ox, ty + oy), b, (ox, oy))
+                            if want is not None:
+                                want -= ox
+                            assert no_fit_exit(a.parts, b.parts, tx, -tx, -ty) == want
+                            assert no_fit_exit(a.parts, b.parts, tx, -tx, -ty, memo) == want
+                            if rng.random() < 0.05:
+                                assert (want is not None) == oracles.overlap_by_clipping(
+                                    tris[a], (tx, ty), tris[b], (0, 0))
+                            hits += want is not None
+                            misses += want is None
+            assert hits > 20 and misses > 20, inst.name
+        assert split > 10
+
+    def test_checked_entries_reject_float_offsets(self):
+        # the solver's own ints skip the check; the public predicates and
+        # verify still refuse a float rather than truncate it
+        sq = Polygon(UNIT_SQUARE)
+        for ta, tb in (((0.0, 0), (0, 0)), ((0, 0.5), (0, 0)),
+                       ((0, 0), (1.0, 0)), ((0, 0), (0, 0.5))):
+            with pytest.raises(TypeError):
+                overlap_exit(sq, ta, sq, tb)
+            with pytest.raises(TypeError):
+                overlap_exit(sq, ta, sq, tb, {})
+            with pytest.raises(TypeError):
+                interiors_overlap(sq, ta, sq, tb)
+        box = Polygon([(0, 0), (10, 0), (10, 10), (0, 10)])
+        inst = Instance("f", box, (Item(sq, 1), Item(sq, 1)))
+        with pytest.raises(TypeError):
+            verify(inst, Solution("f", (Placement(0, (0, 0)), Placement(1, (0.5, 0)))))
 
     def test_containment_range_against_brute_force(self):
         rng = random.Random(17)

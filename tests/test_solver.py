@@ -342,18 +342,21 @@ class TestFindOffsetReference:
         # a scan queries the box index once, not once per probed cell
         queries = []
         probes = set()
-        real_query, real_exit = BoxIndex.query, solver_module.overlap_exit
+        real_query, real_exit = BoxIndex.query, solver_module.no_fit_exit
 
         def counting_query(self, box):
             queries.append(box)
             return real_query(self, box)
 
-        def recording_exit(a, ta, b, tb, memo=None):
-            probes.add(tuple(ta))
-            return real_exit(a, ta, b, tb, memo)
+        def recording_exit(aparts, bparts, tx, dx, dy, memo=None):
+            # the probed cell (tx, ty): the blocker owning bparts is at ty + dy
+            oy, = [state.offsets[j][1] for j in state.offsets
+                   if state.polys[j].parts is bparts]
+            probes.add((tx, oy - dy))
+            return real_exit(aparts, bparts, tx, dx, dy, memo)
 
         monkeypatch.setattr(BoxIndex, "query", counting_query)
-        monkeypatch.setattr(solver_module, "overlap_exit", recording_exit)
+        monkeypatch.setattr(solver_module, "no_fit_exit", recording_exit)
         inst = gen_atris(GenConfig(seed=3, n_target=60))
         state = PlacementState(inst)
         most_probes = most_scans = 0
