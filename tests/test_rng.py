@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from polypack.rng import Rng
 
 
@@ -11,6 +13,55 @@ def test_fixed_seed_fixed_bits():
     assert [r2.next_u64() for _ in range(4)] == first
     assert all(0 <= v < 2**64 for v in first)
     assert len(set(first)) == 4
+    assert first == [14585004453952745724, 963425209539481646,
+                     5031754615345081387, 6003384052849686581]
+
+
+# First draws recorded from the SplitMix64 stream as first written: three
+# next_u64, then below over (1, 2, 7, 1000, 2**63 + 1), in_range over
+# (-3, 3), (2, 9), (0, 2**40) and fraction over [4/5, 6/5], [-1/2, 1], all
+# from one Rng per (seed, stream).  below(2**63 + 1) rejects about half its
+# draws, so PINNED_REJECTION_RUNS pins the rejection loop.
+PINNED_DRAWS = {
+    (0, 0): ([6235967106033911276, 4964577235801436555, 5009519748041543987],
+             [0, 0, 0, 626, 3819264574858199387], [0, 9, 310485663105],
+             [Fraction(2859203117, 2684354560), Fraction(-291878309, 1073741824)]),
+    (42, 0): ([14585004453952745724, 963425209539481646, 5031754615345081387],
+              [0, 0, 0, 484, 5545410706152356240], [-1, 5, 548323820054],
+              [Fraction(3188751549, 2684354560), Fraction(1096301183, 2147483648)]),
+    (7, 3): ([7250273413821410515, 16474944268897792596, 627910309507936648],
+             [0, 1, 5, 51, 4279419947620708574], [2, 8, 386374610985],
+             [Fraction(2782048411, 2684354560), Fraction(31670885, 2147483648)]),
+    (2**64 + 5, 299): ([15123687467332913608, 7962991107347728466, 11130826153315457313],
+                       [0, 0, 5, 29, 8053267299791291884], [2, 8, 383840846713],
+                       [Fraction(9008633667, 10737418240), Fraction(2101259633, 2147483648)]),
+    (-1, 2**70): ([189867062603121276, 17835560500399813707, 16006570006871459382],
+                  [0, 1, 6, 178, 7424690325826413852], [0, 7, 74356095144],
+                  [Fraction(2343014321, 2147483648), Fraction(-3896960869, 8589934592)]),
+}
+
+
+PINNED_REJECTION_RUNS = {
+    (0, 0): [6235967106033911276, 4964577235801436555, 5009519748041543987, 8857564815614722297],
+    (42, 0): [963425209539481646, 5031754615345081387, 6003384052849686581, 7569987089626397282],
+    (7, 3): [7250273413821410515, 627910309507936648, 6759175976645955700, 1377945040351924245],
+    (2**64 + 5, 299): [7962991107347728466, 615467008618048392, 8053267299791291884, 4336273728305437670],
+    (-1, 2**70): [189867062603121276, 7330975118403559762, 5353306981042405037, 7424690325826413852],
+}
+
+
+@pytest.mark.parametrize("seed, stream", sorted(PINNED_DRAWS))
+def test_pinned_draws(seed, stream):
+    u64s, belows, ranges, fractions = PINNED_DRAWS[seed, stream]
+    r = Rng(seed, stream)
+    assert [r.next_u64() for _ in range(3)] == u64s
+    assert [r.below(n) for n in (1, 2, 7, 1000, 2**63 + 1)] == belows
+    assert [r.in_range(lo, hi) for lo, hi in ((-3, 3), (2, 9), (0, 2**40))] == ranges
+    assert [r.fraction(lo, hi) for lo, hi
+            in ((Fraction(4, 5), Fraction(6, 5)), (Fraction(-1, 2), 1))] == fractions
+    # four below(2**63 + 1) from a fresh stream: each rejected draw advances it
+    r = Rng(seed, stream)
+    assert [r.below(2**63 + 1) for _ in range(4)] == PINNED_REJECTION_RUNS[seed, stream]
 
 
 def test_streams_are_independent():
