@@ -49,17 +49,27 @@ def _emit(args, data: bytes, summary=None):
 
 
 def _fraction(text: str) -> Fraction:
-    """Fraction(text), with a zero denominator reported as bad input."""
+    """Fraction(text); a malformed value or a zero denominator is an
+    ArgumentTypeError naming the expected form."""
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a fraction such as 1/2 or 0.5, got {text!r}") from None
 
 
 def _parse_range(text: str) -> tuple[int, int]:
+    """lo:hi (or lo,hi) as two ints; anything else is an ArgumentTypeError
+    naming that form."""
     sep = ":" if ":" in text else ","
-    lo, hi = text.split(sep)
-    return int(lo), int(hi)
+    try:
+        lo, hi = text.split(sep)
+        return int(lo), int(hi)
+    except ValueError:  # not two parts, or a part that is not an int
+        raise argparse.ArgumentTypeError(
+            f"expected lo:hi with integer ends, got {text!r}") from None
 
 
 def _load_config_file(path: str) -> dict:
@@ -87,7 +97,10 @@ def _gen_config_from(args) -> GenConfig:
         for key, value in _load_config_file(args.config).items():
             if key not in fields:
                 raise ValueError(f"unknown config key {key!r} in {args.config}")
-            kwargs[key] = _PARSERS[type(fields[key].default)](value)
+            try:
+                kwargs[key] = _PARSERS[type(fields[key].default)](value)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ValueError(f"{key} in {args.config}: {exc}") from None
     # generate's flags are stored under field names and default to None, so a
     # flag overrides a file entry only when it is given
     for name in fields:

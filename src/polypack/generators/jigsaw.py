@@ -18,8 +18,10 @@ boundary becomes the same edges traversed in opposite directions.  Those
 cancel, and `geom.trace_boundary` chains the remaining directed edges into
 the merged piece, or rejects them if they are not a single cycle.  Nothing
 here assumes the faces are convex.  Each piece then loses its straight
-vertices (`geom.drop_straight`) and is moved to the origin
-(`geom.to_origin`), which gives its identity translation.
+vertices (`geom.drop_straight`), is checked once as a Polygon (a perturbed
+piece by its retry test) and is moved to the origin by the identity map of
+`geom.lattice_image`; the corner of its bounding box is its identity
+translation.
 """
 from __future__ import annotations
 
@@ -27,8 +29,8 @@ import math
 from fractions import Fraction
 
 from ..geom import (GeometryError, Polygon, _bbox, _hull, _rect_extents, cross,
-                    drop_straight, is_simple, round_ratio, signed_area2,
-                    to_origin, trace_boundary)
+                    drop_straight, is_simple, lattice_image, round_ratio,
+                    signed_area2, trace_boundary)
 from ..model import Instance, Item
 from ..rng import Rng
 from ..valuation import ValueSpec, assign_values
@@ -201,20 +203,24 @@ def _merge_phase(faces, cfg: GenConfig, rng: Rng, container_area2: int):
     return merged_out + kept
 
 
-def _perturb(pts, rng: Rng, amplitude: int):
+def _perturb(pts, rng: Rng, amplitude: int) -> Polygon:
+    """The first of PERTURB_RETRIES nudged copies of pts that is a Polygon,
+    else pts itself as one."""
     for _ in range(PERTURB_RETRIES):
         cand = [(x + rng.in_range(-amplitude, amplitude),
                  y + rng.in_range(-amplitude, amplitude)) for x, y in pts]
-        if signed_area2(cand) > 0 and is_simple(cand):
-            return cand
-    return list(pts)
+        try:
+            return Polygon(cand)
+        except GeometryError:
+            pass
+    return Polygon(pts)
 
 
 def gen_jigsaw(cfg: GenConfig) -> Instance:
     width = cfg.container_width or 600
     height = cfg.container_height or 400
     container = Polygon([(0, 0), (width, 0), (width, height), (0, height)])
-    pieces: list[tuple[list[Coord], Coord, int]] = []  # (points, origin, copy)
+    pieces: list[tuple[Polygon, Coord, int]] = []  # (piece, origin, copy)
 
     for copy in range(cfg.jigsaw_copies):
         faces = [list(container.coords)]
@@ -248,8 +254,10 @@ def gen_jigsaw(cfg: GenConfig) -> Instance:
         for f in faces:
             f = drop_straight(f)
             if cfg.jigsaw_perturb_amplitude > 0:
-                f = _perturb(f, rng_pert, cfg.jigsaw_perturb_amplitude)
-            pieces.append((*to_origin(f), copy))
+                poly = _perturb(f, rng_pert, cfg.jigsaw_perturb_amplitude)
+            else:
+                poly = Polygon(f)
+            pieces.append((lattice_image(poly, 1, 0, 0, 1), poly.bbox[:2], copy))
 
     name = f"jigsaw_s{cfg.seed}_l{cfg.jigsaw_line_count}_c{cfg.jigsaw_copies}"
     meta: dict = {"generator": "jigsaw", "seed": cfg.seed,
@@ -262,7 +270,7 @@ def gen_jigsaw(cfg: GenConfig) -> Instance:
             "x_translations": [org[0] for _, org in first],
             "y_translations": [org[1] for _, org in first],
         }
-    items = tuple(Item(Polygon(pts), 1) for pts, _, _ in pieces)
+    items = tuple(Item(poly, 1) for poly, _, _ in pieces)
     draft = Instance(name, container, items, meta)
     spec = ValueSpec(cfg.value_kind, cfg.value_noise,
                      seed=Rng(cfg.seed, stream=STREAM_VALUES).next_u64(),

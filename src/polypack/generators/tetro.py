@@ -4,10 +4,21 @@
 Items come from seven shape categories built on a small cell grid; each
 column and row of cells gets an independently random pixel width/height, and
 multi-arm shapes take bounded random arm parameters so the shape class and
-edge-connectivity are always preserved.  A cell set's outline is its
-boundary edges traced by `geom.trace_boundary`.  Items are optionally
-sheared (satris), then flipped and rotated by quarter turns and moved to
-the origin by `geom.to_origin`.
+edge-connectivity are always preserved.
+
+The categories reach only a few dozen distinct cell sets (69 in 60,000
+draws), so each set's outline is traced once, by `cells_to_outline`, and
+kept in `_OUTLINES` as column and row indices with the set's column and row
+counts; the dict is bounded by the family.  An item then takes one integer
+map and one check:
+- its drawn pixel sizes become cumulative lists, so each outline vertex is
+  two list lookups (`_pixel_scaled`);
+- the result is checked once, as a Polygon; a sheared satris item is
+  checked as `Polygon(ensure_ccw(sheared))` instead, and that check is the
+  shear's retry test;
+- its two flip coins and quarter turns compose into one signed permutation
+  matrix, and `geom.lattice_image` builds the flipped, turned copy moved to
+  the origin without a second check (`_flip_rotate`).
 
 Generation stops when total item area exceeds t * container area; values are
 area times a uniform [0.8, 1.2] factor times a per-category difficulty
@@ -17,9 +28,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 
-from ..geom import (GeometryError, Polygon, ensure_ccw, is_simple, round_ratio,
-                    to_origin, trace_boundary)
+from ..geom import (GeometryError, Polygon, ensure_ccw, lattice_image,
+                    round_ratio, trace_boundary)
 from ..model import Instance, Item
 from ..rng import Rng
 from .config import (MAX_RECT_CONTAINER_AREA, SHEAR_M_RANGE,
@@ -129,34 +141,46 @@ def cells_to_outline(cells: set[tuple[int, int]]) -> list[tuple[int, int]]:
     return trace_boundary(edges)
 
 
-def _pixel_scaled(cells, outline, rng: Rng, lo: int, hi: int):
-    """Map grid vertices through per-column/per-row random pixel sizes."""
-    cols = sorted({x for x, _ in cells})
-    rows = sorted({y for _, y in cells})
-    widths = {c: rng.in_range(lo, hi) for c in cols}
-    heights = {r: rng.in_range(lo, hi) for r in rows}
-    # vertex coordinate c maps to the sum of widths of columns left of c
-    xs_at: dict[int, int] = {}
-    acc = 0
-    for c in range(cols[0], cols[-1] + 2):
-        xs_at[c] = acc
-        acc += widths.get(c, 0)
-    ys_at: dict[int, int] = {}
-    acc = 0
-    for r in range(rows[0], rows[-1] + 2):
-        ys_at[r] = acc
-        acc += heights.get(r, 0)
-    return [(xs_at[x], ys_at[y]) for x, y in outline]
+# frozenset of cells -> (outline as (column, row) indices from the least
+# column and row, column count, row count); one entry per cell set reached
+_OUTLINES: dict[frozenset, tuple[list[tuple[int, int]], int, int]] = {}
 
 
-def _flip_rotate(pts, rng: Rng):
-    if rng.coin():
-        pts = [(-x, y) for x, y in pts]
-    if rng.coin():
-        pts = [(x, -y) for x, y in pts]
-    for _ in range(rng.below(4)):
-        pts = [(-y, x) for x, y in pts]
-    return ensure_ccw(pts)
+def _outline_entry(cells) -> tuple[list[tuple[int, int]], int, int]:
+    key = frozenset(cells)
+    entry = _OUTLINES.get(key)
+    if entry is None:
+        cols = {x for x, _ in cells}
+        rows = {y for _, y in cells}
+        x0, y0 = min(cols), min(rows)
+        ncols, nrows = len(cols), len(rows)
+        # the cumulative pixel lists assume what connected sets give:
+        # contiguous columns and rows
+        if max(cols) - x0 >= ncols or max(rows) - y0 >= nrows:
+            raise GeometryError("cell set's columns or rows are not contiguous")
+        outline = [(x - x0, y - y0) for x, y in cells_to_outline(cells)]
+        entry = _OUTLINES[key] = (outline, ncols, nrows)
+    return entry
+
+
+def _pixel_scaled(cells, rng: Rng, lo: int, hi: int) -> list[tuple[int, int]]:
+    """The cell set's outline with each column and row given a random pixel
+    size: widths for the columns in order, then heights for the rows."""
+    outline, ncols, nrows = _outline_entry(cells)
+    xs = list(accumulate([rng.in_range(lo, hi) for _ in range(ncols)], initial=0))
+    ys = list(accumulate([rng.in_range(lo, hi) for _ in range(nrows)], initial=0))
+    return [(xs[i], ys[j]) for i, j in outline]
+
+
+def _flip_rotate(poly: Polygon, rng: Rng) -> Polygon:
+    """poly flipped in x and in y on two coins, then turned by below(4)
+    quarter turns, moved to the origin: one signed permutation matrix."""
+    a = -1 if rng.coin() else 1
+    d = -1 if rng.coin() else 1
+    b = c = 0
+    for _ in range(rng.below(4)):  # (x, y) -> (-y, x) after the map so far
+        a, b, c, d = -c, -d, a, b
+    return lattice_image(poly, a, b, c, d)
 
 
 def _shear_points(pts, m: Fraction):
@@ -219,24 +243,27 @@ def _gen_tetro(cfg: GenConfig, family: str) -> Instance:
     while total_area2 <= target_area2:
         rng = Rng(cfg.seed, stream=index)
         category = CATEGORIES[rng.below(len(CATEGORIES))]
-        cells = polyomino_cells(rng, category)
-        outline = cells_to_outline(cells)
-        pts = _pixel_scaled(cells, outline, rng, *cfg.pixel_size_range)
+        pts = _pixel_scaled(polyomino_cells(rng, category), rng,
+                            *cfg.pixel_size_range)
 
         sheared_m = None
         if family == "satris" and cfg.shear_probability > 0 \
                 and rng.chance(cfg.shear_probability):
             for _ in range(100):
                 m = rng.fraction(shear_lo, shear_hi)
-                candidate = _shear_points(pts, m)
-                if is_simple(candidate):
-                    pts, sheared_m = candidate, m
-                    break
+                try:
+                    poly = Polygon(ensure_ccw(_shear_points(pts, m)))
+                except GeometryError:
+                    continue
+                sheared_m = m
+                break
             else:
                 raise GenerationFailed(
                     f"item {index}: shear rounding never produced a simple polygon")
+        if sheared_m is None:
+            poly = Polygon(pts)  # a scaled outline is counterclockwise
 
-        poly = Polygon(to_origin(_flip_rotate(pts, rng))[0])
+        poly = _flip_rotate(poly, rng)
         u = rng.fraction(val_lo, val_hi)
         c = CATEGORY_VALUE[category]
         # area2 / 2 * u * c [* shear factor] as one integer ratio

@@ -31,7 +31,12 @@ between calls; `interiors_overlap`, and so the verifier, passes none, so
 verifying keeps no per-pair tables.  `in_inner_fit`, the one inner-fit
 test, serves both `contained_in_convex` and the solver's `can_place`.  The
 generators trace outlines with `trace_boundary`, drop straight vertices
-with `drop_straight` and move shapes to the origin with `to_origin`.
+with `drop_straight` and move point lists to the origin with `to_origin`.
+A checked Polygon that is only flipped and turned by quarter turns is
+moved by `lattice_image` instead: a signed permutation matrix maps Z^2
+onto itself and keeps distances, so the image is again simple, integral
+and of the same area, and it is the one Polygon built without
+`Polygon.__init__`'s checks.
 """
 from __future__ import annotations
 
@@ -297,7 +302,9 @@ class Polygon:
     spike test and the edge boxes that `is_simple`'s sweep reads.  The first
     failing check names the error: fewer than 3 vertices, then area <= 0
     (clockwise or degenerate), then not simple.  Derived data (convexity,
-    convex parts) is cached on first use.
+    convex parts) is cached on first use.  `lattice_image` is the one other
+    way to build one: from a checked Polygon, by a map that keeps the
+    invariant.
     """
 
     __slots__ = ("coords", "_area2", "_bbox", "_convex", "_parts")
@@ -353,6 +360,47 @@ class Polygon:
 
     def __repr__(self):
         return f"Polygon({len(self.coords)} vertices, area={self.area})"
+
+
+def lattice_image(poly: Polygon, a: int, b: int, c: int, d: int) -> Polygon:
+    """poly mapped by (x, y) -> (a*x + b*y, c*x + d*y) and moved so that its
+    bounding box starts at (0, 0), as a Polygon built without re-checking.
+
+    The matrix must be a signed permutation: ints, one of a and b is +-1
+    and the other 0, and the same for c and d, in the other column.  Such a
+    map permutes Z^2 and is an isometry, so it keeps every vertex integral
+    and distinct, every edge crossing or not, and the area; the image of a
+    simple polygon is simple.  A map of determinant -1 turns the vertex
+    order clockwise, so the list is then reversed, which is the list
+    `ensure_ccw` would give.  The bounding box and the moving corner come
+    from poly's box.  This is the only way to build a Polygon without
+    `Polygon.__init__`'s checks; anything else raises ValueError.
+    """
+    if type(poly) is not Polygon:
+        raise ValueError("lattice_image maps a Polygon")
+    if not (type(a) is type(b) is type(c) is type(d) is int
+            and a * a + b * b == 1 and c * c + d * d == 1 and a * c + b * d == 0):
+        raise ValueError(f"not a signed permutation matrix: {(a, b, c, d)}")
+    minx, miny, maxx, maxy = poly._bbox
+    if b == 0:  # x -> a*x, y -> d*y
+        ox = minx if a > 0 else -maxx
+        oy = miny if d > 0 else -maxy
+        pts = [(a * x - ox, d * y - oy) for x, y in poly.coords]
+        box = (0, 0, maxx - minx, maxy - miny)
+    else:  # x -> b*y, y -> c*x
+        ox = miny if b > 0 else -maxy
+        oy = minx if c > 0 else -maxx
+        pts = [(b * y - ox, c * x - oy) for x, y in poly.coords]
+        box = (0, 0, maxy - miny, maxx - minx)
+    if a * d - b * c < 0:
+        pts.reverse()
+    image = Polygon.__new__(Polygon)
+    image.coords = tuple(pts)
+    image._area2 = poly._area2
+    image._bbox = box
+    image._convex = poly._convex
+    image._parts = None
+    return image
 
 
 def _hull(points: Iterable) -> tuple[Coord, ...]:

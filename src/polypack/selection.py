@@ -25,7 +25,7 @@ import operator
 import warnings
 from dataclasses import dataclass
 
-from .geom import _hull, _rect_extents, signed_area2
+from .geom import _area2, _hull, _rect_extents
 from .model import Instance
 from .rng import Rng
 
@@ -95,7 +95,8 @@ def compute_metrics(instance: Instance) -> FeatureVector:
     ValueError if the instance has no items.
 
     Each item's hull is built once (`_hull`) and serves both its hull area
-    and its minimum rectangle (`_rect_extents`).  Every ratio is exact
+    (`_area2`, which reads `_hull`'s ints as they are) and its minimum
+    rectangle (`_rect_extents`).  Every ratio is exact
     until its one final division: areas stay doubled integers, the
     hull-slack and rectangle-ratio means are summed as integer pairs
     (`_mean_ratio`) and each int / int division is correctly rounded, so
@@ -114,7 +115,7 @@ def compute_metrics(instance: Instance) -> FeatureVector:
 
     # (hull area - area) / hull area and area / (du * dw / den), per item
     slack = _mean_ratio(((h2 - a2, h2) for a2, h2
-                         in zip(area2s, map(signed_area2, hulls))), n)
+                         in zip(area2s, map(_area2, hulls))), n)
     rect_ratio = _mean_ratio(((a2 * den, 2 * du * dw)
                               for a2, (du, dw, den) in zip(area2s, rects)), n)
 
@@ -122,12 +123,9 @@ def compute_metrics(instance: Instance) -> FeatureVector:
     edges = 0
     for it in items:
         pts = it.polygon.coords
-        m = len(pts)
-        for i in range(m):
-            dx = pts[(i + 1) % m][0] - pts[i][0]
-            dy = pts[(i + 1) % m][1] - pts[i][1]
-            axis_edges += dx == 0 or dy == 0
-            edges += 1
+        for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]):
+            axis_edges += x0 == x1 or y0 == y1
+        edges += len(pts)
 
     area_floats = [a2 / 2 for a2 in area2s]
     mean_area = sum(area_floats) / n

@@ -508,6 +508,46 @@ def test_malformed_container_names_the_flag(workdir, capsys, container):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, form", [
+    ("--pixel-range", "3", "lo:hi"),
+    ("--pixel-range", "1:2:3", "lo:hi"),
+    ("--pixel-range", "a:b", "lo:hi"),
+    ("--pixel-range", "", "lo:hi"),
+    ("--shear-prob", "x", "fraction"),
+    ("--shear-prob", "1/2/3", "fraction"),
+])
+def test_malformed_range_or_fraction_names_the_flag(workdir, capsys, flag, value, form):
+    out = workdir / "i.json"
+    assert run(["generate", "satris", "--seed", "1", "--n", "5", flag, value,
+                "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and flag in err and form in err
+    assert "_parse_range" not in err and "_fraction" not in err
+    assert "unpack" not in err and "internal error" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line, form", [
+    ("pixel_size_range = 3", "lo:hi"),
+    ("pixel_size_range = 1:2:3", "lo:hi"),
+    ("pixel_size_range = 4:x", "lo:hi"),
+    ("shear_probability = x", "fraction"),
+    ("area_multiple_t = 1/0", "zero denominator"),
+    ("n_target = many", "many"),
+])
+def test_malformed_config_value_names_the_key(workdir, capsys, line, form):
+    cfg = workdir / "gen.cfg"
+    cfg.write_text(line + "\n")
+    out = workdir / "i.json"
+    assert run(["generate", "satris", "--seed", "1", "--config", str(cfg),
+                "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    key = line.split(" = ")[0]
+    assert err.startswith(f"error: {key} in {cfg}: ") and form in err
+    assert "unpack" not in err and "internal error" not in err
+    assert not out.exists()
+
+
 def test_zero_container_config_keeps_family_default(workdir, capsys):
     cfg = workdir / "gen.cfg"
     cfg.write_text("container_width = 0\ncontainer_height = 0\n")

@@ -273,15 +273,62 @@ class TestAtrisFamily:
             assert oracles.shoelace_area2(ours) == 2 * len(cells)
 
     def test_flip_rotate_preserves_area(self):
-        from polypack.generators.tetro import (_flip_rotate, _pixel_scaled,
-                                               cells_to_outline)
+        from polypack.generators.tetro import _flip_rotate, _pixel_scaled
         for seed in range(50):
             rng = Rng(seed, stream=79)
             cat = generators.CATEGORIES[rng.below(len(generators.CATEGORIES))]
             cells = polyomino_cells(rng, cat)
-            pts = _pixel_scaled(cells, cells_to_outline(cells), rng, 2, 9)
-            out = _flip_rotate(pts, rng)
+            pts = _pixel_scaled(cells, rng, 2, 9)
+            out = _flip_rotate(Polygon(pts), rng).coords
             assert oracles.shoelace_area2(out) == oracles.shoelace_area2(pts) > 0
+
+
+class TestOutlineCache:
+    @staticmethod
+    def reachable_cell_sets():
+        """Every cell set `_gen_tetro` draws at seeds 0-199, streams 0-299."""
+        sets = set()
+        for seed in range(200):
+            for stream in range(300):
+                rng = Rng(seed, stream)
+                cat = generators.CATEGORIES[rng.below(len(generators.CATEGORIES))]
+                sets.add(frozenset(polyomino_cells(rng, cat)))
+        return sets
+
+    def test_every_reachable_entry_matches_independent_tracer(self):
+        from polypack.generators.tetro import _outline_entry
+        sets = self.reachable_cell_sets()
+        assert len(sets) == 69
+        for cells in sets:
+            outline, ncols, nrows = _outline_entry(set(cells))
+            x0 = min(x for x, _ in cells)
+            y0 = min(y for _, y in cells)
+            assert [(i + x0, j + y0) for i, j in outline] == oracles.cells_outline(cells)
+            assert ncols == len({x for x, _ in cells})
+            assert nrows == len({y for _, y in cells})
+            assert max(i for i, _ in outline) == ncols
+            assert max(j for _, j in outline) == nrows
+
+    def test_gapped_cell_set_rejected(self):
+        from polypack.generators.tetro import _outline_entry
+        with pytest.raises(ValueError, match="contiguous"):
+            _outline_entry({(0, 0), (2, 0)})
+
+    @pytest.mark.parametrize("first, second", [(gen_atris, gen_satris),
+                                               (gen_satris, gen_atris)])
+    def test_cold_and_warm_cache_give_equal_bytes(self, monkeypatch, first, second):
+        from polypack.generators import tetro
+        cfg = GenConfig(seed=5, n_target=120, shear_probability=Fraction(1, 2))
+        monkeypatch.setattr(tetro, "_OUTLINES", {})
+        cold = write_instance(first(cfg))
+        assert tetro._OUTLINES
+        warm = write_instance(first(cfg))
+        assert cold == warm
+        monkeypatch.setattr(tetro, "_OUTLINES", {})
+        cold_second = write_instance(second(cfg))
+        monkeypatch.setattr(tetro, "_OUTLINES", {})
+        write_instance(first(cfg))
+        assert write_instance(second(cfg)) == cold_second
 
 
 class TestSatrisFamily:

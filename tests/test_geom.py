@@ -8,9 +8,10 @@ from polypack import geom
 from polypack.generators import GenConfig, gen_atris, gen_jigsaw, gen_random, gen_satris
 from polypack.geom import (AllCollinear, Polygon, contained_in_convex,
                            containment_range, convex_hull, drop_straight, inner_fit,
-                           interiors_overlap, is_convex, is_simple, min_area_bounding_rect,
-                           no_fit_exit, overlap_exit, signed_area, to_origin,
-                           trace_boundary, triangulate)
+                           ensure_ccw, interiors_overlap, is_convex, is_simple,
+                           lattice_image, min_area_bounding_rect, no_fit_exit,
+                           overlap_exit, signed_area, to_origin, trace_boundary,
+                           triangulate)
 from polypack.model import Instance, Item, Placement, Solution
 from polypack.verifier import verify
 
@@ -345,6 +346,63 @@ class TestTraceBoundary:
     def test_to_origin(self):
         assert to_origin([(3, -2), (7, 5), (4, 9)]) == (
             [(0, 0), (4, 7), (1, 11)], (3, -2))
+
+
+# the eight signed permutation matrices (a, b, c, d) of (x, y) -> (ax + by, cx + dy)
+SIGNED_PERMUTATIONS = [(sa, 0, 0, sd) for sa in (1, -1) for sd in (1, -1)] + \
+                      [(0, sb, sc, 0) for sb in (1, -1) for sc in (1, -1)]
+
+
+def _lattice_image_cases():
+    """Generator items of all four families, each also scaled by 2**40 and
+    moved off the origin, plus one convex and one nonconvex shape away from
+    the origin."""
+    polys = []
+    for gen, cfg in ((gen_atris, GenConfig(seed=3, n_target=15)),
+                     (gen_satris, GenConfig(seed=3, n_target=15, shear_probability=1)),
+                     (gen_random, GenConfig(seed=3, n_target=15)),
+                     (gen_jigsaw, GenConfig(seed=3, jigsaw_line_count=6))):
+        polys += [it.polygon for it in gen(cfg).items[:6]]
+    polys += [Polygon([(x * (1 << 40) - (1 << 45) - 3, y * (1 << 40) + 7)
+                       for x, y in p.coords]) for p in list(polys)]
+    polys += [Polygon([(-5, -9), (4, -9), (4, 2)]),
+              Polygon([(10, 10), (16, 10), (16, 12), (12, 12), (12, 15), (10, 15)])]
+    return polys
+
+
+class TestLatticeImage:
+    @pytest.mark.parametrize("matrix", SIGNED_PERMUTATIONS)
+    def test_equals_checked_construction(self, matrix):
+        a, b, c, d = matrix
+        for poly in _lattice_image_cases():
+            mapped = [(a * x + b * y, c * x + d * y) for x, y in poly.coords]
+            want = Polygon(to_origin(ensure_ccw(mapped))[0])
+            src = Polygon(poly.coords)  # convexity not yet cached
+            for convex_known in (False, True):
+                if convex_known:
+                    src.convex  # cached on the source, copied to the image
+                got = lattice_image(src, a, b, c, d)
+                assert type(got) is Polygon
+                assert got.coords == want.coords
+                assert got.area2 == want.area2 == poly.area2
+                assert got.bbox == want.bbox
+                assert got.convex == want.convex
+                assert got.parts == want.parts
+
+    @pytest.mark.parametrize("matrix", [
+        (1, 0, 0, 0), (1, 1, 0, 1), (2, 0, 0, 1), (1, 0, 1, 0), (0, 1, 0, 1),
+        (-1, 0, 0, 2), (1.0, 0, 0, 1), (True, 0, 0, 1), (1, 0, 0, Fraction(1)),
+        (0, 1, 1, 1),
+    ])
+    def test_rejects_other_matrices(self, matrix):
+        with pytest.raises(ValueError, match="signed permutation"):
+            lattice_image(Polygon(UNIT_SQUARE), *matrix)
+
+    @pytest.mark.parametrize("shape", [UNIT_SQUARE, tuple(UNIT_SQUARE),
+                                       Polygon(UNIT_SQUARE).parts])
+    def test_rejects_other_than_a_polygon(self, shape):
+        with pytest.raises(ValueError, match="Polygon"):
+            lattice_image(shape, 1, 0, 0, 1)
 
 
 class TestTriangulate:
