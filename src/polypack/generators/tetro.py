@@ -8,8 +8,8 @@ edge-connectivity are always preserved.
 
 The categories reach only a few dozen distinct cell sets (69 in 60,000
 draws), so each set's outline is traced once, by `cells_to_outline`, and
-kept in `_OUTLINES` as column and row indices with the set's column and row
-counts; the dict is bounded by the family.  An item then takes one integer
+kept in `_OUTLINES` as its vertices' column and row indices with the set's
+column and row counts; the dict is bounded by the family.  An item then takes one integer
 map and one check:
 - its drawn pixel sizes become cumulative lists, so each outline vertex is
   two list lookups (`_pixel_scaled`);
@@ -141,12 +141,16 @@ def cells_to_outline(cells: set[tuple[int, int]]) -> list[tuple[int, int]]:
     return trace_boundary(edges)
 
 
-# frozenset of cells -> (outline as (column, row) indices from the least
-# column and row, column count, row count); one entry per cell set reached
-_OUTLINES: dict[frozenset, tuple[list[tuple[int, int]], int, int]] = {}
+# frozenset of cells -> (the outline's column indices, its row indices, both
+# counted from the least column and row, column count, row count); one entry
+# per cell set reached.  Flat index tuples rather than a list of pairs: the
+# entries are made between the items' own objects and stay, and fewer small
+# objects pin fewer of the allocator's pages (a list of pairs read 0.5 MB
+# more peak RSS on the benchmark's verify-submissions set-up).
+_OUTLINES: dict[frozenset, tuple[tuple[int, ...], tuple[int, ...], int, int]] = {}
 
 
-def _outline_entry(cells) -> tuple[list[tuple[int, int]], int, int]:
+def _outline_entry(cells) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
     key = frozenset(cells)
     entry = _OUTLINES.get(key)
     if entry is None:
@@ -158,18 +162,19 @@ def _outline_entry(cells) -> tuple[list[tuple[int, int]], int, int]:
         # contiguous columns and rows
         if max(cols) - x0 >= ncols or max(rows) - y0 >= nrows:
             raise GeometryError("cell set's columns or rows are not contiguous")
-        outline = [(x - x0, y - y0) for x, y in cells_to_outline(cells)]
-        entry = _OUTLINES[key] = (outline, ncols, nrows)
+        outline = cells_to_outline(cells)
+        entry = _OUTLINES[key] = (tuple([x - x0 for x, _ in outline]),
+                                  tuple([y - y0 for _, y in outline]), ncols, nrows)
     return entry
 
 
 def _pixel_scaled(cells, rng: Rng, lo: int, hi: int) -> list[tuple[int, int]]:
     """The cell set's outline with each column and row given a random pixel
     size: widths for the columns in order, then heights for the rows."""
-    outline, ncols, nrows = _outline_entry(cells)
+    cols, rows, ncols, nrows = _outline_entry(cells)
     xs = list(accumulate([rng.in_range(lo, hi) for _ in range(ncols)], initial=0))
     ys = list(accumulate([rng.in_range(lo, hi) for _ in range(nrows)], initial=0))
-    return [(xs[i], ys[j]) for i, j in outline]
+    return [(xs[i], ys[j]) for i, j in zip(cols, rows)]
 
 
 def _flip_rotate(poly: Polygon, rng: Rng) -> Polygon:

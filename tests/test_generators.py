@@ -300,14 +300,13 @@ class TestOutlineCache:
         sets = self.reachable_cell_sets()
         assert len(sets) == 69
         for cells in sets:
-            outline, ncols, nrows = _outline_entry(set(cells))
+            cols, rows, ncols, nrows = _outline_entry(set(cells))
             x0 = min(x for x, _ in cells)
             y0 = min(y for _, y in cells)
-            assert [(i + x0, j + y0) for i, j in outline] == oracles.cells_outline(cells)
-            assert ncols == len({x for x, _ in cells})
-            assert nrows == len({y for _, y in cells})
-            assert max(i for i, _ in outline) == ncols
-            assert max(j for _, j in outline) == nrows
+            assert [(i + x0, j + y0) for i, j in zip(cols, rows)] == \
+                oracles.cells_outline(cells)
+            assert ncols == len({x for x, _ in cells}) == max(cols)
+            assert nrows == len({y for _, y in cells}) == max(rows)
 
     def test_gapped_cell_set_rejected(self):
         from polypack.generators.tetro import _outline_entry
