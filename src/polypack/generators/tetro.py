@@ -145,8 +145,8 @@ def cells_to_outline(cells: set[tuple[int, int]]) -> list[tuple[int, int]]:
 # counted from the least column and row, column count, row count); one entry
 # per cell set reached.  Flat index tuples rather than a list of pairs: the
 # entries are made between the items' own objects and stay, and fewer small
-# objects pin fewer of the allocator's pages (a list of pairs read 0.5 MB
-# more peak RSS on the benchmark's verify-submissions set-up).
+# objects pin fewer of the allocator's pages (a list of pairs read 0.6 MB
+# more peak RSS on the benchmark's verify-submissions workload).
 _OUTLINES: dict[frozenset, tuple[tuple[int, ...], tuple[int, ...], int, int]] = {}
 
 

@@ -96,12 +96,11 @@ def compute_metrics(instance: Instance) -> FeatureVector:
 
     Each item's hull is built once (`_hull`) and serves both its hull area
     (`_area2`, which reads `_hull`'s ints as they are) and its minimum
-    rectangle (`_rect_extents`).  Every ratio is exact
-    until its one final division: areas stay doubled integers, the
-    hull-slack and rectangle-ratio means are summed as integer pairs
-    (`_mean_ratio`) and each int / int division is correctly rounded, so
-    the floats equal those of the same formulas over Fractions, and no
-    Fraction is built per item.
+    rectangle (`_rect_extents`).  Every ratio is exact until its one final
+    division: areas stay doubled integers, the hull-slack and
+    rectangle-ratio means are summed as integer pairs (`_mean_ratio`) and
+    each int / int division is correctly rounded, so the floats equal those
+    of the same formulas over Fractions, and no Fraction is built per item.
     """
     items = instance.items
     n = len(items)
