@@ -209,6 +209,22 @@ class TestPoolPinnedOutput:
         assert hashlib.sha256(data).hexdigest() == sha256
 
 
+def test_tetro_corpus_pinned():
+    """One SHA-256 over atris and satris at three sizes for 25 seeds, plus
+    satris with every item sheared at pixel sizes down to 1, where shear
+    rounding is retried most: any change to cell sets, pixel sizes, flips,
+    turns, shears, values or the stop rule shows up here."""
+    digest = hashlib.sha256()
+    for seed in range(25):
+        for gen in (gen_atris, gen_satris):
+            for n in (20, 120, 400):
+                digest.update(write_instance(gen(GenConfig(seed=seed, n_target=n))))
+        digest.update(write_instance(gen_satris(GenConfig(
+            seed=seed, n_target=200, pixel_size_range=(1, 12), shear_probability=1))))
+    assert digest.hexdigest() == \
+        "aa855785b2a246f9ae4467356ddb39e6c7d32abe47765d798820975e7beb5956"
+
+
 class TestAtrisFamily:
     def test_area_stopping_rule(self):
         for seed in range(10):
