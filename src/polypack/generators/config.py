@@ -54,6 +54,21 @@ class GenConfig:
     value_scale: Fraction = Fraction(1)
 
     def __post_init__(self):
+        # counts, sizes and ranges are exact ints (a bool is refused too), so
+        # a wrong type is named here rather than failing deep in a family
+        for name in ("seed", "n_target", "container_width", "container_height",
+                     "jigsaw_line_count", "jigsaw_copies", "jigsaw_perturb_amplitude"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an int, not {getattr(self, name)!r}")
+        for name in ("pixel_size_range", "random_points_range", "random_extent_range"):
+            r = getattr(self, name)
+            if not (isinstance(r, (tuple, list)) and len(r) == 2
+                    and type(r[0]) is int and type(r[1]) is int):
+                raise ValueError(f"{name} must be a pair of ints, not {r!r}")
+        for name in ("random_points_range", "random_extent_range"):
+            lo, hi = getattr(self, name)
+            if lo > hi:
+                raise ValueError(f"{name} must satisfy min <= max")
         object.__setattr__(self, "area_multiple_t", Fraction(self.area_multiple_t))
         object.__setattr__(self, "shear_probability", Fraction(self.shear_probability))
         object.__setattr__(self, "convexity_ratio", Fraction(self.convexity_ratio))

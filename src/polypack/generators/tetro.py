@@ -6,23 +6,24 @@ column and row of cells gets an independently random pixel width/height, and
 multi-arm shapes take bounded random arm parameters so the shape class and
 edge-connectivity are always preserved.
 
-The categories reach only a few dozen distinct cell sets (69 in 60,000
-draws), so each set's outline is traced once, by `cells_to_outline`, and
-kept in `_OUTLINES` as its vertices' column and row indices with the set's
-column and row counts; the dict is bounded by the family.  An item then takes one integer
-map and one check:
-- its drawn pixel sizes become cumulative lists, so each outline vertex is
-  two list lookups (`_pixel_scaled`);
-- the result is checked once, as a Polygon; a sheared satris item is
-  checked as `Polygon(ensure_ccw(sheared))` instead, and that check is the
-  shear's retry test;
-- its two flip coins and quarter turns compose into one signed permutation
-  matrix, and `geom.lattice_image` builds the flipped, turned copy moved to
-  the origin without a second check (`_flip_rotate`).
+A drawn shape, the category and its arm parameters (`_draw_shape`), names
+one cell set; there are 69.  `_OUTLINES` keeps, per shape reached, its
+outline traced once by `cells_to_outline` and checked once as a Polygon on
+the cells' index lattice; the dict is bounded by the family.  An
+unsheared item is then one `geom.lattice_image` call: the drawn pixel sizes
+become cumulative scales that move each outline vertex (i, j) to
+(xs[i], ys[j]), and the two flip coins and quarter turns compose into one
+signed permutation matrix; both maps keep the checked outline simple, so
+the item needs no check of its own.  A sheared satris item is checked as
+`Polygon(ensure_ccw(sheared))`, and that check is the shear's retry test;
+its flipped, turned copy is again one `lattice_image`.
 
 Generation stops when total item area exceeds t * container area; values are
 area times a uniform [0.8, 1.2] factor times a per-category difficulty
 constant (sheared items get an extra boost growing with the shear magnitude).
+The stop rule, the value factor and the shear are integer ratios, compared
+by cross-multiplying or rounded by `round_ratio`, so no item builds a
+Fraction.
 """
 from __future__ import annotations
 
@@ -53,9 +54,17 @@ CATEGORY_VALUE = {
 SHEAR_VALUE_CONSTANT = Fraction(6, 5)
 
 
+def _shear_ratio(num: int, den: int) -> tuple[int, int]:
+    """The shear value factor SHEAR_VALUE_CONSTANT * (1 + m/4) of
+    m = num / den as an unreduced integer ratio."""
+    c = SHEAR_VALUE_CONSTANT
+    return c.numerator * (4 * den + num), c.denominator * 4 * den
+
+
 def shear_value_factor(m: Fraction) -> Fraction:
     """Value multiplier for sheared items; strictly increasing in m."""
-    return SHEAR_VALUE_CONSTANT * (1 + Fraction(m) / 4)
+    m = Fraction(m)
+    return Fraction(*_shear_ratio(m.numerator, m.denominator))
 
 
 def _row(y: int, x0: int, length: int):
@@ -68,39 +77,63 @@ def _nonzero_offset(rng: Rng, bound: int) -> int:
     return -v if rng.coin() else v
 
 
+def _draw_shape(rng: Rng, category: str) -> tuple:
+    """The category and its arm parameters, drawn from rng; the bounds keep
+    each shape's cells edge-connected and recognizably of its category.
+    Each shape names one cell set (`_shape_cells`): 69 shapes in all."""
+    in_range = rng.in_range
+    if category == "line":
+        return category, in_range(3, 5)
+    if category == "squiggly":
+        r = in_range(2, 3)
+        return category, r, _nonzero_offset(rng, r - 1)
+    if category == "double_squiggly":
+        r = in_range(2, 3)
+        return category, r, _nonzero_offset(rng, r - 1), _nonzero_offset(rng, r - 1)
+    if category == "y":
+        stem = in_range(3, 5)
+        return category, stem, in_range(1, stem - 2)
+    if category == "t":
+        bar = in_range(3, 5)
+        return category, bar, in_range(1, 2), in_range(1, bar - 2)
+    if category == "l":
+        return category, in_range(2, 4), in_range(1, 2)
+    if category == "plus":  # arm lengths right, left, up, down
+        return category, in_range(1, 2), in_range(1, 2), in_range(1, 2), in_range(1, 2)
+    raise ValueError(f"unknown category {category!r}")
+
+
+def _shape_cells(shape: tuple) -> set[tuple[int, int]]:
+    """The cell set a drawn shape names."""
+    category, *p = shape
+    if category == "line":
+        return _row(0, 0, p[0])
+    if category in ("squiggly", "double_squiggly"):  # rows shifted in turn
+        r, *offsets = p
+        cells, x0 = _row(0, 0, r), 0
+        for y, offset in enumerate(offsets, 1):
+            x0 += offset
+            cells |= _row(y, x0, r)
+        return cells
+    if category == "y":
+        stem, bump = p
+        return {(0, j) for j in range(stem)} | {(1, bump)}
+    if category == "t":
+        bar, stem, pos = p
+        return _row(stem, 0, bar) | {(pos, j) for j in range(stem)}
+    if category == "l":
+        stem, foot = p
+        return {(0, j) for j in range(stem)} | _row(0, 1, foot)
+    cells = {(0, 0)}  # plus
+    for (dx, dy), arm in zip(((1, 0), (-1, 0), (0, 1), (0, -1)), p):
+        cells.update((dx * k, dy * k) for k in range(1, arm + 1))
+    return cells
+
+
 def polyomino_cells(rng: Rng, category: str) -> set[tuple[int, int]]:
     """Random cell set for a category; arm parameters are bounded so the
     result stays edge-connected and recognizably of its category."""
-    if category == "line":
-        return _row(0, 0, rng.in_range(3, 5))
-    if category == "squiggly":
-        r = rng.in_range(2, 3)
-        return _row(0, 0, r) | _row(1, _nonzero_offset(rng, r - 1), r)
-    if category == "double_squiggly":
-        r = rng.in_range(2, 3)
-        o1 = _nonzero_offset(rng, r - 1)
-        o2 = _nonzero_offset(rng, r - 1)
-        return _row(0, 0, r) | _row(1, o1, r) | _row(2, o1 + o2, r)
-    if category == "y":
-        stem = rng.in_range(3, 5)
-        bump = rng.in_range(1, stem - 2)
-        return {(0, j) for j in range(stem)} | {(1, bump)}
-    if category == "t":
-        bar = rng.in_range(3, 5)
-        stem = rng.in_range(1, 2)
-        pos = rng.in_range(1, bar - 2)
-        return _row(stem, 0, bar) | {(pos, j) for j in range(stem)}
-    if category == "l":
-        stem = rng.in_range(2, 4)
-        foot = rng.in_range(1, 2)
-        return {(0, j) for j in range(stem)} | _row(0, 1, foot)
-    if category == "plus":
-        cells = {(0, 0)}
-        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            for k in range(1, rng.in_range(1, 2) + 1):
-                cells.add((dx * k, dy * k))
-        return cells
-    raise ValueError(f"unknown category {category!r}")
+    return _shape_cells(_draw_shape(rng, category))
 
 
 def cells_connected(cells: set[tuple[int, int]]) -> bool:
@@ -141,56 +174,47 @@ def cells_to_outline(cells: set[tuple[int, int]]) -> list[tuple[int, int]]:
     return trace_boundary(edges)
 
 
-# frozenset of cells -> (the outline's column indices, its row indices, both
-# counted from the least column and row, column count, row count); one entry
-# per cell set reached.  Flat index tuples rather than a list of pairs: the
-# entries are made between the items' own objects and stay, and fewer small
-# objects pin fewer of the allocator's pages (a list of pairs read 0.6 MB
-# more peak RSS on the benchmark's verify-submissions workload).
-_OUTLINES: dict[frozenset, tuple[tuple[int, ...], tuple[int, ...], int, int]] = {}
+# drawn shape -> the outline of its cells on their index lattice, checked
+# once (`_lattice_outline`); one entry per shape reached, 69 at most.
+_OUTLINES: dict[tuple, Polygon] = {}
 
 
-def _outline_entry(cells) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
-    key = frozenset(cells)
-    entry = _OUTLINES.get(key)
-    if entry is None:
-        cols = {x for x, _ in cells}
-        rows = {y for _, y in cells}
-        x0, y0 = min(cols), min(rows)
-        ncols, nrows = len(cols), len(rows)
-        # the cumulative pixel lists assume what connected sets give:
-        # contiguous columns and rows
-        if max(cols) - x0 >= ncols or max(rows) - y0 >= nrows:
-            raise GeometryError("cell set's columns or rows are not contiguous")
-        outline = cells_to_outline(cells)
-        entry = _OUTLINES[key] = (tuple([x - x0 for x, _ in outline]),
-                                  tuple([y - y0 for _, y in outline]), ncols, nrows)
-    return entry
+def _lattice_outline(cells) -> Polygon:
+    """The cell set's outline with columns and rows counted from its least
+    ones, as a checked Polygon: vertex (i, j) is the corner left of column
+    i and below row j."""
+    cols = {x for x, _ in cells}
+    rows = {y for _, y in cells}
+    x0, y0 = min(cols), min(rows)
+    # a pixel size is drawn for each column and row of the box, so the
+    # box holds no empty one; connected sets give that
+    if max(cols) - x0 >= len(cols) or max(rows) - y0 >= len(rows):
+        raise GeometryError("cell set's columns or rows are not contiguous")
+    return Polygon([(x - x0, y - y0) for x, y in cells_to_outline(cells)])
 
 
-def _pixel_scaled(cells, rng: Rng, lo: int, hi: int) -> list[tuple[int, int]]:
-    """The cell set's outline with each column and row given a random pixel
-    size: widths for the columns in order, then heights for the rows."""
-    cols, rows, ncols, nrows = _outline_entry(cells)
-    xs = list(accumulate([rng.in_range(lo, hi) for _ in range(ncols)], initial=0))
-    ys = list(accumulate([rng.in_range(lo, hi) for _ in range(nrows)], initial=0))
-    return [(xs[i], ys[j]) for i, j in zip(cols, rows)]
+def _pixel_scales(outline: Polygon, rng: Rng, lo: int, hi: int):
+    """Random pixel sizes, widths for the outline's columns in order, then
+    heights for its rows, as cumulative scales for `lattice_image`."""
+    _, _, ncols, nrows = outline.bbox
+    return (list(accumulate([rng.in_range(lo, hi) for _ in range(ncols)], initial=0)),
+            list(accumulate([rng.in_range(lo, hi) for _ in range(nrows)], initial=0)))
 
 
-def _flip_rotate(poly: Polygon, rng: Rng) -> Polygon:
-    """poly flipped in x and in y on two coins, then turned by below(4)
-    quarter turns, moved to the origin: one signed permutation matrix."""
+def _flip_rotate(poly: Polygon, rng: Rng, xs=None, ys=None) -> Polygon:
+    """poly (scaled by xs and ys, if given) flipped in x and in y on two
+    coins, then turned by below(4) quarter turns, moved to the origin: one
+    signed permutation matrix and one `lattice_image`."""
     a = -1 if rng.coin() else 1
     d = -1 if rng.coin() else 1
     b = c = 0
     for _ in range(rng.below(4)):  # (x, y) -> (-y, x) after the map so far
         a, b, c, d = -c, -d, a, b
-    return lattice_image(poly, a, b, c, d)
+    return lattice_image(poly, a, b, c, d, xs, ys)
 
 
-def _shear_points(pts, m: Fraction):
+def _shear_points(pts, num: int, den: int):
     # x + m*y rounded: with m = num/den, x + m*y = (x*den + num*y) / den
-    num, den = m.numerator, m.denominator
     return [(round_ratio(x * den + num * y, den), y) for x, y in pts]
 
 
@@ -199,7 +223,8 @@ def shear_polygon(poly: Polygon, m: Fraction) -> Polygon:
 
     Raises NonSimpleAfterRounding when rounding collapses the shape.
     """
-    pts = ensure_ccw(_shear_points(poly.coords, Fraction(m)))
+    m = Fraction(m)
+    pts = ensure_ccw(_shear_points(poly.coords, m.numerator, m.denominator))
     try:
         return Polygon(pts)
     except GeometryError as exc:
@@ -231,54 +256,54 @@ def _gen_tetro(cfg: GenConfig, family: str) -> Instance:
         raise ValueError(
             f"container area {width * height} exceeds the supported cap "
             f"{MAX_RECT_CONTAINER_AREA} (needed for the value-sum guarantee)")
-    hi = cfg.pixel_size_range[1]
+    lo, hi = cfg.pixel_size_range
     if 9 * hi * hi > width * height:
         raise ValueError(
             "pixel sizes too large for the container; the largest item "
             "(9 cells) must not exceed the container area")
     container = Polygon([(0, 0), (width, 0), (width, height), (0, height)])
-    container_area2 = 2 * width * height
-    target_area2 = cfg.area_multiple_t * container_area2
+    # stop once total area2 exceeds t * container area2, cross-multiplied
+    t = cfg.area_multiple_t
+    t_den, target = t.denominator, t.numerator * 2 * width * height
+    shearing = family == "satris" and cfg.shear_probability > 0
     shear_lo, shear_hi = SHEAR_M_RANGE
     val_lo, val_hi = VALUE_SCALE_RANGE
 
     items: list[Item] = []
     total_area2 = 0
     index = 0
-    while total_area2 <= target_area2:
+    while total_area2 * t_den <= target:
         rng = Rng(cfg.seed, stream=index)
-        category = CATEGORIES[rng.below(len(CATEGORIES))]
-        pts = _pixel_scaled(polyomino_cells(rng, category), rng,
-                            *cfg.pixel_size_range)
+        shape = _draw_shape(rng, CATEGORIES[rng.below(len(CATEGORIES))])
+        outline = _OUTLINES.get(shape)
+        if outline is None:
+            outline = _OUTLINES[shape] = _lattice_outline(_shape_cells(shape))
+        xs, ys = _pixel_scales(outline, rng, lo, hi)
 
-        sheared_m = None
-        if family == "satris" and cfg.shear_probability > 0 \
-                and rng.chance(cfg.shear_probability):
+        # area2 / 2 * u * c [* shear factor] as one integer ratio
+        c = CATEGORY_VALUE[shape[0]]
+        num, den = c.numerator, 2 * c.denominator
+        if shearing and rng.chance(cfg.shear_probability):
+            pts = [(xs[i], ys[j]) for i, j in outline.coords]
             for _ in range(100):
-                m = rng.fraction(shear_lo, shear_hi)
+                m_num, m_den = rng.ratio(shear_lo, shear_hi)
                 try:
-                    poly = Polygon(ensure_ccw(_shear_points(pts, m)))
+                    poly = Polygon(ensure_ccw(_shear_points(pts, m_num, m_den)))
                 except GeometryError:
                     continue
-                sheared_m = m
                 break
             else:
                 raise GenerationFailed(
                     f"item {index}: shear rounding never produced a simple polygon")
-        if sheared_m is None:
-            poly = Polygon(pts)  # a scaled outline is counterclockwise
-
-        poly = _flip_rotate(poly, rng)
-        u = rng.fraction(val_lo, val_hi)
-        c = CATEGORY_VALUE[category]
-        # area2 / 2 * u * c [* shear factor] as one integer ratio
-        num = poly.area2 * u.numerator * c.numerator
-        den = 2 * u.denominator * c.denominator
-        if sheared_m is not None:
-            f = shear_value_factor(sheared_m)
-            num *= f.numerator
-            den *= f.denominator
-        items.append(Item(poly, max(1, round_ratio(num, den))))
+            poly = _flip_rotate(poly, rng)
+            f_num, f_den = _shear_ratio(m_num, m_den)
+            num *= f_num
+            den *= f_den
+        else:
+            poly = _flip_rotate(outline, rng, xs, ys)
+        u_num, u_den = rng.ratio(val_lo, val_hi)
+        items.append(Item(poly, max(1, round_ratio(poly.area2 * u_num * num,
+                                                   u_den * den))))
         total_area2 += poly.area2
         index += 1
 

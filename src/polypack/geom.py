@@ -35,8 +35,12 @@ with `drop_straight` and move point lists to the origin with `to_origin`.
 A checked Polygon that is only flipped and turned by quarter turns is
 moved by `lattice_image` instead: a signed permutation matrix maps Z^2
 onto itself and keeps distances, so the image is again simple, integral
-and of the same area, and it is the one Polygon built without
-`Polygon.__init__`'s checks.
+and of the same area.  A checked rectilinear outline on an index lattice
+may first be stretched by strictly increasing integer scales per axis,
+vertex (i, j) to (xs[i], ys[j]): extended piecewise linearly the scales
+are an orientation-preserving homeomorphism of the plane that keeps
+axis-parallel edges straight, so that image is simple too.  It is still
+the one Polygon built without `Polygon.__init__`'s checks.
 """
 from __future__ import annotations
 
@@ -362,7 +366,9 @@ class Polygon:
         return f"Polygon({len(self.coords)} vertices, area={self.area})"
 
 
-def lattice_image(poly: Polygon, a: int, b: int, c: int, d: int) -> Polygon:
+def lattice_image(poly: Polygon, a: int, b: int, c: int, d: int,
+                  xs: Optional[Sequence[int]] = None,
+                  ys: Optional[Sequence[int]] = None) -> Polygon:
     """poly mapped by (x, y) -> (a*x + b*y, c*x + d*y) and moved so that its
     bounding box starts at (0, 0), as a Polygon built without re-checking.
 
@@ -373,8 +379,22 @@ def lattice_image(poly: Polygon, a: int, b: int, c: int, d: int) -> Polygon:
     simple polygon is simple.  A map of determinant -1 turns the vertex
     order clockwise, so the list is then reversed, which is the list
     `ensure_ccw` would give.  The bounding box and the moving corner come
-    from poly's box.  This is the only way to build a Polygon without
-    `Polygon.__init__`'s checks; anything else raises ValueError.
+    from poly's box.
+
+    With scales xs and ys, poly is an outline on an index lattice, and each
+    vertex (i, j) is first moved to (xs[i], ys[j]).  The scales must be
+    strictly increasing ints, every edge of poly axis-parallel, and every
+    coordinate an index of its scale.  Extended piecewise linearly, the
+    scales give an orientation-preserving homeomorphism (x, y) ->
+    (X(x), Y(y)) of the plane that maps each axis-parallel edge onto the
+    segment between its endpoints' images, so the image of a simple
+    counterclockwise rectilinear polygon is again simple and
+    counterclockwise, with distinct vertices, each corner still a corner,
+    and convex just when poly is.  Its area is the image's shoelace sum and
+    its box the scales' extent over poly's box.
+
+    This is the only way to build a Polygon without `Polygon.__init__`'s
+    checks; anything else raises ValueError.
     """
     if type(poly) is not Polygon:
         raise ValueError("lattice_image maps a Polygon")
@@ -382,21 +402,41 @@ def lattice_image(poly: Polygon, a: int, b: int, c: int, d: int) -> Polygon:
             and a * a + b * b == 1 and c * c + d * d == 1 and a * c + b * d == 0):
         raise ValueError(f"not a signed permutation matrix: {(a, b, c, d)}")
     minx, miny, maxx, maxy = poly._bbox
+    pts = poly.coords
+    if xs is not None or ys is not None:
+        if xs is None or ys is None:
+            raise ValueError("lattice_image takes both scales or neither")
+        if not (0 <= minx and maxx < len(xs) and 0 <= miny and maxy < len(ys)):
+            raise ValueError("a vertex does not index the scales")
+        for scale in (xs, ys):
+            u = None
+            for v in scale:
+                if type(v) is not int or (u is not None and v <= u):
+                    raise ValueError("scales must be strictly increasing ints")
+                u = v
+        x0, y0 = pts[-1]
+        for x1, y1 in pts:
+            if x0 != x1 and y0 != y1:
+                raise ValueError("scaled outline has an edge that is not "
+                                 "axis-parallel")
+            x0, y0 = x1, y1
+        pts = [(xs[i], ys[j]) for i, j in pts]
+        minx, miny, maxx, maxy = xs[minx], ys[miny], xs[maxx], ys[maxy]
     if b == 0:  # x -> a*x, y -> d*y
         ox = minx if a > 0 else -maxx
         oy = miny if d > 0 else -maxy
-        pts = [(a * x - ox, d * y - oy) for x, y in poly.coords]
+        pts = [(a * x - ox, d * y - oy) for x, y in pts]
         box = (0, 0, maxx - minx, maxy - miny)
     else:  # x -> b*y, y -> c*x
         ox = miny if b > 0 else -maxy
         oy = minx if c > 0 else -maxx
-        pts = [(b * y - ox, c * x - oy) for x, y in poly.coords]
+        pts = [(b * y - ox, c * x - oy) for x, y in pts]
         box = (0, 0, maxy - miny, maxx - minx)
     if a * d - b * c < 0:
         pts.reverse()
     image = Polygon.__new__(Polygon)
     image.coords = tuple(pts)
-    image._area2 = poly._area2
+    image._area2 = poly._area2 if xs is None else _area2(pts)
     image._bbox = box
     image._convex = poly._convex
     image._parts = None
@@ -406,18 +446,27 @@ def lattice_image(poly: Polygon, a: int, b: int, c: int, d: int) -> Polygon:
 def _hull(points: Iterable) -> tuple[Coord, ...]:
     """Strict counterclockwise hull of a point set as a coords tuple, by
     Andrew's monotone chain; collinear boundary points are dropped and the
-    hull starts at the lexicographically least point."""
+    hull starts at the lexicographically least point.  Each chain's turn
+    test is `cross` written out."""
     pts = sorted(set(_coords(points)))
     if len(pts) < 3:
         raise AllCollinear("need at least 3 distinct points")
     lower: list[Coord] = []
     for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+        px, py = p
+        while len(lower) >= 2:
+            (ox, oy), (ax, ay) = lower[-2], lower[-1]
+            if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) > 0:
+                break
             lower.pop()
         lower.append(p)
     upper: list[Coord] = []
     for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+        px, py = p
+        while len(upper) >= 2:
+            (ox, oy), (ax, ay) = upper[-2], upper[-1]
+            if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) > 0:
+                break
             upper.pop()
         upper.append(p)
     hull = lower[:-1] + upper[:-1]

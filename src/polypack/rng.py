@@ -59,10 +59,21 @@ class Rng:
                 return z % n
 
     def in_range(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi] inclusive."""
+        """Uniform integer in [lo, hi] inclusive: `below(hi - lo + 1)`'s
+        draw, taken inline."""
         if hi < lo:
             raise ValueError(f"empty range [{lo}, {hi}]")
-        return lo + self.below(hi - lo + 1)
+        n = hi - lo + 1
+        limit = _SPAN - _SPAN % n
+        state = self._state
+        while True:
+            state = (state + _GOLDEN) & _MASK
+            z = ((state ^ (state >> 30)) * _MIX1) & _MASK
+            z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+            z ^= z >> 31
+            if z < limit:
+                self._state = state
+                return lo + z % n
 
     def coin(self) -> bool:
         return bool(self.next_u64() & 1)
@@ -70,17 +81,23 @@ class Rng:
     def fraction(self, lo: Fraction, hi: Fraction, denominator: int = 1 << 32) -> Fraction:
         """lo + (hi - lo) * k / denominator for k drawn uniformly from
         0..denominator, so the result lies on a grid of `denominator` steps
-        from lo to hi, both ends included.
+        from lo to hi, both ends included: `ratio`'s draw as one Fraction.
+        """
+        return Fraction(*self.ratio(lo, hi, denominator))
+
+    def ratio(self, lo: Fraction, hi: Fraction,
+              denominator: int = 1 << 32) -> tuple[int, int]:
+        """`fraction`'s draw as an unreduced (numerator, denominator) pair,
+        for callers that only multiply and round it.
 
         lo and hi may be ints or Fractions.  The sum is formed over the
-        common denominator lo.den * hi.den * denominator and becomes one
-        Fraction, equal to the one the formula gives.
+        common denominator lo.den * hi.den * denominator.
         """
         k = self.below(denominator + 1)
         ln, ld = lo.numerator, lo.denominator
         hn, hd = hi.numerator, hi.denominator
-        return Fraction(ln * hd * denominator + (hn * ld - ln * hd) * k,
-                        ld * hd * denominator)
+        return (ln * hd * denominator + (hn * ld - ln * hd) * k,
+                ld * hd * denominator)
 
     def chance(self, p: Fraction) -> bool:
         """True with probability p; the draw is uniform on [0, 1).

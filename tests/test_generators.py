@@ -78,6 +78,28 @@ class TestContainerConfig:
             assert inst.container.bbox == (0, 0, 120, 90)
 
 
+class TestConfigTypes:
+    """Counts, sizes and ranges must be ints; the error names the field
+    instead of failing deep inside a family."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.5), ("seed", True), ("n_target", 5.5),
+        ("container_width", 40.0), ("container_height", 40.0),
+        ("jigsaw_line_count", 8.0), ("jigsaw_copies", Fraction(2)),
+        ("jigsaw_perturb_amplitude", 1.0),
+        ("pixel_size_range", (4.5, 12)), ("pixel_size_range", (4, True)),
+        ("random_points_range", (6.0, 14)), ("random_extent_range", (30, 120, 5)),
+    ])
+    def test_non_int_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            GenConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["random_points_range", "random_extent_range"])
+    def test_reversed_random_range_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            GenConfig(**{field: (14, 6)})
+
+
 class TestJigsawFamily:
     def test_unperturbed_identity_tiles_exactly(self):
         cfg = GenConfig(seed=5, jigsaw_line_count=6, jigsaw_copies=1,
@@ -289,13 +311,16 @@ class TestAtrisFamily:
             assert oracles.shoelace_area2(ours) == 2 * len(cells)
 
     def test_flip_rotate_preserves_area(self):
-        from polypack.generators.tetro import _flip_rotate, _pixel_scaled
+        from polypack.generators.tetro import (_flip_rotate, _lattice_outline,
+                                               _pixel_scales)
         for seed in range(50):
             rng = Rng(seed, stream=79)
             cat = generators.CATEGORIES[rng.below(len(generators.CATEGORIES))]
             cells = polyomino_cells(rng, cat)
-            pts = _pixel_scaled(cells, rng, 2, 9)
-            out = _flip_rotate(Polygon(pts), rng).coords
+            outline = _lattice_outline(cells)
+            xs, ys = _pixel_scales(outline, rng, 2, 9)
+            pts = [(xs[i], ys[j]) for i, j in outline.coords]
+            out = _flip_rotate(outline, rng, xs, ys).coords
             assert oracles.shoelace_area2(out) == oracles.shoelace_area2(pts) > 0
 
 
@@ -312,11 +337,13 @@ class TestOutlineCache:
         return sets
 
     def test_every_reachable_entry_matches_independent_tracer(self):
-        from polypack.generators.tetro import _outline_entry
+        from polypack.generators.tetro import _lattice_outline
         sets = self.reachable_cell_sets()
         assert len(sets) == 69
         for cells in sets:
-            cols, rows, ncols, nrows = _outline_entry(set(cells))
+            outline = _lattice_outline(set(cells))
+            cols, rows = zip(*outline.coords)
+            _, _, ncols, nrows = outline.bbox
             x0 = min(x for x, _ in cells)
             y0 = min(y for _, y in cells)
             assert [(i + x0, j + y0) for i, j in zip(cols, rows)] == \
@@ -325,9 +352,9 @@ class TestOutlineCache:
             assert nrows == len({y for _, y in cells}) == max(rows)
 
     def test_gapped_cell_set_rejected(self):
-        from polypack.generators.tetro import _outline_entry
+        from polypack.generators.tetro import _lattice_outline
         with pytest.raises(ValueError, match="contiguous"):
-            _outline_entry({(0, 0), (2, 0)})
+            _lattice_outline({(0, 0), (2, 0)})
 
     @pytest.mark.parametrize("first, second", [(gen_atris, gen_satris),
                                                (gen_satris, gen_atris)])

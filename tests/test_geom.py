@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -10,8 +11,8 @@ from polypack.geom import (AllCollinear, Polygon, contained_in_convex,
                            containment_range, convex_hull, drop_straight, inner_fit,
                            ensure_ccw, interiors_overlap, is_convex, is_simple,
                            lattice_image, min_area_bounding_rect, no_fit_exit,
-                           overlap_exit, signed_area, to_origin, trace_boundary,
-                           triangulate)
+                           overlap_exit, signed_area, signed_area2, to_origin,
+                           trace_boundary, triangulate)
 from polypack.model import Instance, Item, Placement, Solution
 from polypack.verifier import verify
 
@@ -403,6 +404,79 @@ class TestLatticeImage:
     def test_rejects_other_than_a_polygon(self, shape):
         with pytest.raises(ValueError, match="Polygon"):
             lattice_image(shape, 1, 0, 0, 1)
+
+
+@functools.cache
+def _reachable_outlines():
+    """The index-lattice outline of every shape atris and satris draw at
+    seeds 0-199, streams 0-299: one per cell set, 69 in all."""
+    from polypack.generators.tetro import (CATEGORIES, _draw_shape,
+                                           _lattice_outline, _shape_cells)
+    from polypack.rng import Rng
+    shapes = set()
+    for seed in range(200):
+        for stream in range(300):
+            rng = Rng(seed, stream)
+            shapes.add(_draw_shape(rng, CATEGORIES[rng.below(len(CATEGORIES))]))
+    cells = [frozenset(_shape_cells(shape)) for shape in shapes]
+    assert len(shapes) == len(set(cells)) == 69
+    return tuple(_lattice_outline(c) for c in cells)
+
+
+def _scales(rng, n):
+    """Three strictly increasing scales of n entries: steps of 1 from a
+    negative start, steps of 1 to 40, and steps near 2**40 from 2**40."""
+    yield list(range(-n, 0))
+    for start, step in ((rng.randint(-50, 50), 40), (1 << 40, 1 << 40)):
+        scale = [start]
+        for _ in range(n - 1):
+            scale.append(scale[-1] + rng.randint(1, step))
+        yield scale
+
+
+class TestLatticeImageScaled:
+    @pytest.mark.parametrize("matrix", SIGNED_PERMUTATIONS)
+    def test_equals_checked_construction(self, matrix):
+        a, b, c, d = matrix
+        rng = random.Random(sum(matrix) + 4 * b)
+        for outline in _reachable_outlines():
+            _, _, ncols, nrows = outline.bbox
+            for xs, ys in zip(_scales(rng, ncols + 1), _scales(rng, nrows + 1)):
+                scaled = [(xs[i], ys[j]) for i, j in outline.coords]
+                mapped = [(a * x + b * y, c * x + d * y) for x, y in scaled]
+                want = Polygon(to_origin(ensure_ccw(mapped))[0])
+                src = Polygon(outline.coords)  # convexity not yet cached
+                for convex_known in (False, True):
+                    if convex_known:
+                        src.convex
+                    got = lattice_image(src, a, b, c, d, xs, ys)
+                    assert type(got) is Polygon
+                    assert got.coords == want.coords
+                    assert got.area2 == want.area2 == signed_area2(scaled)
+                    assert got.bbox == want.bbox
+                    assert got.convex == want.convex
+
+    @pytest.mark.parametrize("shape, xs, ys, match", [
+        ([(0, 0), (2, 0), (0, 2)], [0, 1, 2], [0, 1, 2], "axis-parallel"),
+        ([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)], [0, 1, 2], [0, 3, 3],
+         "increasing"),
+        (UNIT_SQUARE, [0, -1], [0, 1], "increasing"),
+        (UNIT_SQUARE, [0, 1.0], [0, 1], "ints"),
+        (UNIT_SQUARE, [0, 1], [False, 1], "ints"),
+        (UNIT_SQUARE, [0, 1], [Fraction(0), 1], "ints"),
+        (UNIT_SQUARE, [0], [0, 1], "index"),
+        (UNIT_SQUARE, [0, 1], [], "index"),
+        ([(-1, 0), (0, 0), (0, 1), (-1, 1)], [0, 1], [0, 1], "index"),
+        (UNIT_SQUARE, [0, 1], None, "both"),
+        (UNIT_SQUARE, None, [0, 1], "both"),
+    ])
+    def test_rejects_bad_input(self, shape, xs, ys, match):
+        with pytest.raises(ValueError, match=match):
+            lattice_image(Polygon(shape), 1, 0, 0, 1, xs, ys)
+
+    def test_rejects_other_than_a_polygon(self):
+        with pytest.raises(ValueError, match="Polygon"):
+            lattice_image(UNIT_SQUARE, 1, 0, 0, 1, [0, 1], [0, 1])
 
 
 class TestTriangulate:
