@@ -1,10 +1,12 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from polypack.generators import GenConfig, gen_atris, gen_jigsaw, gen_random, gen_satris
 from polypack.geom import Polygon
-from polypack.model import Instance, Item
+from polypack.model import Instance, Item, write_instance
 from polypack.valuation import (ValueKind, ValueOverflow, ValueSpec,
                                 assign_values, base_value)
 
@@ -85,3 +87,26 @@ def test_spec_recorded_and_suppressible():
     assert out.meta["value_spec"]["kind"] == "area"
     hidden = assign_values(inst, ValueSpec(ValueKind.AREA), record=False)
     assert hidden.meta is None or "value_spec" not in hidden.meta
+
+
+def test_generated_and_valued_corpus_pinned():
+    """One SHA-256 over all four families for 12 seeds, every satris item
+    sheared at pixel sizes 1 to 6, and the random and jigsaw instances
+    valued under every kind, noise and scale: any change to generation,
+    hull or rectangle bases, noise draws or rounding shows up here."""
+    digest = hashlib.sha256()
+    for seed in range(12):
+        rand = gen_random(GenConfig(seed=seed, n_target=40))
+        jig = gen_jigsaw(GenConfig(seed=seed, jigsaw_line_count=8))
+        for inst in (rand, jig, gen_atris(GenConfig(seed=seed, n_target=60)),
+                     gen_satris(GenConfig(seed=seed, n_target=60, shear_probability=1,
+                                          pixel_size_range=(1, 6)))):
+            digest.update(write_instance(inst))
+        for inst in (rand, jig):
+            for kind in ValueKind:
+                for noise in (0, Fraction(1, 10), Fraction(9, 10)):
+                    for scale in (1, Fraction(7, 3)):
+                        spec = ValueSpec(kind, noise, seed=seed, global_scale=scale)
+                        digest.update(write_instance(assign_values(inst, spec)))
+    assert digest.hexdigest() == \
+        "536ac90cb834a3e0ffaad6d334a8c3a61d4ffd703fe7fc08f7d00649620f1149"
