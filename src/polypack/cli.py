@@ -73,15 +73,20 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _load_config_file(path: str) -> dict:
-    """key = value lines; '#' comments; values are returned as strings."""
-    out = {}
-    for raw in Path(path).read_text().splitlines():
+    """key = value lines; '#' comments; values are returned as strings.  A
+    key set on two lines is a ValueError naming both."""
+    out, lines = {}, {}
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"bad config line: {raw!r}")
         key, value = (p.strip() for p in line.split("=", 1))
+        if key in lines:
+            raise ValueError(f"config key {key!r} set on lines {lines[key]} "
+                             f"and {lineno} of {path}")
+        lines[key] = lineno
         out[key] = value
     return out
 

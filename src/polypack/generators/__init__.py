@@ -2,9 +2,7 @@
 from .config import GenConfig, GenerationFailed
 from .jigsaw import gen_jigsaw
 from .randpoly import gen_random
-from .tetro import (CATEGORIES, NonSimpleAfterRounding, cells_connected,
-                    gen_atris, gen_satris, polyomino_cells, shear_polygon,
-                    shear_value_factor)
+from .tetro import CATEGORIES, gen_atris, gen_satris, shear_polygon
 
 FAMILIES = {
     "random": gen_random,
@@ -14,7 +12,6 @@ FAMILIES = {
 }
 
 __all__ = [
-    "GenConfig", "GenerationFailed", "NonSimpleAfterRounding", "FAMILIES",
-    "CATEGORIES", "gen_random", "gen_jigsaw", "gen_atris", "gen_satris",
-    "polyomino_cells", "cells_connected", "shear_polygon", "shear_value_factor",
+    "GenConfig", "GenerationFailed", "FAMILIES", "CATEGORIES",
+    "gen_random", "gen_jigsaw", "gen_atris", "gen_satris", "shear_polygon",
 ]

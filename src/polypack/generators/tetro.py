@@ -14,9 +14,9 @@ unsheared item is then one `geom.lattice_image` call: the drawn pixel sizes
 become cumulative scales that move each outline vertex (i, j) to
 (xs[i], ys[j]), and the two flip coins and quarter turns compose into one
 signed permutation matrix; both maps keep the checked outline simple, so
-the item needs no check of its own.  A sheared satris item is checked as
-`Polygon(ensure_ccw(sheared))`, and that check is the shear's retry test;
-its flipped, turned copy is again one `lattice_image`.
+the item needs no check of its own.  A sheared satris item comes from
+`shear_polygon`, the one shear, whose check as a Polygon is the shear's
+retry test; its flipped, turned copy is again one `lattice_image`.
 
 Generation stops when total item area exceeds t * container area; values are
 area times a uniform [0.8, 1.2] factor times a per-category difficulty
@@ -56,15 +56,9 @@ SHEAR_VALUE_CONSTANT = Fraction(6, 5)
 
 def _shear_ratio(num: int, den: int) -> tuple[int, int]:
     """The shear value factor SHEAR_VALUE_CONSTANT * (1 + m/4) of
-    m = num / den as an unreduced integer ratio."""
+    m = num / den as an unreduced integer ratio; strictly increasing in m."""
     c = SHEAR_VALUE_CONSTANT
     return c.numerator * (4 * den + num), c.denominator * 4 * den
-
-
-def shear_value_factor(m: Fraction) -> Fraction:
-    """Value multiplier for sheared items; strictly increasing in m."""
-    m = Fraction(m)
-    return Fraction(*_shear_ratio(m.numerator, m.denominator))
 
 
 def _row(y: int, x0: int, length: int):
@@ -130,28 +124,6 @@ def _shape_cells(shape: tuple) -> set[tuple[int, int]]:
     return cells
 
 
-def polyomino_cells(rng: Rng, category: str) -> set[tuple[int, int]]:
-    """Random cell set for a category; arm parameters are bounded so the
-    result stays edge-connected and recognizably of its category."""
-    return _shape_cells(_draw_shape(rng, category))
-
-
-def cells_connected(cells: set[tuple[int, int]]) -> bool:
-    """Flood fill over edge neighbours."""
-    if not cells:
-        return False
-    seen = set()
-    stack = [next(iter(cells))]
-    while stack:
-        c = stack.pop()
-        if c in seen or c not in cells:
-            continue
-        seen.add(c)
-        x, y = c
-        stack.extend(((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)))
-    return len(seen) == len(cells)
-
-
 def cells_to_outline(cells: set[tuple[int, int]]) -> list[tuple[int, int]]:
     """CCW outline of a cell set on the unit grid, collinear runs merged.
 
@@ -213,26 +185,15 @@ def _flip_rotate(poly: Polygon, rng: Rng, xs=None, ys=None) -> Polygon:
     return lattice_image(poly, a, b, c, d, xs, ys)
 
 
-def _shear_points(pts, num: int, den: int):
-    # x + m*y rounded: with m = num/den, x + m*y = (x*den + num*y) / den
-    return [(round_ratio(x * den + num * y, den), y) for x, y in pts]
+def shear_polygon(pts, num: int, den: int) -> Polygon:
+    """The points under the unit shear [[1, m], [0, 1]], m = num / den, x
+    rounded by `round_ratio`, as a checked counterclockwise Polygon.
 
-
-def shear_polygon(poly: Polygon, m: Fraction) -> Polygon:
-    """Apply the unit shear matrix [[1, m], [0, 1]], rounding x to integers.
-
-    Raises NonSimpleAfterRounding when rounding collapses the shape.
+    Raises GeometryError when rounding collapses the shape.
     """
-    m = Fraction(m)
-    pts = ensure_ccw(_shear_points(poly.coords, m.numerator, m.denominator))
-    try:
-        return Polygon(pts)
-    except GeometryError as exc:
-        raise NonSimpleAfterRounding(str(exc)) from exc
-
-
-class NonSimpleAfterRounding(GenerationFailed):
-    """Rounded shear produced a degenerate or self-intersecting polygon."""
+    # x + m*y = (x*den + num*y) / den
+    return Polygon(ensure_ccw([(round_ratio(x * den + num * y, den), y)
+                               for x, y in pts]))
 
 
 def _derive_rect_container(cfg: GenConfig) -> tuple[int, int]:
@@ -288,7 +249,7 @@ def _gen_tetro(cfg: GenConfig, family: str) -> Instance:
             for _ in range(100):
                 m_num, m_den = rng.ratio(shear_lo, shear_hi)
                 try:
-                    poly = Polygon(ensure_ccw(_shear_points(pts, m_num, m_den)))
+                    poly = shear_polygon(pts, m_num, m_den)
                 except GeometryError:
                     continue
                 break

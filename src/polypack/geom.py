@@ -9,10 +9,10 @@ Interior-overlap semantics: two placements conflict only if their *open*
 interiors intersect.  Touching boundaries (shared edges or vertices) is legal,
 which is what lets cut-up container pieces be reassembled exactly.
 
-Offsets, like coordinates, are integers: every public predicate
-(`interiors_overlap`, `overlap_exit`, `contained_in_convex`), and so the
-verifier, reads them through `operator.index`, so a float offset raises
-TypeError instead of being truncated.  The solver passes only its own ints
+Offsets, like coordinates, are integers: both public predicates
+(`interiors_overlap`, `contained_in_convex`), and so the verifier, read
+them through `operator.index`, so a float offset raises TypeError instead
+of being truncated.  The solver passes only its own ints
 and calls the unchecked kernel `no_fit_exit` on the polygons' parts.  The
 overlap predicates do not compare the placements' whole bounding boxes;
 that filter is the caller's broad phase (`BoxIndex.query`).
@@ -24,9 +24,9 @@ every horizontal and vertical container edge, cut by one half-plane per
 slanted edge; `containment_range` reads it a row at a time.  Overlap: the
 offsets at which two convex parts overlap form their no-fit polygon, and
 `no_fit_exit`, the one copy of the part-pair loop, tests its half-planes
-k + u*dx + v*dy > 0, one per part edge; `overlap_exit` checks the offsets
-and calls it.  A caller that probes many offsets of the same polygons (the
-solver's grid scan) may pass a memo that keeps each pair's half-planes
+k + u*dx + v*dy > 0, one per part edge; `interiors_overlap` checks the
+offsets and calls it.  A caller that probes many offsets of the same
+polygons (the solver's grid scan) may pass a memo that keeps each pair's half-planes
 between calls; `interiors_overlap`, and so the verifier, passes none, so
 verifying keeps no per-pair tables.  `in_inner_fit`, the one inner-fit
 test, serves both `contained_in_convex` and the solver's `can_place`.  The
@@ -70,14 +70,10 @@ def _bbox(pts: Sequence[Coord]) -> Box:
     return (min(xs), min(ys), max(xs), max(ys))
 
 
-def round_nearest(q: Fraction) -> int:
-    """Round to the nearest integer, ties toward +infinity.  Code that holds
-    a value as an integer ratio rounds it with `round_ratio` instead."""
-    return round_ratio(q.numerator, q.denominator)
-
-
 def round_ratio(num: int, den: int) -> int:
-    """`round_nearest(Fraction(num, den))` without building the Fraction.
+    """num / den rounded to the nearest integer, ties toward +infinity: the
+    one rounding rule of the generators and valuation, which hold a value
+    as an integer ratio rather than a Fraction.
 
     num / den need not be in lowest terms, and den may be negative (the
     sign is moved to num first); den must not be 0.
@@ -121,10 +117,6 @@ def _area2(pts: Sequence[Coord]) -> int:
         total += x0 * y1 - x1 * y0
         x0, y0 = x1, y1
     return total
-
-
-def signed_area(poly) -> Fraction:
-    return Fraction(signed_area2(poly), 2)
 
 
 def _on_segment(p: Coord, q: Coord, r: Coord) -> bool:
@@ -535,16 +527,10 @@ def _rect_extents(hull: Sequence[Coord]) -> tuple[int, int, int]:
     return best_du, best_dw, best_den
 
 
-def _min_rect(hull: Sequence[Coord]) -> tuple[Fraction, Fraction]:
-    """(area, aspect>=1) of the minimum-area enclosing rectangle of a hull
-    as `_hull` returns it, as `_rect_extents` finds it."""
-    du, dw, den = _rect_extents(hull)
-    return Fraction(du * dw, den), Fraction(max(du, dw), min(du, dw))
-
-
 def min_area_bounding_rect(poly) -> Fraction:
-    """Area of the smallest enclosing rectangle over all orientations."""
-    return _min_rect(_hull(poly))[0]
+    """Area of the least enclosing rectangle in any orientation (`_rect_extents`)."""
+    du, dw, den = _rect_extents(_hull(poly))
+    return Fraction(du * dw, den)
 
 
 def _point_in_closed_triangle(p: Coord, a: Coord, b: Coord, c: Coord) -> bool:
@@ -645,40 +631,24 @@ def _extend_no_fit(planes: list, pa: Sequence[Coord], ea, pb: Sequence[Coord],
 
 
 def interiors_overlap(a: Polygon, ta, b: Polygon, tb) -> bool:
-    """True iff the open interiors of the translated polygons intersect.
-
-    Boundary contact is not overlap.  Decided by `overlap_exit` without a
-    memo: each box-meeting part pair's half-planes are derived edge by edge
-    until one separates, then dropped.
-    """
-    return overlap_exit(a, ta, b, tb) is not None
-
-
-def overlap_exit(a: Polygon, ta, b: Polygon, tb,
-                 memo: Optional[dict] = None) -> Optional[int]:
-    """Where a row of overlaps ends.  None if the open interiors of a
-    translated by ta and b translated by tb do not meet; else an integer
-    x > ta[0] such that a translated by (x', ta[1]) still meets b for every
-    integer x' in [ta[0], x).
-
-    The checked entry to `no_fit_exit`: the offsets are read through
-    `operator.index`, so a float raises TypeError, and the polygons are
-    taken as their cached convex parts.  `interiors_overlap`, and so
-    `verify`, calls it; the solver calls `no_fit_exit` on its own ints.
-    The whole bounding boxes are not compared first; that filter is the
-    caller's broad phase.  `memo` is `no_fit_exit`'s; results do not depend
-    on it.
+    """True iff the open interiors of the translated polygons intersect;
+    boundary contact is not overlap.  The checked entry to `no_fit_exit`:
+    the offsets are read through `operator.index`, so a float raises
+    TypeError, and no memo is passed.  The whole bounding boxes are not
+    compared first; that filter is the caller's broad phase.
     """
     tx = operator.index(ta[0])
     return no_fit_exit(a.parts, b.parts, tx, operator.index(tb[0]) - tx,
-                       operator.index(tb[1]) - operator.index(ta[1]), memo)
+                       operator.index(tb[1]) - operator.index(ta[1])) is not None
 
 
 def no_fit_exit(aparts, bparts, tx: int, dx: int, dy: int,
                 memo: Optional[dict] = None) -> Optional[int]:
-    """`overlap_exit` of a polygon with convex parts `aparts` at (tx, ty)
-    and one with parts `bparts` at (tx + dx, ty + dy), on plain ints, which
-    it does not check.
+    """Where a row of overlaps ends, for a polygon with convex parts
+    `aparts` at (tx, ty) and one with parts `bparts` at (tx + dx, ty + dy),
+    on plain ints, which it does not check.  None if their open interiors
+    do not meet; else an integer x > tx such that the first, translated by
+    (x', ty), still meets the second for every integer x' in [tx, x).
 
     Interiors meet iff some pair of parts' interiors meet.  Without
     rotation, the offsets (dx, dy) of b against a at which two parts

@@ -4,7 +4,7 @@ Built on the SplitMix64 finalizer (Steele, Lea & Flood 2014), a counter-based
 64-bit generator with fixed public constants.  The same (seed, stream, counter)
 triple yields the same bits on every platform and Python version, which is what
 makes generated instance files byte-identical across machines.  Anything that
-feeds coordinates draws rationals, never floats.
+feeds coordinates or values draws integers or integer ratios, never floats.
 """
 from __future__ import annotations
 
@@ -78,20 +78,13 @@ class Rng:
     def coin(self) -> bool:
         return bool(self.next_u64() & 1)
 
-    def fraction(self, lo: Fraction, hi: Fraction, denominator: int = 1 << 32) -> Fraction:
-        """lo + (hi - lo) * k / denominator for k drawn uniformly from
-        0..denominator, so the result lies on a grid of `denominator` steps
-        from lo to hi, both ends included: `ratio`'s draw as one Fraction.
-        """
-        return Fraction(*self.ratio(lo, hi, denominator))
-
     def ratio(self, lo: Fraction, hi: Fraction,
               denominator: int = 1 << 32) -> tuple[int, int]:
-        """`fraction`'s draw as an unreduced (numerator, denominator) pair,
-        for callers that only multiply and round it.
-
-        lo and hi may be ints or Fractions.  The sum is formed over the
-        common denominator lo.den * hi.den * denominator.
+        """lo + (hi - lo) * k / denominator, k drawn uniformly from
+        0..denominator (a grid from lo to hi, both ends included), as an
+        unreduced (numerator, denominator) pair for callers that multiply
+        and round it.  lo and hi may be ints or Fractions; the sum is formed
+        over the common denominator lo.den * hi.den * denominator.
         """
         k = self.below(denominator + 1)
         ln, ld = lo.numerator, lo.denominator

@@ -62,9 +62,6 @@ class Leaderboard:
     best_values: dict  # instance -> int
     standings: tuple[TeamStanding, ...]  # ranked best first
 
-    def ranking(self) -> list[str]:
-        return [s.team for s in self.standings]
-
     def to_json_obj(self) -> dict:
         return {
             "type": "cgshop2024_leaderboard",

@@ -19,6 +19,7 @@ depend on a linear-algebra library:
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import operator
@@ -52,9 +53,6 @@ class DegenerateFeatures(ValueError):
 @dataclass(frozen=True)
 class FeatureVector:
     values: tuple[float, ...]
-
-    def __getitem__(self, i):
-        return self.values[i]
 
 
 @dataclass(frozen=True)
@@ -90,6 +88,11 @@ def _mean_ratio(pairs, n: int) -> float:
     return total / (common * n)
 
 
+def _float_sum(xs) -> float:
+    """Left to right: `sum` compensates float sums from Python 3.12 on."""
+    return functools.reduce(operator.add, xs, 0.0)
+
+
 def compute_metrics(instance: Instance) -> FeatureVector:
     """The eleven METRIC_NAMES values of one instance, in that order;
     ValueError if the instance has no items.
@@ -101,6 +104,7 @@ def compute_metrics(instance: Instance) -> FeatureVector:
     rectangle-ratio means are summed as integer pairs (`_mean_ratio`) and
     each int / int division is correctly rounded, so the floats equal those
     of the same formulas over Fractions, and no Fraction is built per item.
+    The float means and variances are summed left to right (`_float_sum`).
     """
     items = instance.items
     n = len(items)
@@ -127,11 +131,11 @@ def compute_metrics(instance: Instance) -> FeatureVector:
         edges += len(pts)
 
     area_floats = [a2 / 2 for a2 in area2s]
-    mean_area = sum(area_floats) / n
-    var_area = sum((a - mean_area) ** 2 for a in area_floats) / n
+    mean_area = _float_sum(area_floats) / n
+    var_area = _float_sum((a - mean_area) ** 2 for a in area_floats) / n
     densities = [it.value / a for it, a in zip(items, area_floats)]
-    mean_density = sum(densities) / n
-    var_density = sum((d - mean_density) ** 2 for d in densities) / n
+    mean_density = _float_sum(densities) / n
+    var_density = _float_sum((d - mean_density) ** 2 for d in densities) / n
 
     values = (
         math.log(n),
@@ -144,7 +148,7 @@ def compute_metrics(instance: Instance) -> FeatureVector:
         var_area / (mean_area * mean_area) if mean_area else 0.0,
         math.sqrt(var_density) / mean_density if mean_density else 0.0,
         float(len(instance.container.coords)),
-        sum(max(du, dw) / min(du, dw) for du, dw, _ in rects) / n,
+        _float_sum(max(du, dw) / min(du, dw) for du, dw, _ in rects) / n,
     )
     return FeatureVector(values)
 

@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geom import _hull, min_area_bounding_rect, round_ratio, signed_area
+from .geom import _area2, _hull, min_area_bounding_rect, round_ratio
 from .model import MAX_TOTAL_VALUE, Instance, Item
 from .rng import Rng
 
@@ -50,7 +50,7 @@ def base_value(item_polygon, kind: ValueKind) -> Fraction:
     if kind is ValueKind.AREA:
         return item_polygon.area
     if kind is ValueKind.CONVEX_HULL_AREA:
-        return signed_area(_hull(item_polygon))
+        return Fraction(_area2(_hull(item_polygon)), 2)
     if kind is ValueKind.ROTATED_BBOX:
         return min_area_bounding_rect(item_polygon)
     return Fraction(1)
@@ -60,7 +60,7 @@ def assign_values(instance: Instance, spec: ValueSpec, record: bool = True) -> I
     """New instance with values round(scale * base * noise_i), clamped to 1.
 
     The product is held as one integer ratio and rounded by `round_ratio`;
-    noise_i is `Rng.fraction(1 - eps, 1 + eps)`.
+    noise_i is the integer pair `Rng.ratio(1 - eps, 1 + eps)`.
 
     With noise_amplitude 0 the result depends on geometry alone (the seed is
     never consulted).  Raises ValueOverflow instead of emitting an instance
@@ -77,9 +77,9 @@ def assign_values(instance: Instance, spec: ValueSpec, record: bool = True) -> I
         num = scale.numerator * b.numerator
         den = scale.denominator * b.denominator
         if eps:
-            noise = rng.fraction(noise_lo, noise_hi)
-            num *= noise.numerator
-            den *= noise.denominator
+            noise_num, noise_den = rng.ratio(noise_lo, noise_hi)
+            num *= noise_num
+            den *= noise_den
         value = max(1, round_ratio(num, den))
         total += value
         items.append(Item(it.polygon, value))

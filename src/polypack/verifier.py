@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .geom import Box, contained_in_convex, interiors_overlap
-from .geom import boxes_interior_overlap  # noqa: F401  (re-exported)
 from .model import Instance, Solution
 
 

@@ -377,3 +377,19 @@ def sort_ccw(sub):
         if cmp(ordered[i], ordered[(i + 1) % k]) == 0:
             return None
     return ordered
+
+
+def cells_connected(cells) -> bool:
+    """Edge-connected cell set?  Flood fill over the four neighbours."""
+    if not cells:
+        return False
+    seen = set()
+    stack = [next(iter(cells))]
+    while stack:
+        c = stack.pop()
+        if c in seen or c not in cells:
+            continue
+        seen.add(c)
+        x, y = c
+        stack.extend(((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)))
+    return len(seen) == len(cells)

@@ -463,10 +463,12 @@ def test_generate_config_file(workdir, capsys):
     (["verify", "{dir}", "{dir}"], None, "Is a directory"),
     (["generate", "random", "-o", "{dir}/gen.cfg/i.json"], "seed = 1\n",
      "Not a directory"),
+    (["generate", "random", "-o", "{dir}/i.json"], "n_target = 5\n# twice\nn_target = 9\n",
+     "'n_target' set on lines 1 and 3"),
 ], ids=["zero-denominator-flag", "zero-denominator-value-flag",
         "unknown-config-key", "zero-denominator-config", "merge-fraction-above-1",
         "config-is-directory", "output-is-directory", "verify-directories",
-        "output-under-file"])
+        "output-under-file", "config-key-set-twice"])
 def test_bad_input_exits_2(workdir, capsys, argv, config, named):
     # PermissionError is caught with these but not tested: root reads anything
     argv = [a.format(dir=workdir) for a in argv]

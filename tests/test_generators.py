@@ -4,13 +4,11 @@ from fractions import Fraction
 import pytest
 
 from polypack import generators
-from polypack.generators import (GenConfig, cells_connected, gen_atris,
-                                 gen_jigsaw, gen_random, gen_satris,
-                                 polyomino_cells, shear_polygon,
-                                 shear_value_factor)
+from polypack.generators import (GenConfig, gen_atris, gen_jigsaw, gen_random,
+                                 gen_satris, shear_polygon)
 from polypack.generators.jigsaw import _merge_faces
-from polypack.generators.tetro import NonSimpleAfterRounding
-from polypack.geom import Polygon, is_convex, is_simple, signed_area, signed_area2
+from polypack.generators.tetro import _draw_shape, _shape_cells, _shear_ratio
+from polypack.geom import GeometryError, Polygon, is_convex, is_simple, signed_area2
 from polypack.model import (MAX_TOTAL_VALUE, Placement, Solution,
                             read_instance, write_instance)
 from polypack.rng import Rng
@@ -294,14 +292,14 @@ class TestAtrisFamily:
         for seed in range(300):
             rng = Rng(seed, stream=77)
             cat = generators.CATEGORIES[rng.below(len(generators.CATEGORIES))]
-            cells = polyomino_cells(rng, cat)
-            assert cells_connected(cells)
+            cells = _shape_cells(_draw_shape(rng, cat))
+            assert oracles.cells_connected(cells)
 
     def test_outline_matches_independent_tracer(self):
         for seed in range(100):
             rng = Rng(seed, stream=78)
             cat = generators.CATEGORIES[rng.below(len(generators.CATEGORIES))]
-            cells = polyomino_cells(rng, cat)
+            cells = _shape_cells(_draw_shape(rng, cat))
             from polypack.generators.tetro import cells_to_outline
             ours = cells_to_outline(cells)
             theirs = oracles.cells_outline(cells)
@@ -316,7 +314,7 @@ class TestAtrisFamily:
         for seed in range(50):
             rng = Rng(seed, stream=79)
             cat = generators.CATEGORIES[rng.below(len(generators.CATEGORIES))]
-            cells = polyomino_cells(rng, cat)
+            cells = _shape_cells(_draw_shape(rng, cat))
             outline = _lattice_outline(cells)
             xs, ys = _pixel_scales(outline, rng, 2, 9)
             pts = [(xs[i], ys[j]) for i, j in outline.coords]
@@ -333,7 +331,7 @@ class TestOutlineCache:
             for stream in range(300):
                 rng = Rng(seed, stream)
                 cat = generators.CATEGORIES[rng.below(len(generators.CATEGORIES))]
-                sets.add(frozenset(polyomino_cells(rng, cat)))
+                sets.add(frozenset(_shape_cells(_draw_shape(rng, cat))))
         return sets
 
     def test_every_reachable_entry_matches_independent_tracer(self):
@@ -384,7 +382,7 @@ class TestSatrisFamily:
 
     def test_shear_value_factor_monotone(self):
         ms = [Fraction(1, 10) + Fraction(k, 20) for k in range(0, 39)]
-        factors = [shear_value_factor(m) for m in ms]
+        factors = [Fraction(*_shear_ratio(m.numerator, m.denominator)) for m in ms]
         assert all(f > 1 for f in factors)
         assert all(b > a for a, b in zip(factors, factors[1:]))
 
@@ -395,8 +393,8 @@ class TestSatrisFamily:
         values = []
         for k in range(20):
             m = Fraction(1, 10) + Fraction(k, 10)
-            sheared = shear_polygon(base, m)
-            v = round(pre * shear_value_factor(m))
+            sheared = shear_polygon(base.coords, m.numerator, m.denominator)
+            v = round(pre * Fraction(*_shear_ratio(m.numerator, m.denominator)))
             values.append(v)
             assert sheared.area >= pre * Fraction(95, 100)
         assert all(b > a for a, b in zip(values, values[1:]))
@@ -415,11 +413,11 @@ class TestSatrisFamily:
 class TestShearPolygon:
     def test_identity(self):
         sq = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
-        assert shear_polygon(sq, Fraction(0)) == sq
+        assert shear_polygon(sq.coords, 0, 1) == sq
 
     def test_unit_square_m1(self):
         sq = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
-        assert shear_polygon(sq, Fraction(1)).coords == ((0, 0), (1, 0), (2, 1), (1, 1))
+        assert shear_polygon(sq.coords, 1, 1).coords == ((0, 0), (1, 0), (2, 1), (1, 1))
 
     def test_integer_shear_preserves_area(self):
         import random
@@ -428,7 +426,7 @@ class TestShearPolygon:
         for _ in range(100):
             poly = Polygon(random_star_polygon(rng, rng.randint(4, 10)))
             for m in (1, 2):
-                assert shear_polygon(poly, Fraction(m)).area == poly.area
+                assert shear_polygon(poly.coords, m, 1).area == poly.area
 
     def test_exact_rational_shear_is_unimodular(self):
         # applied without rounding (test-local), area is always preserved
@@ -444,5 +442,5 @@ class TestShearPolygon:
 
     def test_non_simple_after_rounding(self):
         thin = Polygon([(0, 0), (5, 1), (9, 2)])
-        with pytest.raises(NonSimpleAfterRounding):
-            shear_polygon(thin, Fraction(3, 10))
+        with pytest.raises(GeometryError):
+            shear_polygon(thin.coords, 3, 10)

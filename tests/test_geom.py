@@ -11,8 +11,7 @@ from polypack.geom import (AllCollinear, Polygon, contained_in_convex,
                            containment_range, convex_hull, drop_straight, inner_fit,
                            ensure_ccw, interiors_overlap, is_convex, is_simple,
                            lattice_image, min_area_bounding_rect, no_fit_exit,
-                           overlap_exit, signed_area, signed_area2, to_origin,
-                           trace_boundary, triangulate)
+                           signed_area2, to_origin, trace_boundary, triangulate)
 from polypack.model import Instance, Item, Placement, Solution
 from polypack.verifier import verify
 
@@ -41,19 +40,19 @@ def random_star_polygon(rng, n_verts, radius=50, center=(0, 0)):
 
 class TestSignedArea:
     def test_unit_square(self):
-        assert signed_area(UNIT_SQUARE) == 1
+        assert signed_area2(UNIT_SQUARE) == 2
 
     def test_triangle(self):
-        assert signed_area([(0, 0), (4, 0), (0, 3)]) == 6
+        assert signed_area2([(0, 0), (4, 0), (0, 3)]) == 12
 
     def test_clockwise_negative(self):
-        assert signed_area(list(reversed(UNIT_SQUARE))) == -1
+        assert signed_area2(list(reversed(UNIT_SQUARE))) == -2
 
     def test_against_independent_shoelace(self):
         rng = random.Random(1234)
         for _ in range(100):
             pts = random_star_polygon(rng, rng.randint(3, 12))
-            assert signed_area(pts) == Fraction(oracles.shoelace_area2(pts), 2)
+            assert signed_area2(pts) == oracles.shoelace_area2(pts)
 
 
 class TestIsSimple:
@@ -198,7 +197,7 @@ class TestMinAreaBoundingRect:
 
     def test_rotated_rect_is_its_own(self):
         tilted = [(0, 0), (3, 3), (1, 5), (-2, 2)]
-        assert min_area_bounding_rect(tilted) == signed_area(tilted)
+        assert min_area_bounding_rect(tilted) == Polygon(tilted).area
 
     def test_at_least_hull_area(self):
         rng = random.Random(5)
@@ -218,6 +217,12 @@ class TestMinAreaBoundingRect:
             sweep = oracles.min_rect_angle_sweep(hull.coords)
             assert float(exact) <= sweep * (1 + 1e-6)
             assert sweep <= float(exact) * 1.05  # sampling is dense enough
+
+    @staticmethod
+    def _min_rect(hull):
+        # (area, aspect >= 1) of the rectangle `_rect_extents` finds
+        du, dw, den = geom._rect_extents(hull)
+        return Fraction(du * dw, den), Fraction(max(du, dw), min(du, dw))
 
     @staticmethod
     def _reference(hull):
@@ -245,14 +250,14 @@ class TestMinAreaBoundingRect:
     def test_tied_edges_match_fraction_reference(self):
         for pts in self.TIED:
             hull = geom._hull(pts)
-            assert geom._min_rect(hull) == self._reference(hull)
+            assert self._min_rect(hull) == self._reference(hull)
 
     def test_tie_keeps_first_edge_in_hull_order(self):
         # all three edges give area 8; the hull starts with the hypotenuse,
         # whose rectangle has aspect 5/2, while the legs' have aspect 2
         hull = geom._hull([(0, 0), (4, 2), (0, 2)])
         assert hull[:2] == ((0, 0), (4, 2))
-        assert geom._min_rect(hull) == (8, Fraction(5, 2))
+        assert self._min_rect(hull) == (8, Fraction(5, 2))
 
     def test_random_hulls_match_fraction_reference(self):
         rng = random.Random(8)
@@ -263,7 +268,7 @@ class TestMinAreaBoundingRect:
                 hull = geom._hull(cloud)
             except AllCollinear:
                 continue
-            assert geom._min_rect(hull) == self._reference(hull)
+            assert self._min_rect(hull) == self._reference(hull)
 
     @staticmethod
     def _circle_hull(rng, m, radius, scale=1):
@@ -283,7 +288,7 @@ class TestMinAreaBoundingRect:
             scale = 1 << 30 if trial % 3 == 0 else 1
             hull = self._circle_hull(rng, rng.randint(24, 70), 10**6, scale)
             sizes.append(len(hull))
-            assert geom._min_rect(hull) == self._reference(hull)
+            assert self._min_rect(hull) == self._reference(hull)
         assert min(sizes) >= 20 and max(sizes) >= 60
 
     def test_symmetric_hulls_with_tied_edges_match(self):
@@ -295,7 +300,7 @@ class TestMinAreaBoundingRect:
                           round(radius * math.sin(2 * math.pi * k / m)) * scale)
                          for k in range(m)]
                 hull = geom._hull(cloud)
-                assert geom._min_rect(hull) == self._reference(hull)
+                assert self._min_rect(hull) == self._reference(hull)
 
 
 def square_edges(x, y, side=1):
@@ -510,6 +515,11 @@ def random_overlap_case(rng):
     return Polygon(a), ta, Polygon(b), tb
 
 
+def exit_at(a, ta, b, tb, memo=None):
+    """`no_fit_exit` of a at ta against b at tb, called as the solver calls it."""
+    return no_fit_exit(a.parts, b.parts, ta[0], tb[0] - ta[0], tb[1] - ta[1], memo)
+
+
 class TestInteriorsOverlap:
     def test_shared_edge_is_not_overlap(self):
         sq = Polygon(UNIT_SQUARE)
@@ -625,7 +635,7 @@ class TestRowSkipping:
         checked = nonconvex = jumps = 0
         for _ in range(400):
             a, ta, b, tb = random_overlap_case(rng)
-            end = overlap_exit(a, ta, b, tb)
+            end = exit_at(a, ta, b, tb)
             if not interiors_overlap(a, ta, b, tb):
                 assert end is None
                 continue
@@ -653,7 +663,7 @@ class TestRowSkipping:
             tb = (rng.randint(-15, 15) * scale, rng.randint(-15, 15) * scale + shift)
             if not interiors_overlap(a, ta, b, tb):
                 continue
-            end = overlap_exit(a, ta, b, tb)
+            end = exit_at(a, ta, b, tb)
             assert end > ta[0]
             assert interiors_overlap(a, (end - 1, ta[1]), b, tb)
             assert not interiors_overlap(a, (end, ta[1]), b, tb)
@@ -684,9 +694,9 @@ class TestRowSkipping:
                         nudge = rng.randint(-1, 1) if scale > 1 else 0
                         ta = (col * scale + shift + nudge, row * scale + shift - nudge)
                         known = {key: len(planes) for key, planes in memo.items()}
-                        got = overlap_exit(a, ta, b, tb, memo)
+                        got = exit_at(a, ta, b, tb, memo)
                         extended += any(0 < n < len(memo[key]) for key, n in known.items())
-                        assert got == overlap_exit(a, ta, b, tb), (scale, ta)
+                        assert got == exit_at(a, ta, b, tb), (scale, ta)
                         expected = oracles.overlap_by_clipping(
                             triangulate(a.coords), ta, triangulate(b.coords), tb)
                         assert (got is not None) == expected, (scale, ta)
@@ -696,8 +706,8 @@ class TestRowSkipping:
 
     def test_no_overlap_no_exit(self):
         sq = Polygon(UNIT_SQUARE)
-        assert overlap_exit(sq, (0, 0), sq, (1, 0)) is None
-        assert overlap_exit(sq, (0, 0), sq, (0, 0)) == 1
+        assert exit_at(sq, (0, 0), sq, (1, 0)) is None
+        assert exit_at(sq, (0, 0), sq, (0, 0)) == 1
 
     @pytest.mark.parametrize("scale, shift", [(1, 0), (2 ** 30, -(2 ** 45 + 3))])
     def test_kernel_matches_checked_entry(self, scale, shift):
@@ -728,7 +738,9 @@ class TestRowSkipping:
                             nudge = rng.randint(-1, 1) if scale > 1 else 0
                             tx, ty = col * scale + nudge, row * scale - nudge
                             ox, oy = rng.randint(-9, 9) * scale, rng.randint(-9, 9) * scale
-                            want = overlap_exit(a, (tx + ox, ty + oy), b, (ox, oy))
+                            want = exit_at(a, (tx + ox, ty + oy), b, (ox, oy))
+                            assert (want is not None) == interiors_overlap(
+                                a, (tx + ox, ty + oy), b, (ox, oy))
                             if want is not None:
                                 want -= ox
                             assert no_fit_exit(a.parts, b.parts, tx, -tx, -ty) == want
@@ -747,10 +759,6 @@ class TestRowSkipping:
         sq = Polygon(UNIT_SQUARE)
         for ta, tb in (((0.0, 0), (0, 0)), ((0, 0.5), (0, 0)),
                        ((0, 0), (1.0, 0)), ((0, 0), (0, 0.5))):
-            with pytest.raises(TypeError):
-                overlap_exit(sq, ta, sq, tb)
-            with pytest.raises(TypeError):
-                overlap_exit(sq, ta, sq, tb, {})
             with pytest.raises(TypeError):
                 interiors_overlap(sq, ta, sq, tb)
         box = Polygon([(0, 0), (10, 0), (10, 10), (0, 10)])
@@ -904,11 +912,11 @@ class TestPolygonClass:
         assert Polygon([[0, 0], [4, 0], [0, 3]]).coords == ((0, 0), (4, 0), (0, 3))
 
     def test_round_nearest(self):
-        assert geom.round_nearest(Fraction(1, 2)) == 1
-        assert geom.round_nearest(Fraction(-1, 2)) == 0
-        assert geom.round_nearest(Fraction(7, 10)) == 1
-        assert geom.round_nearest(Fraction(3, 10)) == 0
-        assert geom.round_nearest(Fraction(-7, 10)) == -1
+        assert geom.round_ratio(1, 2) == 1
+        assert geom.round_ratio(-1, 2) == 0
+        assert geom.round_ratio(7, 10) == 1
+        assert geom.round_ratio(3, 10) == 0
+        assert geom.round_ratio(-7, 10) == -1
 
     def test_round_ratio_equals_round_nearest(self):
         rng = random.Random(12)
@@ -920,4 +928,4 @@ class TestPolygonClass:
                   for _ in range(2000)]
         for n, d in cases:
             expected = math.floor(Fraction(n, d) + Fraction(1, 2))
-            assert geom.round_ratio(n, d) == geom.round_nearest(Fraction(n, d)) == expected, (n, d)
+            assert geom.round_ratio(n, d) == expected, (n, d)

@@ -19,7 +19,7 @@ def test_fixed_seed_fixed_bits():
 
 # First draws recorded from the SplitMix64 stream as first written: three
 # next_u64, then below over (1, 2, 7, 1000, 2**63 + 1), in_range over
-# (-3, 3), (2, 9), (0, 2**40) and fraction over [4/5, 6/5], [-1/2, 1], all
+# (-3, 3), (2, 9), (0, 2**40) and ratio over [4/5, 6/5], [-1/2, 1], all
 # from one Rng per (seed, stream).  below(2**63 + 1) rejects about half its
 # draws, so PINNED_REJECTION_RUNS pins the rejection loop.
 PINNED_DRAWS = {
@@ -57,7 +57,7 @@ def test_pinned_draws(seed, stream):
     assert [r.next_u64() for _ in range(3)] == u64s
     assert [r.below(n) for n in (1, 2, 7, 1000, 2**63 + 1)] == belows
     assert [r.in_range(lo, hi) for lo, hi in ((-3, 3), (2, 9), (0, 2**40))] == ranges
-    assert [r.fraction(lo, hi) for lo, hi
+    assert [Fraction(*r.ratio(lo, hi)) for lo, hi
             in ((Fraction(4, 5), Fraction(6, 5)), (Fraction(-1, 2), 1))] == fractions
     # four below(2**63 + 1) from a fresh stream: each rejected draw advances it
     r = Rng(seed, stream)
@@ -91,9 +91,9 @@ def test_fraction_bounds():
     r = Rng(3)
     lo, hi = Fraction(1, 10), Fraction(2)
     for _ in range(200):
-        f = r.fraction(lo, hi)
-        assert lo <= f <= hi
-        assert isinstance(f, Fraction)
+        num, den = r.ratio(lo, hi)
+        assert type(num) is type(den) is int and den > 0
+        assert lo <= Fraction(num, den) <= hi
 
 
 def test_chance_extremes():
@@ -146,13 +146,13 @@ def test_fraction_equals_its_definition():
             r, twin = Rng(seed, stream=den), Rng(seed, stream=den)
             for _ in range(400):
                 k = twin.below(den + 1)
-                f = r.fraction(lo, hi, den)
-                assert isinstance(f, Fraction)
-                assert f == lo + (hi - lo) * Fraction(k, den)
+                num, d = r.ratio(lo, hi, den)
+                assert type(num) is type(d) is int and d > 0
+                assert Fraction(num, d) == lo + (hi - lo) * Fraction(k, den)
                 draws += 1
             for k in (0, den):
-                f = _FixedDraw(k).fraction(lo, hi, den)
-                assert f == lo + (hi - lo) * Fraction(k, den)
+                assert Fraction(*_FixedDraw(k).ratio(lo, hi, den)) == \
+                    lo + (hi - lo) * Fraction(k, den)
     assert draws >= 10_000
 
 

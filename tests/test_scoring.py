@@ -73,7 +73,7 @@ class TestLeaderboard:
         ]
         board = build_leaderboard(records, instances)
         assert board.standings[0].total == board.standings[1].total == 2
-        assert board.ranking() == ["early", "late"]
+        assert [s.team for s in board.standings] == ["early", "late"]
 
     def test_achievement_time_ignores_scoreless_resubmissions(self):
         instances = ["a"]
@@ -163,7 +163,7 @@ def test_csv_round_trip():
     assert len(records) == 2
     assert records[1].value == 24
     board = build_leaderboard(records, ["i0"])
-    assert board.ranking() == ["beta", "alpha"]
+    assert [s.team for s in board.standings] == ["beta", "alpha"]
     assert "beta" in render_table(board)
     obj = board.to_json_obj()
     assert obj["standings"][0]["total_display"] == "1.00"
@@ -179,7 +179,7 @@ def test_team_named_team_keeps_its_records():
         records = read_records_csv(csv_data)
         assert [r.team for r in records] == ["Team", "beta", "team"]
         board = build_leaderboard(records, ["i0", "i1"])
-        assert board.ranking() == ["Team", "team", "beta"]  # tie: Team earlier
+        assert [s.team for s in board.standings] == ["Team", "team", "beta"]  # tie: Team earlier
         by_team = {s.team: s.total for s in board.standings}
         assert by_team == {"team": 1, "Team": 1, "beta": Fraction(16, 25)}
 

@@ -30,24 +30,24 @@ def inst_of(polys, name="m", values=None):
 class TestMetrics:
     def test_single_item_log_zero(self):
         fv = compute_metrics(inst_of([Polygon([(0, 0), (2, 0), (2, 2), (0, 2)])]))
-        assert fv[0] == 0.0
+        assert fv.values[0] == 0.0
 
     def test_all_convex_items_zero_slack(self):
         polys = [Polygon([(0, 0), (3, 0), (3, 2), (0, 2)]),
                  Polygon([(0, 0), (4, 0), (2, 3)])]
         fv = compute_metrics(inst_of(polys))
-        assert fv[1] == 0.0
+        assert fv.values[1] == 0.0
 
     def test_concave_item_positive_slack(self):
         l_shape = Polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
         fv = compute_metrics(inst_of([l_shape]))
-        assert fv[1] > 0.0
+        assert fv.values[1] > 0.0
 
     def test_atris_axis_alignment_is_one(self):
         for seed in range(5):
             inst = gen_atris(GenConfig(seed=seed, n_target=10))
             fv = compute_metrics(inst)
-            assert fv[5] == 1.0
+            assert fv.values[5] == 1.0
 
     def test_empty_instance_named_in_value_error(self):
         # every metric is a mean over the items, so none exists without them

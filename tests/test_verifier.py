@@ -11,11 +11,11 @@ import pytest
 
 import polypack
 
-from polypack.geom import Polygon, contained_in_convex, interiors_overlap
+from polypack.geom import (Polygon, boxes_interior_overlap, contained_in_convex,
+                           interiors_overlap)
 from polypack.model import Instance, Item, Placement, Solution
 from polypack.verifier import (BoxIndex, InstanceMismatch, ViolationKind,
-                               boxes_interior_overlap, build_index,
-                               placement_box, verify)
+                               build_index, placement_box, verify)
 
 from test_geom import random_star_polygon
 
