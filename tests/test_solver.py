@@ -215,6 +215,22 @@ class TestSolverPinnedOutput:
         sol = solve_greedy(inst, SolverConfig(time_budget=60.0, seed=0))
         assert hashlib.sha256(write_solution(sol)).hexdigest() == sha256
 
+    def test_four_family_solves_pinned(self):
+        """One SHA-256 over full solves of all four families for seeds 0-7,
+        each under solver seed + 11: a change to any scan, exit or reused
+        outcome that moves one item shows up here."""
+        digest = hashlib.sha256()
+        for seed in range(8):
+            for inst in (gen_random(GenConfig(seed=seed, n_target=40)),
+                         gen_atris(GenConfig(seed=seed, n_target=40)),
+                         gen_satris(GenConfig(seed=seed, n_target=40)),
+                         gen_jigsaw(GenConfig(seed=seed, jigsaw_line_count=6,
+                                              jigsaw_copies=2))):
+                sol = solve(inst, SolverConfig(time_budget=60.0, seed=seed + 11))
+                digest.update(write_solution(sol))
+        assert digest.hexdigest() == \
+            "ab8348bd14e7ec03b4458afb9eec5fe56fa8879c065e3ca0e817e794908d19c2"
+
 
 def cell_by_cell_find_offset(state, idx, coarse_cells):
     """Reference: the bottom-left grid scan that tests every cell with
