@@ -25,9 +25,10 @@ slanted edge; `containment_range` reads it a row at a time.  Overlap: the
 offsets at which two convex parts overlap form their no-fit polygon, and
 `no_fit_exit`, the one copy of the part-pair loop, tests its half-planes
 k + u*dx + v*dy > 0, one per part edge; `interiors_overlap` checks the
-offsets and calls it.  A caller that probes many offsets of the same
-polygons (the solver's grid scan) may pass a memo that keeps each pair's half-planes
-between calls; `interiors_overlap`, and so the verifier, passes none, so
+offsets and calls it.  A hit also hands back the hit pair's half-planes,
+from which `no_fit_rise` reads how far up they hold two columns.  A caller
+that probes many offsets of the same polygons (the solver's grid scan)
+may pass a memo that keeps each pair's half-planes between calls; `interiors_overlap`, and so the verifier, passes none, so
 verifying keeps no per-pair tables.  `in_inner_fit`, the one inner-fit
 test, serves both `contained_in_convex` and the solver's `can_place`.  The
 generators trace outlines with `trace_boundary`, drop straight vertices
@@ -647,8 +648,9 @@ def no_fit_exit(aparts, bparts, tx: int, dx: int, dy: int,
     """Where a row of overlaps ends, for a polygon with convex parts
     `aparts` at (tx, ty) and one with parts `bparts` at (tx + dx, ty + dy),
     on plain ints, which it does not check.  None if their open interiors
-    do not meet; else an integer x > tx such that the first, translated by
-    (x', ty), still meets the second for every integer x' in [tx, x).
+    do not meet; else `(x, planes)`: an integer x > tx such that the first,
+    translated by (x', ty), still meets the second for every integer x' in
+    [tx, x), and the half-planes of the part pair that gave it.
 
     Interiors meet iff some pair of parts' interiors meet.  Without
     rotation, the offsets (dx, dy) of b against a at which two parts
@@ -658,7 +660,8 @@ def no_fit_exit(aparts, bparts, tx: int, dx: int, dy: int,
     boxes meet and whose half-planes all hold gives the exit: a moving right
     by one lowers dx by one, so a margin m with u > 0 lasts ceil(m / u)
     steps, and the row ends at tx plus the least of them, taken in the
-    pass that tests the half-planes.
+    pass that tests the half-planes.  That pair's list is complete, as
+    `_extend_no_fit` derives to the end unless a plane separates.
 
     `memo`, if given, is a dict the caller keeps across calls on the same
     polygons, such as every probe of one grid scan.  It holds each part
@@ -692,8 +695,26 @@ def no_fit_exit(aparts, bparts, tx: int, dx: int, dy: int,
                 if len(planes) < len(ea) + len(eb):
                     least = _extend_no_fit(planes, pa, ea, pb, eb, dx, dy, least)
                 if least is not None:
-                    return tx + least
+                    return tx + least, planes
     return None
+
+
+def no_fit_rise(planes, dx0: int, dx1: int, dy: int) -> int:
+    """The least r such that (dx0, dy - r) or (dx1, dy - r), dx1 <= dx0,
+    lies outside the no-fit polygon of the complete half-planes `planes`,
+    or 0 if one already does: a row up lowers dy by one, so a margin falls
+    by v, the lesser of the two columns' margins is at dx1 if u > 0, and a
+    bounded polygon has a plane with v > 0."""
+    rise = None
+    for u, v, k in planes:
+        m = k + u * (dx1 if u > 0 else dx0) + v * dy
+        if m <= 0:
+            return 0
+        if v > 0:
+            m = -(-m // v)
+            if rise is None or m < rise:
+                rise = m
+    return rise
 
 
 def contained_in_convex(container: Polygon, item: Polygon, t) -> bool:

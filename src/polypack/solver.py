@@ -9,19 +9,22 @@ grid around the first hit.  The scan finds that cell without testing every
 cell: each row starts and ends where the item fits in the convex container
 within the scan's window (`geom.containment_range` on the item's
 `geom.inner_fit`, built once per item and solve: the offset box cut by the
-slanted container edges, so an axis rectangle's rows span the box), and a
+slanted container edges, so an axis rectangle's rows span the box), a
 blocked cell jumps to the first cell past the blocker's overlap exit
-(`geom.no_fit_exit`, one row of the no-fit polygon), both computed exactly
-in integers.  A scan queries the box index once, for the box the item
-sweeps over the scan's window, and keeps each returned item's offset
-intervals, parts and offset; a row tests only its band (the items whose ty
-interval holds the row), and a probe only the band items whose tx interval
-holds it.  The offsets are the solver's own ints, so probes and `overlaps`
-call the unchecked kernel `geom.no_fit_exit`; `verify` and the public
-predicates check theirs.  Each `find_offset` call makes one dict that every
-probe of its scans passes as the memo, so a pair of convex parts has its
-no-fit half-planes derived once per call, and drops it on return, so
-memory does not grow with the placed items.
+(`geom.no_fit_exit`, one row of the no-fit polygon), and an exit past a
+row's last cell jumps up past the rows whose window ends that polygon
+holds (`geom.no_fit_rise`): the scan skips rows as well as cells, exactly,
+in integers.  A `find_offset` call queries the box index once, for its
+coarse window, and keeps each returned item's offset intervals, parts
+(read once per solve into the `Record`) and offset; a refinement scan
+keeps those that meet its window, a row its band (the items whose ty
+interval holds the row), and a probe the band items whose tx interval
+holds it.  The offsets are the solver's own ints, so probes and
+`overlaps` call the unchecked kernel `geom.no_fit_exit`; `verify` and the
+public predicates check theirs.  Each `find_offset` call makes one dict
+that every probe of its scans passes as the memo, so a pair of convex
+parts has its no-fit half-planes derived once per call, and drops it on
+return, so memory does not grow with the placed items.
 `can_place`, used by `shelf_pack`, is the inner-fit row test
 `geom.in_inner_fit`, which `geom.contained_in_convex` also makes, plus
 `overlaps`, also the certificates' hit check: the kernel, without a memo,
@@ -40,8 +43,8 @@ hits (the coarse hit and each refinement hit that replaced the best cell).
 Placing an item only blocks cells, so the outcome holds on any placed set
 that keeps every blocker at its offset and meets the item at no hit.  A
 certificate refers to no state, so `remove` and `place` keep it exact.
-Every `PlacementState` carries its solve's `Record`: each item's inner fit
-and the certificates of its outcomes so far.  `solve` makes one record,
+Every `PlacementState` carries its solve's `Record`: each item's inner fit,
+convex parts and the certificates of its outcomes so far.  `solve` makes one record,
 and every start fill and refill is a state on it; at each position a fill
 reuses any outcome whose certificate holds there, and only where none
 does is `find_offset` called.  So an item that failed, or found a cell, in
@@ -70,7 +73,8 @@ import time
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .geom import containment_range, in_inner_fit, inner_fit, no_fit_exit
+from .geom import (containment_range, in_inner_fit, inner_fit, no_fit_exit,
+                   no_fit_rise)
 from .model import Instance, Placement, Solution
 from .rng import Rng
 from .verifier import BoxIndex, placement_box, verify
@@ -104,11 +108,13 @@ def _is_axis_rect(poly) -> bool:
 
 
 class Record:
-    """What one solve keeps across its fills: each item's `geom.inner_fit`,
-    built once, and `certs`, each item's `find_offset` certificates."""
+    """What one solve keeps across its fills: each item's `geom.inner_fit`
+    and convex parts (`Polygon.parts`), each read once, and `certs`, each
+    item's `find_offset` certificates."""
 
     def __init__(self, instance: Instance):
         self.fits = [inner_fit(instance.container, it.polygon) for it in instance.items]
+        self.parts = [it.polygon.parts for it in instance.items]
         self.certs: list[list] = [[] for _ in instance.items]
 
 
@@ -116,7 +122,8 @@ class PlacementState:
     """Current placements plus the occupancy index; mutations keep the state
     feasible, so a snapshot is always a valid solution.  A state carries
     `record`, the `Record` of its solve (default: a fresh one), and reads
-    `fits` from it; `remove` and `place` leave every certificate exact."""
+    `fits` and `parts` from it; `remove` and `place` leave every
+    certificate exact."""
 
     def __init__(self, instance: Instance, record: Optional[Record] = None):
         self.instance = instance
@@ -125,6 +132,7 @@ class PlacementState:
         self.values = [it.value for it in instance.items]
         self.bboxes = [p.bbox for p in self.polys]
         self.fits = self.record.fits
+        self.parts = self.record.parts
         self.tree = BoxIndex()
         self.offsets: dict[int, tuple[int, int]] = {}
         self.value = 0
@@ -134,14 +142,12 @@ class PlacementState:
         """Whether item idx at `off` meets the interior of a placed item not
         in `clear`: one box query, then an exact test per returned item."""
         tx, ty = off
-        parts = None
+        parts = self.parts
         for j in self.tree.query(placement_box(self.instance, idx, off)):
             if j in clear:
                 continue
-            if parts is None:
-                parts = self.polys[idx].parts
             ox, oy = self.offsets[j]
-            if no_fit_exit(parts, self.polys[j].parts, tx, ox - tx, oy - ty) is not None:
+            if no_fit_exit(parts[idx], parts[j], tx, ox - tx, oy - ty) is not None:
                 return True
         return False
 
@@ -181,56 +187,58 @@ def priority_order(instance: Instance, ordering: Ordering) -> list[int]:
     return idx
 
 
-def _scan_bottom_left(state, idx, lox, hix, loy, hiy, step, memo, blocked):
+def _scan_bottom_left(state, idx, blockers, lox, hix, loy, hiy, step, memo, blocked):
     """First feasible cell of the grid lox + i*step, loy + j*step in
     (row, column) order.  Cells that exact arithmetic rules out are skipped,
-    not tested: those outside the row's containment range, and on a blocked
-    cell the run of cells up to the blocker's overlap exit.  Every probe
-    shares `memo`, the no-fit half-planes known so far, and each placed item
-    whose exit moves the scan on is added to the set `blocked`.
+    not tested: those outside the row's containment range, on a blocked
+    cell the run of cells up to the blocker's overlap exit, and, when an
+    exit passes a row's last cell, the rows below the first one its no-fit
+    polygon leaves at an end column of the window, lox or the last grid
+    column (`geom.no_fit_rise`): a convex polygon holding both end columns
+    holds every cell a row can probe.  Every probe shares `memo`, the
+    no-fit half-planes known so far, and each placed item whose exit moves
+    the scan on is added to the set `blocked`.
 
-    The placed set does not change during a scan, so the box index is asked
-    once, with the box the item sweeps over the window.  Each placed item it
-    returns becomes a blocker: the open ty and tx intervals in which its box
-    meets the item's box, its convex parts and its offset.  A row keeps the
-    blockers whose ty interval holds it (its band), and a probe exact-tests
-    the band entries whose tx interval holds the probe's tx, which are
-    exactly the items a box query at that cell would return.  They are tried furthest-reaching box first,
-    and the first exit found moves the scan on: which blocker supplies it
-    does not change the result, as every exit skips only overlapping cells,
-    but one that reaches further right tends to skip more."""
+    `blockers` holds, per placed item whose box can meet the item's box in
+    the window, the open ty interval in which they meet and an entry: the
+    open tx interval, its convex parts and its offset, sorted by the tx
+    interval's end, descending.  A row keeps the entries whose ty interval
+    holds it (its band), and a probe exact-tests the band entries whose tx
+    interval holds its tx, which are exactly the items a box query at that
+    cell would return, furthest-reaching box first; the first exit found
+    moves the scan on.  Which blocker supplies it does not change the
+    result, as every exit skips only overlapping cells."""
     fit = state.fits[idx]
-    ix0, iy0, ix1, iy1 = state.bboxes[idx]
-    parts = None  # the item's, read at its first probe
-    blockers = []
-    for j in state.tree.query((lox + ix0, loy + iy0, hix + ix1, hiy + iy1)):
-        ox, oy = state.offsets[j]
-        bx0, by0, bx1, by1 = state.bboxes[j]
-        blockers.append((by0 + oy - iy1, by1 + oy - iy0,
-                         (bx0 + ox - ix1, bx1 + ox - ix0, state.polys[j].parts, ox, oy, j)))
-    blockers.sort(key=lambda b: -b[2][1])
-    for ty in range(loy, hiy + 1, step):
+    parts = state.parts[idx]
+    glast = lox + (hix - lox) // step * step  # the window's last column
+    ty = loy
+    while ty <= hiy:
         row = containment_range(fit, ty)
         if row is None:
+            ty += step
             continue
         last = min(row[1], hix)
         tx = lox + -(-(max(row[0], lox) - lox) // step) * step
         band = [e for y0, y1, e in blockers if y0 < ty < y1]
+        rise = step
         while tx <= last:
-            end = None
+            hit = None
             for x0, x1, q, ox, oy, j in band:
                 if x1 <= tx:
                     break  # sorted by x1 descending: no later entry holds tx
                 if x0 < tx:
-                    if parts is None:
-                        parts = state.polys[idx].parts
-                    end = no_fit_exit(parts, q, tx, ox - tx, oy - ty, memo)
-                    if end is not None:
+                    hit = no_fit_exit(parts, q, tx, ox - tx, oy - ty, memo)
+                    if hit is not None:
                         break
-            if end is None:
+            if hit is None:
                 return (tx, ty)
             blocked.add(j)
+            end, planes = hit
             tx = lox + -(-(end - lox) // step) * step
+            if tx > last:
+                up = no_fit_rise(planes, ox - lox, ox - glast, oy - ty)
+                rise = max(step, -(-up // step) * step)
+        ty += rise
     return None
 
 
@@ -240,19 +248,22 @@ def find_offset(state: PlacementState, idx: int) -> Optional[tuple[int, int]]:
 
     Each refinement halves the step and rescans the old step's window around
     the best hit so far, down to step 1.  No clock is read here, so a solve
-    runs past its budget by at most one call.  The scans share one memo of
-    no-fit half-planes; it lives only as long as this call, so its tables
-    are dropped with it.
+    runs past its budget by at most one call.  The box index is asked
+    once, with the box the item sweeps over the coarse window; a
+    refinement window lies inside it, so its scan keeps the returned items
+    that can meet the item there.  The scans share one memo of no-fit
+    half-planes, dropped when the call returns.
 
     The outcome's certificate, `(outcome, blockers, places, hits)`, is
     appended to the item's list in the state's record.  The blockers are
     the placed items whose overlap exit moved any of the call's scans on,
     `places` their offsets during the call, and the hits the coarse hit and
     each refinement hit that replaced the best cell.  Every cell a scan
-    passed over lies outside the inner fit or inside a blocker, and each
-    hit was free, so the call returns the same outcome on any placed set
-    that holds every blocker at its place and meets no hit (`_certified`):
-    a placed item only blocks cells.  A failure of the area test is not
+    passed over lies outside the inner fit or inside a blocker (a row
+    skipped whole lies inside the blocker that skipped it), and each hit
+    was free, so the call returns the same outcome on any placed set that
+    holds every blocker at its place and meets no hit (`_certified`): a
+    placed item only blocks cells.  A failure of the area test is not
     certified, as it depends on no blocker."""
     if state.polys[idx].area2 > state.free_area2:
         return None
@@ -263,16 +274,26 @@ def find_offset(state: PlacementState, idx: int) -> Optional[tuple[int, int]]:
         span = max(hix - lox, hiy - loy)
         step = max(1, -(-span // COARSE_CELLS))  # ceil division
         memo: dict = {}
-        best = _scan_bottom_left(state, idx, lox, hix, loy, hiy, step, memo, blocked)
+        ix0, iy0, ix1, iy1 = state.bboxes[idx]
+        blockers = []
+        for j in state.tree.query((lox + ix0, loy + iy0, hix + ix1, hiy + iy1)):
+            ox, oy = state.offsets[j]
+            bx0, by0, bx1, by1 = state.bboxes[j]
+            blockers.append((by0 + oy - iy1, by1 + oy - iy0,
+                             (bx0 + ox - ix1, bx1 + ox - ix0, state.parts[j], ox, oy, j)))
+        blockers.sort(key=lambda b: -b[2][1])
+        best = _scan_bottom_left(state, idx, blockers, lox, hix, loy, hiy, step,
+                                 memo, blocked)
         if best is not None:
             hits.append(best)
             while step > 1:
                 prev, step = step, step // 2
-                cand = _scan_bottom_left(
-                    state, idx,
-                    max(lox, best[0] - prev), min(hix, best[0] + prev),
-                    max(loy, best[1] - prev), min(hiy, best[1] + prev), step,
-                    memo, blocked)
+                x0, x1 = max(lox, best[0] - prev), min(hix, best[0] + prev)
+                y0, y1 = max(loy, best[1] - prev), min(hiy, best[1] + prev)
+                near = [b for b in blockers
+                        if b[0] < y1 and y0 < b[1] and b[2][0] < x1 and x0 < b[2][1]]
+                cand = _scan_bottom_left(state, idx, near, x0, x1, y0, y1, step,
+                                         memo, blocked)
                 if cand is not None and cand != best:
                     best = cand
                     hits.append(best)

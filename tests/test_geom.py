@@ -11,7 +11,7 @@ from polypack.geom import (AllCollinear, Polygon, contained_in_convex,
                            containment_range, convex_hull, drop_straight, inner_fit,
                            ensure_ccw, interiors_overlap, is_convex, is_simple,
                            lattice_image, min_area_bounding_rect, no_fit_exit,
-                           signed_area2, to_origin, trace_boundary, triangulate)
+                           no_fit_rise, signed_area2, to_origin, trace_boundary, triangulate)
 from polypack.model import Instance, Item, Placement, Solution
 from polypack.verifier import verify
 
@@ -515,9 +515,30 @@ def random_overlap_case(rng):
     return Polygon(a), ta, Polygon(b), tb
 
 
+def exit_x(hit):
+    """The exit x of a `no_fit_exit` result, None for no overlap."""
+    return None if hit is None else hit[0]
+
+
 def exit_at(a, ta, b, tb, memo=None):
-    """`no_fit_exit` of a at ta against b at tb, called as the solver calls it."""
-    return no_fit_exit(a.parts, b.parts, ta[0], tb[0] - ta[0], tb[1] - ta[1], memo)
+    """The exit of `no_fit_exit` for a at ta against b at tb, called as the
+    solver calls it."""
+    return exit_x(no_fit_exit(a.parts, b.parts, ta[0], tb[0] - ta[0], tb[1] - ta[1], memo))
+
+
+def pair_planes(pa, pb):
+    """Every no-fit half-plane (u, v, k) of convex CCW parts pa and pb, pa's
+    edges then pb's, from the SAT rule: b at offset (dx, dy) is strictly
+    left of pa's edge a0 -> a1 for some vertex iff the greatest cross
+    product of the edge with b's shifted vertices exceeds that of a0, and
+    likewise for pb's edges against a's vertices."""
+    planes = []
+    for own, other, sign in ((pa, pb, 1), (pb, pa, -1)):
+        for (ax, ay), (bx, by) in zip(own[-1:] + own[:-1], own):
+            ex, ey = bx - ax, by - ay
+            k = max(ex * y - ey * x for x, y in other) - (ex * ay - ey * ax)
+            planes.append((-ey * sign, ex * sign, k))
+    return planes
 
 
 class TestInteriorsOverlap:
@@ -704,6 +725,82 @@ class TestRowSkipping:
                         misses += not expected
             assert hits > 50 and misses > 50 and extended > 10
 
+    def test_hit_planes_are_complete(self):
+        # a hit hands back the whole half-plane list of the part pair that
+        # gave the exit, one plane per edge of either part, each holding at
+        # the probe, also when a memo kept the list partial at earlier probes
+        rng = random.Random(24)
+        checked = partial = 0
+        for _ in range(60):
+            a, ta, b, tb = random_overlap_case(rng)
+            pairs = [(len(ea) + len(eb), pair_planes(pa, pb))
+                     for pa, _, ea in a.parts for pb, _, eb in b.parts]
+            memo = {}
+            for _ in range(8):
+                tx, ty = ta[0] + rng.randint(-20, 20), ta[1] + rng.randint(-20, 20)
+                dx, dy = tb[0] - tx, tb[1] - ty
+                for m in (None, memo):
+                    hit = no_fit_exit(a.parts, b.parts, tx, dx, dy, m)
+                    assert (hit is not None) == interiors_overlap(a, (tx, ty), b, tb)
+                    if hit is None:
+                        continue
+                    planes = hit[1]
+                    assert any(planes == full and len(planes) == n for n, full in pairs)
+                    assert all(k + u * dx + v * dy > 0 for u, v, k in planes)
+                    checked += 1
+                partial += any(len(p) < max(n for n, _ in pairs) for p in memo.values())
+        assert checked > 300 and partial > 100
+
+    @pytest.mark.parametrize("scale, shift", [(1, 0), (2 ** 30, -(2 ** 45 + 3))])
+    def test_rise_against_brute_force(self, scale, shift):
+        # a pair's no-fit polygon holds both end columns, lox and glast, of
+        # a window at row ty: both overlap at every row in [ty, ty + rise)
+        # and not both at ty + rise; where one end is outside, the rise is
+        # 0.  At 2**30 scale, with unit nudges off the grid, the rows in
+        # between are checked at the two ends of the run, which by
+        # convexity covers the rest
+        rng = random.Random(25)
+        risen = tall = outside = 0
+        for _ in range(400):
+            pa, pb = (convex_hull(random_star_polygon(rng, rng.randint(3, 8), radius=20))
+                      for _ in range(2))
+            a = Polygon([(x * scale, y * scale) for x, y in pa.coords])
+            b = Polygon([(x * scale, y * scale) for x, y in pb.coords])
+            ob = (rng.randint(-9, 9) * scale + shift, rng.randint(-9, 9) * scale - shift)
+
+            def nudge():
+                return rng.randint(-1, 1) if scale > 1 else 0
+
+            ty = ob[1] + rng.randint(-30, 30) * scale + nudge()
+            lox = ob[0] + rng.randint(-30, 30) * scale + nudge()
+            glast = lox + max(0, rng.randint(0, 20) * scale + nudge())
+
+            def both(row):
+                return (interiors_overlap(a, (lox, row), b, ob)
+                        and interiors_overlap(a, (glast, row), b, ob))
+
+            hits = [no_fit_exit(a.parts, b.parts, x, ob[0] - x, ob[1] - ty)
+                    for x in (lox, glast)]
+            if hits == [None, None]:
+                continue
+            planes = (hits[0] or hits[1])[1]
+            rise = no_fit_rise(planes, ob[0] - lox, ob[0] - glast, ob[1] - ty)
+            if None in hits:
+                assert rise == 0
+                outside += 1
+                continue
+            assert rise > 0
+            rows = range(ty, ty + rise) if scale == 1 else (ty, ty + rise - 1)
+            for row in rows:
+                assert both(row), (scale, lox, glast, ty, rise)
+                if scale == 1:
+                    mid = rng.randint(lox, glast)
+                    assert interiors_overlap(a, (mid, row), b, ob)
+            assert not both(ty + rise)
+            risen += 1
+            tall += rise > scale
+        assert risen > 80 and tall > 80 and outside > 60
+
     def test_no_overlap_no_exit(self):
         sq = Polygon(UNIT_SQUARE)
         assert exit_at(sq, (0, 0), sq, (1, 0)) is None
@@ -743,8 +840,9 @@ class TestRowSkipping:
                                 a, (tx + ox, ty + oy), b, (ox, oy))
                             if want is not None:
                                 want -= ox
-                            assert no_fit_exit(a.parts, b.parts, tx, -tx, -ty) == want
-                            assert no_fit_exit(a.parts, b.parts, tx, -tx, -ty, memo) == want
+                            assert exit_x(no_fit_exit(a.parts, b.parts, tx, -tx, -ty)) == want
+                            assert exit_x(no_fit_exit(a.parts, b.parts, tx, -tx, -ty,
+                                                      memo)) == want
                             if rng.random() < 0.05:
                                 assert (want is not None) == oracles.overlap_by_clipping(
                                     tris[a], (tx, ty), tris[b], (0, 0))

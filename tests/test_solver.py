@@ -355,7 +355,8 @@ class TestFindOffsetReference:
         assert compared >= 40 and found > 0
 
     def test_one_box_query_per_scan(self, monkeypatch):
-        # a scan queries the box index once, not once per probed cell
+        # a find_offset call that scans queries the box index exactly once,
+        # not once per refinement scan or per probed cell
         queries = []
         probes = set()
         real_query, real_exit = BoxIndex.query, solver_module.no_fit_exit
@@ -382,14 +383,40 @@ class TestFindOffsetReference:
             # the coarse scan, then one per halving of its step down to 1
             lox, hix, loy, hiy, _ = state.fits[idx]
             scans = max(1, -(-max(hix - lox, hiy - loy) // 24)).bit_length()
+            scanned = (lox <= hix and loy <= hiy
+                       and state.polys[idx].area2 <= state.free_area2)
             off = find_offset(state, idx)
-            assert len(queries) <= scans, (idx, len(queries), scans)
+            assert len(queries) == scanned, (idx, len(queries), scans)
             most_probes = max(most_probes, len(probes))
             most_scans = max(most_scans, scans)
             if off is not None:
                 state.place(idx, off)
         # a query per probed cell would have broken the bound above
         assert most_probes > 10 * most_scans
+
+    @pytest.mark.parametrize("scale, most_exits", [(1, 3), (10 ** 4, 16)])
+    def test_blocked_rows_are_skipped(self, scale, most_exits, monkeypatch):
+        # a full-width 100x60 rectangle in a 100x100 container: the no-fit
+        # polygon of the first probe holds both end columns of every row
+        # below 60, so each scan jumps there instead of probing each row
+        exits = []
+        real_exit = solver_module.no_fit_exit
+
+        def counting_exit(*args):
+            exits.append(args)
+            return real_exit(*args)
+
+        def rect(w, h):
+            return Polygon([(0, 0), (w * scale, 0), (w * scale, h * scale), (0, h * scale)])
+
+        inst = Instance("rows", rect(100, 100), (Item(rect(100, 60), 1), Item(rect(10, 10), 1)))
+        state = PlacementState(inst)
+        state.place(0, (0, 0))
+        monkeypatch.setattr(solver_module, "no_fit_exit", counting_exit)
+        assert find_offset(state, 1) == (0, 60 * scale)
+        assert len(exits) <= most_exits
+        if scale == 1:
+            assert cell_by_cell_find_offset(state, 1, 24) == (0, 60)
 
     @pytest.mark.parametrize("side, blocker, shift", [
         (5_000, 1_001, 0), (5_000, 1_001, -(10 ** 9) - 7),
