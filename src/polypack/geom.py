@@ -28,11 +28,12 @@ k + u*dx + v*dy > 0, one per part edge; `interiors_overlap` checks the
 offsets and calls it.  A hit also hands back the hit pair's half-planes,
 from which `no_fit_rise` reads how far up they hold two columns.  A caller
 that probes many offsets of the same polygons (the solver's grid scan)
-may pass a memo that keeps each pair's half-planes between calls; `interiors_overlap`, and so the verifier, passes none, so
-verifying keeps no per-pair tables.  `in_inner_fit`, the one inner-fit
-test, serves both `contained_in_convex` and the solver's `can_place`.  The
-generators trace outlines with `trace_boundary`, drop straight vertices
-with `drop_straight` and move point lists to the origin with `to_origin`.
+may pass a memo that keeps each pair's half-planes between calls;
+`interiors_overlap`, and so the verifier, passes none, so verifying keeps
+no per-pair tables.  `in_inner_fit`, the one inner-fit test, serves both
+`contained_in_convex` and the solver's `can_place`.  The generators trace
+outlines with `trace_boundary`, drop straight vertices with
+`drop_straight` and move point lists to the origin with `to_origin`.
 A checked Polygon that is only flipped and turned by quarter turns is
 moved by `lattice_image` instead: a signed permutation matrix maps Z^2
 onto itself and keeps distances, so the image is again simple, integral

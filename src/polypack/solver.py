@@ -43,17 +43,17 @@ hits (the coarse hit and each refinement hit that replaced the best cell).
 Placing an item only blocks cells, so the outcome holds on any placed set
 that keeps every blocker at its offset and meets the item at no hit.  A
 certificate refers to no state, so `remove` and `place` keep it exact.
-Every `PlacementState` carries its solve's `Record`: each item's inner fit,
-convex parts and the certificates of its outcomes so far.  `solve` makes one record,
-and every start fill and refill is a state on it; at each position a fill
-reuses any outcome whose certificate holds there, and only where none
-does is `find_offset` called.  So an item that failed, or found a cell, in
-an earlier fill or under a smaller placed set is not scanned again; in
-particular a refill scans no item of its unchanged prefix, before the
-first swapped position, once the current order has been filled on the
-same record.  An order already filled is not filled again.  A refill
-becomes the current order if its value is not lower and the best if it is
-higher, so the packed value never decreases.  The step count, not the
+Every `PlacementState` carries its solve's `Record`: each item's inner
+fit, convex parts and the certificates of its outcomes so far.  `solve`
+makes one record, and every start fill and refill is a state on it; at
+each position a fill reuses any outcome whose certificate holds there, and
+only where none does is `find_offset` called.  So an item that failed, or
+found a cell, in an earlier fill or under a smaller placed set is not
+scanned again; in particular a refill scans no item of its unchanged
+prefix, before the first swapped position, once the current order has been
+filled on the same record.  An order already filled is not filled again.  A
+refill becomes the current order if its value is not lower and the best if
+it is higher, so the packed value never decreases.  The step count, not the
 clock, ends the search, so its output depends only on the seed while the
 budget lasts.  `solve` hands its best start fill to the search as it is;
 `improve_local` accepts a caller's start solution only if
